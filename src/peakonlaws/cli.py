@@ -47,12 +47,11 @@ def _parse_params(items) -> dict:
     return out
 
 
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, threads: int, outputs: list):
+def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, outputs: list):
     manifest = {
         "subcommand": command,
         "config": config,
         "seed": seed,
-        "threads": threads,
         "version": __version__,
         "created_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "outputs": [str(p) for p in outputs],
@@ -88,7 +87,7 @@ def cmd_classify(args) -> int:
         _write_manifest(
             out_dir, "classify",
             {"f": args.f, "g": args.g, "params": params},
-            args.seed, args.threads, [report_path],
+            args.seed, [report_path],
         )
     return 0 if report.determinate else 2
 
@@ -96,14 +95,14 @@ def cmd_classify(args) -> int:
 def cmd_simulate(args) -> int:
     cfg_path = Path(args.config)
     try:
-        config = pde.read_config(cfg_path.read_text())
+        raw = json.loads(cfg_path.read_text())
+        config = pde.read_config(raw)
     except (OSError, ValueError, ParseError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     out_dir = Path(args.out) if args.out else cfg_path.parent
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    raw = json.loads(cfg_path.read_text())
     out_spec = raw.get("output", {})
     series_path = out_dir / out_spec.get("series_path", "series.csv")
     snapshot_path = out_dir / out_spec.get("snapshot_path", "snapshots.csv")
@@ -114,7 +113,7 @@ def cmd_simulate(args) -> int:
     if result.snapshots:
         pde.write_snapshots_csv(snapshot_path, config.grid, result.snapshots)
         outputs.append(snapshot_path)
-    _write_manifest(out_dir, "simulate", raw, args.seed, args.threads, outputs)
+    _write_manifest(out_dir, "simulate", raw, args.seed, outputs)
 
     print(f"status: {result.status}")
     if result.message:
@@ -168,7 +167,7 @@ def cmd_twave(args) -> int:
     json_path = out_dir / f"twave_{args.mode}.json"
     json_path.write_text(json.dumps(sidecar, indent=2) + "\n")
     _write_manifest(out_dir, f"twave {args.mode}", vars(args) | {"func": None},
-                    args.seed, args.threads, [csv_path, json_path])
+                    args.seed, [csv_path, json_path])
     print(json.dumps(sidecar, indent=2))
     return 0
 
@@ -228,12 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "m_t + f(u,ux)*m + (g(u,ux)*m)_x = 0",
     )
     ap.add_argument("--seed", type=int, default=42, help="sampling seed (default 42)")
-    ap.add_argument("--threads", type=int, default=1, help="worker threads (default 1)")
     ap.add_argument("--out", type=str, default=None, help="output directory")
     # the global flags are also accepted after the subcommand
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     common.add_argument("--out", type=str, default=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -2,10 +2,14 @@
 m_t = -f(u,ux)*m - (g(u,ux)*m)_x with u recovered from m by Helmholtz
 inversion u_hat = m_hat/(1+k^2).
 
-m is the evolved variable (the inversion is smoothing and unconditionally
-stable), products are dealiased with the 2/3 rule, time stepping is
-classical RK4 at fixed step.  Wave breaking is detected, not resolved:
-the run stops when sup|u_x| crosses the configured threshold.  Equations
+The evolved variable is the spectrum m_hat = rfft(m) (the inversion is
+smoothing and unconditionally stable); time stepping is classical RK4 at
+fixed step.  Each RK stage makes two stacked FFT calls: one irfft of
+m_hat times the cached lift [1/(1+k^2), ik/(1+k^2), 1] gives u, u_x and
+m on the grid, and one rfft of [f*m, g*m] gives the product spectra,
+which are dealiased with the 2/3 rule.  The nodal state after a step is
+stage 1 of the next.  Wave breaking is detected, not resolved: the run
+stops when sup|u_x| crosses the configured threshold.  Equations
 singular at u = 0 (probed automatically) get a floor on min|u|.
 """
 
@@ -16,6 +20,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from .twave import solitary_profile
 __all__ = [
     "Grid",
     "GridState",
+    "Stepper",
     "SimConfig",
     "ConservedSeries",
     "SimResult",
@@ -64,18 +70,38 @@ class Grid:
     def dx(self) -> float:
         return self.length / self.n
 
-    @property
+    # the cached arrays are read-only: every caller shares them
+
+    @cached_property
     def x(self) -> np.ndarray:
-        return np.arange(self.n) * self.dx
+        return _frozen(np.arange(self.n) * self.dx)
 
-    @property
+    @cached_property
     def k(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx)
+        return _frozen(2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.dx))
 
-    @property
+    @cached_property
     def dealias_mask(self) -> np.ndarray:
         # 2/3 rule: keep modes with index <= n/3
-        return (np.arange(self.n // 2 + 1) <= self.n // 3).astype(float)
+        return _frozen((np.arange(self.n // 2 + 1) <= self.n // 3).astype(float))
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """Spectral derivative multiplier ik with its Nyquist entry 0.
+
+        irfft drops the imaginary Nyquist part that ik makes of a real
+        spectrum, so the 0 changes no nodal derivative; it keeps the
+        Nyquist entry of an evolved spectrum real.
+        """
+        dk = 1j * self.k
+        dk[-1] = 0.0
+        return _frozen(dk)
+
+    @cached_property
+    def lift(self) -> np.ndarray:
+        """Rows map m_hat to the spectra of u, u_x and m."""
+        inv = 1.0 / (1.0 + self.k**2)
+        return _frozen(np.stack([inv, self.ik * inv, np.ones_like(inv)]))
 
     def integral(self, vals: np.ndarray) -> float:
         # trapezoid rule on a periodic grid = dx * sum (spectrally exact
@@ -83,26 +109,15 @@ class Grid:
         return float(self.dx * np.sum(vals))
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def helmholtz_u(grid: Grid, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u and u_x from m via u_hat = m_hat/(1+k^2) and spectral derivative."""
-    mh = np.fft.rfft(m)
-    uh = mh / (1.0 + grid.k**2)
-    u = np.fft.irfft(uh, n=grid.n)
-    ux = np.fft.irfft(1j * grid.k * uh, n=grid.n)
+    u, ux = np.fft.irfft(grid.lift[:2] * np.fft.rfft(m), n=grid.n)
     return u, ux
-
-
-def ddx(grid: Grid, vals: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
-    vh = np.fft.rfft(vals)
-    if mask is not None:
-        vh = vh * mask
-    return np.fft.irfft(1j * grid.k * vh, n=grid.n)
-
-
-def _filtered(grid: Grid, vals: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    if mask is None:
-        return vals
-    return np.fft.irfft(np.fft.rfft(vals) * mask, n=grid.n)
 
 
 @dataclass(frozen=True)
@@ -198,6 +213,10 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
+        if self.series_dt is not None and not self.series_dt > 0:
+            raise ValueError("series_dt must be positive")
+        if any(not t >= 0 for t in self.snapshot_times):
+            raise ValueError("snapshot times must be non-negative")
 
     @property
     def grid(self) -> Grid:
@@ -206,7 +225,9 @@ class SimConfig:
 
 def read_config(source: str | dict) -> SimConfig:
     """Build a SimConfig from a JSON document (path contents or dict)."""
-    cfg = json.loads(source) if isinstance(source, str) else dict(source)
+    cfg = json.loads(source) if isinstance(source, str) else source
+    if not isinstance(cfg, dict):
+        raise ValueError("invalid simulation config: expected a JSON object")
     try:
         eq_raw = cfg["equation"]
         eq = EquationSpec.from_strings(
@@ -289,42 +310,67 @@ def initial_data(config: SimConfig) -> np.ndarray:
 # right-hand side and stepping
 
 
-@dataclass
-class _Workspace:
-    grid: Grid
-    eq: EquationSpec
-    mask: np.ndarray | None
-    guard_floor: float  # 0 disables the min-|u| guard
+class Stepper:
+    """Classical RK4 on the spectrum m_hat for one grid and equation.
 
-    def rhs(self, m: np.ndarray) -> np.ndarray:
-        grid = self.grid
-        u, ux = helmholtz_u(grid, m)
+    guard_floor > 0 arms the min-|u| guard.  Stage rates raise SingularHit
+    when the guard trips or f, g are non-finite on the grid.
+    """
+
+    def __init__(self, grid: Grid, eq: EquationSpec, dealias: bool = True,
+                 guard_floor: float = 0.0):
+        self.grid = grid
+        self.f, self.g = eq.bound_f, eq.bound_g  # binding rebuilds the tree
+        self.guard_floor = guard_floor
+        mask = grid.dealias_mask if dealias else np.ones_like(grid.k)
+        # m_hat_t = out_f*rfft(f*m) + out_g*rfft(g*m)
+        self.out_f = -mask
+        self.out_g = -mask * grid.ik
+
+    def _nodal(self, mh: np.ndarray) -> np.ndarray:
+        return np.fft.irfft(self.grid.lift * mh, n=self.grid.n)
+
+    def state(self, mh: np.ndarray, t: float) -> GridState:
+        """Nodal u, u_x and m of the spectrum mh."""
+        u, ux, m = self._nodal(mh)
+        return GridState(t, m, u, ux)
+
+    def _env(self, u: np.ndarray, ux: np.ndarray) -> dict:
+        return {"u": u, "ux": ux, "x": self.grid.x}
+
+    def rates(self, u: np.ndarray, ux: np.ndarray, m: np.ndarray) -> np.ndarray:
+        """m_hat_t at the nodal state (u, u_x, m)."""
+        x = self.grid.x
         if self.guard_floor > 0.0 and np.min(np.abs(u)) < self.guard_floor:
             j = int(np.argmin(np.abs(u)))
-            raise SingularHit(
-                f"|u| fell below the floor {self.guard_floor:g}", float(grid.x[j])
-            )
-        env = {"u": u, "ux": ux, "x": grid.x}
-        fv = eval_on_grid(self.eq.bound_f, env)
-        gv = eval_on_grid(self.eq.bound_g, env)
+            raise SingularHit(f"|u| fell below the floor {self.guard_floor:g}", float(x[j]))
+        env = self._env(u, ux)
+        fv = eval_on_grid(self.f, env)
+        gv = eval_on_grid(self.g, env)
         if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
             bad = np.flatnonzero(~(np.isfinite(fv) & np.isfinite(gv)))
-            raise SingularHit("f or g is non-finite on the grid", float(grid.x[bad[0]]))
-        return -_filtered(grid, fv * m, self.mask) - ddx(grid, gv * m, self.mask)
+            raise SingularHit("f or g is non-finite on the grid", float(x[bad[0]]))
+        fh, gh = np.fft.rfft(np.stack([fv * m, gv * m]))
+        return self.out_f * fh + self.out_g * gh
+
+    def step(self, mh: np.ndarray, state: GridState, dt: float) -> np.ndarray:
+        """m_hat one step on; `state` is the nodal state of mh (stage 1)."""
+        k1 = self.rates(state.u, state.ux, state.m)
+        k2 = self.rates(*self._nodal(mh + 0.5 * dt * k1))
+        k3 = self.rates(*self._nodal(mh + 0.5 * dt * k2))
+        k4 = self.rates(*self._nodal(mh + dt * k3))
+        return mh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def check_cfl(self, state: GridState, dt: float):
+        """Warn when dt*max|g|*N/L > 1, at the line calling step_rk4 or run."""
+        gmax = float(np.max(np.abs(eval_on_grid(self.g, self._env(state.u, state.ux)))))
+        if dt * gmax * self.grid.n / self.grid.length > 1.0:
+            warnings.warn("CFL sanity exceeded: dt*max|g|*N/L > 1", RuntimeWarning, stacklevel=3)
 
 
 def rhs(grid: Grid, state: GridState, eq: EquationSpec, dealias: bool = True) -> np.ndarray:
     """Nodal m_t = -f*m - D_x(g*m), spectral D_x, dealiased products."""
-    ws = _Workspace(grid, eq, grid.dealias_mask if dealias else None, 0.0)
-    return ws.rhs(state.m)
-
-
-def _rk4(m: np.ndarray, dt: float, f) -> np.ndarray:
-    k1 = f(m)
-    k2 = f(m + 0.5 * dt * k1)
-    k3 = f(m + 0.5 * dt * k2)
-    k4 = f(m + dt * k3)
-    return m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.fft.irfft(Stepper(grid, eq, dealias).rates(state.u, state.ux, state.m), n=grid.n)
 
 
 def step_rk4(
@@ -332,11 +378,9 @@ def step_rk4(
     dealias: bool = True, blowup_threshold: float = 1e3,
 ) -> GridState:
     """One classical RK4 step; raises SingularHit past the gradient threshold."""
-    gmax = float(np.max(np.abs(eval_on_grid(eq.bound_g, {"u": state.u, "ux": state.ux, "x": grid.x}))))
-    if dt * gmax * grid.n / grid.length > 1.0:
-        warnings.warn("CFL sanity exceeded: dt*max|g|*N/L > 1", RuntimeWarning, stacklevel=2)
-    ws = _Workspace(grid, eq, grid.dealias_mask if dealias else None, 0.0)
-    new = GridState.from_m(grid, _rk4(state.m, dt, ws.rhs), state.t + dt)
+    stepper = Stepper(grid, eq, dealias)
+    stepper.check_cfl(state, dt)
+    new = stepper.state(stepper.step(np.fft.rfft(state.m), state, dt), state.t + dt)
     if float(np.max(np.abs(new.ux))) > blowup_threshold:
         raise SingularHit("wave-breaking detected: sup|u_x| crossed the threshold")
     return new
@@ -391,23 +435,26 @@ class SimResult:
     final: GridState
 
 
-def run(config: SimConfig, eq: EquationSpec | None = None) -> SimResult:
+def run(config: SimConfig, eq: EquationSpec | None = None, *,
+        m0: np.ndarray | None = None) -> SimResult:
     """Integrate to t_final, recording the series every series_dt.
 
-    Terminates early with a wave-breaking or singularity status (partial
-    series retained).  The min-|u| guard is armed only for equations that
-    probe singular at u = 0.
+    m0 is the nodal m(0); by default initial_data(config).  Terminates
+    early with a wave-breaking or singularity status (partial series
+    retained).  The min-|u| guard is armed only for equations that probe
+    singular at u = 0.
     """
     eq = eq or config.equation
     grid = config.grid
-    m = initial_data(config)
-    state = GridState.from_m(grid, m)
+    if m0 is None:
+        m0 = initial_data(config)
+    elif np.shape(m0) != (grid.n,):
+        raise ValueError(f"m0 has shape {np.shape(m0)}, the grid needs ({grid.n},)")
     guard = config.min_u_floor if _is_singular_at_zero(eq) else 0.0
-    ws = _Workspace(grid, eq, grid.dealias_mask if config.dealias else None, guard)
-
-    gmax = float(np.max(np.abs(eval_on_grid(eq.bound_g, {"u": state.u, "ux": state.ux, "x": grid.x}))))
-    if config.dt * gmax * grid.n / grid.length > 1.0:
-        warnings.warn("CFL sanity exceeded: dt*max|g|*N/L > 1", RuntimeWarning, stacklevel=2)
+    stepper = Stepper(grid, eq, config.dealias, guard)
+    mh = np.fft.rfft(m0)
+    state = stepper.state(mh, 0.0)
+    stepper.check_cfl(state, config.dt)
 
     n_steps = int(round(config.t_final / config.dt))
     series_every = 1
@@ -416,7 +463,7 @@ def run(config: SimConfig, eq: EquationSpec | None = None) -> SimResult:
 
     snapshot_steps = {}
     for ts in config.snapshot_times:
-        snapshot_steps.setdefault(min(n_steps, max(0, int(round(ts / config.dt)))), ts)
+        snapshot_steps.setdefault(min(n_steps, int(round(ts / config.dt))), ts)
 
     series = ConservedSeries()
     series.record(grid, state, config.energy_mu, config.energy_nu)
@@ -427,14 +474,15 @@ def run(config: SimConfig, eq: EquationSpec | None = None) -> SimResult:
     status, message = STATUS_COMPLETED, ""
     for step in range(1, n_steps + 1):
         try:
-            m = _rk4(state.m, config.dt, ws.rhs)
+            mh = stepper.step(mh, state, config.dt)
         except SingularHit as hit:
             status, message = STATUS_SINGULAR, str(hit)
             break
-        if not np.all(np.isfinite(m)):
+        new = stepper.state(mh, step * config.dt)
+        if not np.all(np.isfinite(new.m)):
             status, message = STATUS_SINGULAR, "non-finite nodal value"
             break
-        state = GridState.from_m(grid, m, step * config.dt)
+        state = new
         if float(np.max(np.abs(state.ux))) > config.blowup_threshold:
             status, message = STATUS_WAVE_BREAKING, (
                 f"sup|u_x| = {float(np.max(np.abs(state.ux))):.3e} at t = {state.t:.6g}"

@@ -172,6 +172,11 @@ def test_simulate_bad_config(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", str(path))
     assert code == 1
     assert "config" in err
+    for text in ("[1, 2]", "{not json"):
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert err.startswith("error:")
 
 
 def test_simulate_wave_breaking_exit(tmp_path, capsys):

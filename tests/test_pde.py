@@ -84,13 +84,14 @@ def test_rhs_matches_finite_difference_oracle():
     u0 = np.cos(2.0 * np.pi * grid.x / grid.length)
     m0 = np.fft.irfft((1.0 + grid.k**2) * np.fft.rfft(u0), n=grid.n)
     st = GridState.from_m(grid, m0)
-    r_spec = rhs(grid, st, CH)
 
     def ddx4(v):
         return (-np.roll(v, -2) + 8 * np.roll(v, -1) - 8 * np.roll(v, 1) + np.roll(v, 2)) / (12 * grid.dx)
 
     r_fd = -st.ux * st.m - ddx4(st.u * st.m)
-    assert np.max(np.abs(r_spec - r_fd)) / np.max(np.abs(r_fd)) < 1e-6
+    for dealias in (True, False):
+        r_spec = rhs(grid, st, CH, dealias=dealias)
+        assert np.max(np.abs(r_spec - r_fd)) / np.max(np.abs(r_fd)) < 1e-6
 
 
 def test_step_rk4_fixed_point_and_reversal():
@@ -123,6 +124,22 @@ def test_step_richardson_ratio_is_fourth_order():
     d1 = np.max(np.abs(advance(st, 1) - advance(st, 2)))
     d2 = np.max(np.abs(advance(st, 2) - advance(st, 4)))
     assert d1 / d2 == pytest.approx(16.0, rel=0.2)
+
+
+@pytest.mark.parametrize("dealias", [True, False])
+def test_run_and_step_rk4_are_one_integrator(dealias):
+    # the Nyquist mode in m(0) survives undealiased products; run keeps the
+    # spectrum between steps, step_rk4 goes through nodal m every step
+    cfg = _gaussian_cfg(t_final=0.02, dealias=dealias)
+    grid = cfg.grid
+    m0 = initial_data(cfg) + 1e-3 * (-1.0) ** np.arange(grid.n)
+    res = run(cfg, m0=m0)
+    st = GridState.from_m(grid, m0)
+    for _ in range(20):
+        st = step_rk4(grid, st, CH, cfg.dt, dealias=dealias)
+    assert res.status == STATUS_COMPLETED and st.t == pytest.approx(res.final.t)
+    for a, b in ((st.m, res.final.m), (st.u, res.final.u), (st.ux, res.final.ux)):
+        assert np.max(np.abs(a - b)) / np.max(np.abs(b)) <= 1e-12
 
 
 def test_cfl_warning():
@@ -234,3 +251,11 @@ def test_read_config_validation(tmp_path):
     bad = dict(doc, equation={"f": "0", "g": "0"})
     with pytest.raises(ValueError):
         read_config(json.dumps(bad))
+    # a non-positive series step or a negative snapshot time is an error,
+    # not "record every step" or "snapshot at t = 0"
+    for extra in ({"series_dt": 0.0}, {"series_dt": -1e-3},
+                  {"output": {"snapshot_times": [0.05, -0.01]}}):
+        with pytest.raises(ValueError):
+            read_config(json.dumps(dict(doc, **extra)))
+    with pytest.raises(ValueError):
+        read_config(json.dumps([doc]))

@@ -3,7 +3,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from peakonlaws.conslaw import EquationSpec
-from peakonlaws.pde import Grid, GridState, SimConfig, run
+from peakonlaws.pde import Grid, SimConfig, run
 from peakonlaws.twave import (
     SolitaryExistence,
     first_integral_h1,
@@ -161,14 +161,9 @@ def test_ch_first_integral_constant_along_numerical_wave():
     ch = EquationSpec.from_strings("ux", "u")
     cfg = SimConfig(length=X, n=512, dt=2e-4, t_final=1.0, equation=ch,
                     initial={"kind": "gaussian", "params": {}}, series_dt=1.0)
-    # integrate from the custom state directly
-    from peakonlaws.pde import _Workspace, _rk4
-
-    ws = _Workspace(grid, ch, grid.dealias_mask, 0.0)
-    m = m0.copy()
-    for _ in range(5000):
-        m = _rk4(m, 2e-4, ws.rhs)
-    st = GridState.from_m(grid, m, 1.0)
+    res = run(cfg, m0=m0)  # 5000 steps from the custom state
+    assert res.status == "completed"
+    st = res.final
 
     mom, h1, comb = hamiltonian_first_integrals(
         [1.0], [0.0], st.u, st.ux, st.u - st.m, c
