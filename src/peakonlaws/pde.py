@@ -369,7 +369,10 @@ class Stepper:
 
 
 def rhs(grid: Grid, state: GridState, eq: EquationSpec, dealias: bool = True) -> np.ndarray:
-    """Nodal m_t = -f*m - D_x(g*m), spectral D_x, dealiased products."""
+    """Nodal m_t = -f*m - D_x(g*m), spectral D_x, dealiased products.
+
+    u and u_x are taken from the state, as GridState.from_m makes them.
+    """
     return np.fft.irfft(Stepper(grid, eq, dealias).rates(state.u, state.ux, state.m), n=grid.n)
 
 
@@ -377,7 +380,10 @@ def step_rk4(
     grid: Grid, state: GridState, eq: EquationSpec, dt: float,
     dealias: bool = True, blowup_threshold: float = 1e3,
 ) -> GridState:
-    """One classical RK4 step; raises SingularHit past the gradient threshold."""
+    """One classical RK4 step; raises SingularHit past the gradient threshold.
+
+    Stage 1 takes u and u_x from the state, as GridState.from_m makes them.
+    """
     stepper = Stepper(grid, eq, dealias)
     stepper.check_cfl(state, dt)
     new = stepper.state(stepper.step(np.fft.rfft(state.m), state, dt), state.t + dt)
