@@ -17,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -94,11 +95,12 @@ class EquationSpec:
         if not (ex.jet_vars(self.bound_f) | ex.jet_vars(self.bound_g)):
             raise ExprError("degenerate equation: f and g are both constant")
 
-    @property
+    # bound once per equation: cached_property writes __dict__, which frozen allows
+    @cached_property
     def bound_f(self) -> Expr:
         return ex.bind_params(self.f, self.params)
 
-    @property
+    @cached_property
     def bound_g(self) -> Expr:
         return ex.bind_params(self.g, self.params)
 
@@ -208,33 +210,6 @@ def _snap(x: float, tol: float = 1e-9) -> float:
     return 0.0 if abs(x) < tol else float(x)
 
 
-def _sample_rows(exprs: list[Expr], policy: SamplingPolicy):
-    """Shared admissible sample points for several expressions at once."""
-    names = sorted({v.name for e in exprs for v in ex.jet_vars(e)})
-    names += sorted({p for e in exprs for p in ex.param_names(e)})
-    rng = np.random.default_rng(policy.seed)
-    rows, tries = [], 0
-    while len(rows) < policy.n_points:
-        if tries >= policy.max_tries * policy.n_points:
-            raise ex.SingularSamplingError("could not sample the determining conditions")
-        tries += 1
-        vals = rng.uniform(policy.low, policy.high, size=len(names))
-        signs = rng.choice([-1.0, 1.0], size=len(names))
-        point = dict(zip(names, vals * signs))
-        if ex._excluded(point, policy.delta):
-            continue
-        out, ok = [], True
-        for e in exprs:
-            v, s = ex.evaluate_with_scale(e, point)
-            if not math.isfinite(v) or not math.isfinite(s):
-                ok = False
-                break
-            out.append((v, s))
-        if ok:
-            rows.append((point, out))
-    return rows
-
-
 def check_grad_energy(
     eq: EquationSpec, policy: SamplingPolicy | None = None
 ) -> GradEnergySolutions:
@@ -249,11 +224,15 @@ def check_grad_energy(
     """
     policy = policy or SamplingPolicy()
     A, B, C = grad_energy_conditions(eq)
-    rows = _sample_rows([A, B, C], policy)
-    scales = np.array([max(1.0, sa, sb, sc) for _, ((_, sa), (_, sb), (_, sc)) in rows])
-    avals = np.array([va for _, ((va, _), _, _) in rows]) / scales
-    bvals = np.array([vb for _, (_, (vb, _), _) in rows]) / scales
-    cvals = np.array([vc for _, (_, _, (vc, _)) in rows]) / scales
+    return _solve_grad_energy(A, B, C, is_zero(C, policy), policy)
+
+
+def _solve_grad_energy(
+    A: Expr, B: Expr, C: Expr, vc: ZeroVerdict, policy: SamplingPolicy
+) -> GradEnergySolutions:
+    """check_grad_energy on built conditions; vc is the zero test of C."""
+    samples = ex.sample([A, B, C], policy)
+    avals, bvals, cvals = samples.values / samples.scales.max(axis=0)
 
     mat = np.column_stack([avals, bvals])
     svals = np.linalg.svd(mat, compute_uv=False)
@@ -270,7 +249,6 @@ def check_grad_energy(
         return is_zero(_grad_residual_expr(A, B, C, mu, nu), policy)
 
     if rank == 0:
-        vc = is_zero(C, policy)
         if vc.status == "zero":
             return GradEnergySolutions("plane", residual_max=vc.residual_max)
         if vc.status == "nonzero":
@@ -702,15 +680,15 @@ class ConservationReport:
         return json.dumps(self.to_json(), indent=indent)
 
 
-def _wh2_verdict(sols: GradEnergySolutions, A: Expr, C: Expr, policy: SamplingPolicy) -> Verdict:
-    """Conserved weighted-H2 norm: some (mu != 2, nu = 0) solves the condition."""
-    va = is_zero(A, policy)
+def _wh2_verdict(sols: GradEnergySolutions, va: ZeroVerdict, vc: ZeroVerdict) -> Verdict:
+    """Conserved weighted-H2 norm: some (mu != 2, nu = 0) solves the condition.
+
+    va and vc are the zero tests of the coefficients A and C.
+    """
     if va.status == "indeterminate":
         return Verdict(None, va.residual_max, va.witness)
     if va.status == "zero":
-        vc = is_zero(C, policy)
-        conserved = {"zero": True, "nonzero": False, "indeterminate": None}[vc.status]
-        return Verdict(conserved, vc.residual_max, vc.witness)
+        return Verdict.from_zero(vc)
     # A nonzero: at nu=0 the residual (mu-2)*A + C admits at most one mu
     if sols.kind == "line" and abs(sols.direction[1]) < 1e-9:
         # line of solutions with nu fixed; nu must be 0 to qualify
@@ -724,26 +702,26 @@ def _wh2_verdict(sols: GradEnergySolutions, A: Expr, C: Expr, policy: SamplingPo
 def classify(eq: EquationSpec, policy: SamplingPolicy | None = None) -> ConservationReport:
     """Run the momentum / H1 / gradient-energy checks and build fluxes.
 
-    The L2 norm of m corresponds to (mu, nu) = (2, 0) in the gradient
-    energy, the weighted H2 norm to some (mu != 2, nu = 0); those verdicts
-    are derived from the solution set plus a direct residual test and
-    reported indeterminate on any disagreement.
+    The conditions A, B, C are built and zero-tested once, for every
+    verdict.  The L2 norm of m corresponds to (mu, nu) = (2, 0) in the
+    gradient energy, the weighted H2 norm to some (mu != 2, nu = 0); those
+    verdicts are derived from the solution set plus a direct residual test
+    and reported indeterminate on any disagreement.
     """
     policy = policy or SamplingPolicy()
-    mom = check_momentum(eq, policy)
-    h1 = check_h1(eq, policy)
-    sols = check_grad_energy(eq, policy)
     A, B, C = grad_energy_conditions(eq)
+    va, vb, vc = (is_zero(e, policy) for e in (A, B, C))
+    mom, h1 = Verdict.from_zero(vb), Verdict.from_zero(va)
+    sols = _solve_grad_energy(A, B, C, vc, policy)
 
-    vc = is_zero(C, policy)
-    l2m_direct = {"zero": True, "nonzero": False, "indeterminate": None}[vc.status]
+    l2m_direct = Verdict.from_zero(vc).conserved
     l2m_set = sols.contains(2.0, 0.0) if sols.kind != "indeterminate" else None
     if sols.kind == "indeterminate" or l2m_direct is None or l2m_direct != l2m_set:
         l2m = Verdict(None, vc.residual_max, vc.witness)
     else:
         l2m = Verdict(l2m_direct, vc.residual_max, vc.witness if not l2m_direct else None)
 
-    wh2 = _wh2_verdict(sols, A, C, policy)
+    wh2 = _wh2_verdict(sols, va, vc)
 
     fluxes = []
     if mom.conserved:

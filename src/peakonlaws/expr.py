@@ -9,6 +9,14 @@ x-derivatives of u are always eliminated through u_xx = u - m.  The pure
 u-jet representation (u, ux, uxx, ... and ut, utx, ...) is used internally
 by the spatial Euler operators and is reachable via to_u_jet / to_m_jet.
 
+There is one evaluator: compile_terms turns an Expr, once, into a closure
+giving the values of its top-level terms on floats or numpy arrays alike,
+NaN wherever a power or function leaves its domain.  evaluate and
+evaluate_with_scale sum those terms with fsum; the solver sums them on
+its grid.  There is one sampler: sample draws seeded jet points shared by
+a sequence of expressions and judges the candidates a block at a time;
+sample_points is its view for one expression.
+
 Everything here is immutable and side-effect free; randomized zero testing
 takes an explicit SamplingPolicy carrying its own seed.
 """
@@ -16,9 +24,11 @@ takes an explicit SamplingPolicy carrying its own seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from functools import cached_property, reduce
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,6 +56,7 @@ __all__ = [
     "var",
     "parse",
     "to_source",
+    "compile_terms",
     "evaluate",
     "evaluate_with_scale",
     "jet_vars",
@@ -61,6 +72,8 @@ __all__ = [
     "SamplingPolicy",
     "ZeroVerdict",
     "is_zero",
+    "Samples",
+    "sample",
     "sample_points",
 ]
 
@@ -193,6 +206,11 @@ class Expr:
 
     def __str__(self):
         return to_source(self)
+
+    @cached_property
+    def _terms_fn(self):  # see compile_terms
+        parts = [_compile(t) for t in (self.terms if isinstance(self, Add) else (self,))]
+        return lambda env: [part(env) for part in parts]
 
 
 @dataclass(frozen=True)
@@ -382,7 +400,7 @@ def pow_(base, exp) -> Expr:
     if exp == 1:
         return base
     if isinstance(base, Const):
-        v = _pow_float(base.value, exp)
+        v = evaluate(Pow(base, exp), {})
         if math.isfinite(v):
             return Const(v)
         raise ExprError(f"constant power {base.value}^{exp} is not finite")
@@ -470,86 +488,83 @@ def substitute(e: Expr, table: Mapping[JetVar, Expr]) -> Expr:
 # evaluation
 
 
-def _pow_float(b: float, exp: Fraction) -> float:
-    if exp.denominator == 1:
-        k = exp.numerator
-        if b == 0.0:
-            return 0.0 if k > 0 else math.nan
-        try:
-            return b ** k
-        except OverflowError:
-            return math.inf if b > 0 or k % 2 == 0 else -math.inf
-    if b < 0.0:
-        return math.nan
-    if b == 0.0:
-        return 0.0 if exp > 0 else math.nan
-    try:
-        return b ** float(exp)
-    except OverflowError:
-        return math.inf
+# ufuncs on the domain of each function; NaN outside it
+_FN_UFUNCS = {
+    "exp": np.exp,
+    "ln": lambda x: np.log(np.where(x > 0, x, np.nan)),
+    "sqrt": np.sqrt,
+    "sin": np.sin,
+    "cos": np.cos,
+    "arctanh": lambda x: np.arctanh(np.where(np.abs(x) < 1, x, np.nan)),
+}
 
 
-def _eval_fn(name: str, x: float) -> float:
-    if math.isnan(x):
-        return math.nan
-    try:
-        if name == "exp":
-            return math.exp(x) if x < 700 else math.inf
-        if name == "ln":
-            return math.log(x) if x > 0 else math.nan
-        if name == "sqrt":
-            return math.sqrt(x) if x >= 0 else math.nan
-        if name == "sin":
-            return math.sin(x) if math.isfinite(x) else math.nan
-        if name == "cos":
-            return math.cos(x) if math.isfinite(x) else math.nan
-        if name == "arctanh":
-            return math.atanh(x) if -1.0 < x < 1.0 else math.nan
-    except (ValueError, OverflowError):
-        return math.nan
-    raise ExprError(f"unknown function {name!r}")  # pragma: no cover
+def _compile(e: Expr):
+    """Closure env -> value of e; env maps names to floats or numpy arrays."""
+    if isinstance(e, Const):
+        value = np.float64(e.value)
+        return lambda env: value
+    if isinstance(e, (Param, Var)):
+        name, kind = (e.name, "parameter") if isinstance(e, Param) else (e.v.name, "variable")
+
+        def leaf(env):
+            try:
+                return np.asarray(env[name])
+            except KeyError:
+                raise ExprError(f"no value for {kind} {name!r}") from None
+
+        return leaf
+    if isinstance(e, (Add, Mul)):
+        parts = [_compile(c) for c in _children(e)]
+        op = operator.add if isinstance(e, Add) else operator.mul
+        return lambda env: reduce(op, [part(env) for part in parts])
+    if isinstance(e, Pow):
+        base, p = _compile(e.base), float(e.exp)
+        integer, negative = e.exp.denominator == 1, e.exp < 0
+        if integer and not negative:
+            return lambda env: base(env) ** p
+
+        def power(env):
+            b = base(env)
+            with np.errstate(all="ignore"):
+                # b ** p takes numpy's exact fast path for p = -1 (reciprocal)
+                r = b ** p if integer else np.power(b, p)
+                # b / b is 1 exactly, and NaN at b = 0
+                return r * (b / b) if negative else r
+
+        return power
+    if isinstance(e, Fn):
+        arg, ufunc = _compile(e.arg), _FN_UFUNCS[e.name]
+
+        def call(env):
+            a = arg(env)
+            with np.errstate(all="ignore"):
+                return ufunc(a)
+
+        return call
+    raise ExprError(f"cannot evaluate {type(e).__name__}")
+
+
+def compile_terms(e: Expr) -> Callable[[Mapping], list]:
+    """The evaluator of e: a closure env -> list of its top-level term values.
+
+    env maps variable and parameter names to floats or numpy arrays (all
+    of one shape).  Sums and products combine left to right.  A domain
+    violation (0 to a negative power, ln of x <= 0, sqrt of x < 0,
+    arctanh of |x| >= 1) yields NaN, which propagates; nothing raises but
+    a missing name.  Compiled once per expression object and kept on it.
+    """
+    return e._terms_fn
 
 
 def evaluate(e: Expr, point: Mapping[str, float]) -> float:
     """Evaluate at a point mapping variable/parameter names to values.
 
-    Domain violations (log of a negative number, division by zero, ...)
-    yield NaN/inf rather than raising; is_zero re-samples such points.
+    The top-level terms are summed with fsum.  Domain violations (log of a
+    negative number, division by zero, ...) yield NaN rather than raising;
+    is_zero re-samples such points.
     """
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Param):
-        try:
-            return float(point[e.name])
-        except KeyError:
-            raise ExprError(f"no value for parameter {e.name!r}") from None
-    if isinstance(e, Var):
-        try:
-            return float(point[e.v.name])
-        except KeyError:
-            raise ExprError(f"no value for variable {e.v.name!r}") from None
-    if isinstance(e, Add):
-        return math.fsum(evaluate(t, point) for t in e.terms)
-    if isinstance(e, Mul):
-        r = 1.0
-        for f in e.factors:
-            r *= evaluate(f, point)
-            if math.isnan(r):
-                return math.nan
-        return r
-    if isinstance(e, Pow):
-        b = evaluate(e.base, point)
-        if math.isnan(b):
-            return math.nan
-        if b == 0.0 and e.exp < 0:
-            return math.nan
-        if e.exp < 0 and e.exp.denominator == 1:
-            denom = _pow_float(b, -e.exp)
-            return 1.0 / denom if denom != 0.0 else math.nan
-        return _pow_float(b, e.exp)
-    if isinstance(e, Fn):
-        return _eval_fn(e.name, evaluate(e.arg, point))
-    raise ExprError(f"cannot evaluate {type(e).__name__}")
+    return math.fsum(compile_terms(e)(point))
 
 
 def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, float]:
@@ -559,11 +574,8 @@ def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, flo
     zero tests are judged relative to it so that massive cancellations do
     not masquerade as exact zeros.
     """
-    terms = e.terms if isinstance(e, Add) else (e,)
-    vals = [evaluate(t, point) for t in terms]
-    total = math.fsum(vals)
-    scale = max(1.0, max((abs(v) for v in vals), default=0.0))
-    return total, scale
+    vals = [float(v) for v in compile_terms(e)(point)]
+    return math.fsum(vals), max(1.0, *map(abs, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -862,53 +874,80 @@ class ZeroVerdict:
         return self.is_zero
 
 
-def _point_names(e: Expr) -> list[str]:
-    names = sorted(v.name for v in jet_vars(e))
-    names += sorted(param_names(e))
-    return names
+def _near_poles(env: Mapping[str, np.ndarray], delta: float, count: int) -> np.ndarray:
+    """Mask of points on the singular loci u=0, ux=0, u^2=ux^2.
 
-
-def _excluded(point: Mapping[str, float], delta: float) -> bool:
-    """Reject points on the singular loci u=0, ux=0, u^2=ux^2.
-
-    Predicates apply only to variables the expression actually contains.
+    Predicates apply only to variables the expressions actually contain.
     """
-    u = point.get("u")
-    ux = point.get("ux")
-    if u is not None and abs(u) < delta:
-        return True
-    if ux is not None and abs(ux) < delta:
-        return True
-    if u is not None and ux is not None and abs(u * u - ux * ux) < delta:
-        return True
-    return False
+    u, ux = env.get("u"), env.get("ux")
+    near = np.zeros(count, dtype=bool)
+    if u is not None:
+        near |= np.abs(u) < delta
+    if ux is not None:
+        near |= np.abs(ux) < delta
+    if u is not None and ux is not None:
+        near |= np.abs(u * u - ux * ux) < delta
+    return near
+
+
+class Samples(NamedTuple):
+    """Admissible jet points shared by several expressions, in draw order."""
+
+    names: list  # coordinate names: jet variables, then parameters
+    points: np.ndarray  # (n_points, len(names))
+    values: np.ndarray  # (len(exprs), n_points): fsum of the top-level terms
+    scales: np.ndarray  # (len(exprs), n_points): max(1, |largest term|)
+
+
+def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
+    """Draw the first n_points admissible points for every symbol of exprs.
+
+    Candidates come one at a time from the seeded stream (uniform values,
+    then random signs), so the points depend only on the seed and the
+    symbols.  They are judged a block at a time: a candidate is admissible
+    off the singular loci (see SamplingPolicy) where every expression
+    evaluates finitely.  At most max_tries * n_points candidates are drawn.
+    """
+    names = sorted({v.name for e in exprs for v in jet_vars(e)})
+    names += sorted({p for e in exprs for p in param_names(e)})
+    evaluators = [compile_terms(e) for e in exprs]
+    rng = np.random.default_rng(policy.seed)
+    n, dim, budget = policy.n_points, len(names), policy.max_tries * policy.n_points
+    points, terms, tries = [], [[] for _ in exprs], 0
+    while len(points) < n:
+        if tries >= budget:
+            raise SingularSamplingError(
+                "could not find admissible sample points "
+                f"({len(points)} of {n} after {tries} tries)"
+            )
+        count = min(n - len(points), budget - tries)
+        tries += count
+        # operands evaluate left to right: uniform, then choice, per candidate
+        pts = np.array([
+            rng.uniform(policy.low, policy.high, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+            for _ in range(count)
+        ]).reshape(count, dim)
+        env = dict(zip(names, pts.T))
+        vals = [np.array([np.broadcast_to(v, (count,)) for v in f(env)]) for f in evaluators]
+        admissible = ~_near_poles(env, policy.delta, count)
+        for v in vals:
+            admissible &= np.isfinite(v).all(axis=0)
+        for j in np.flatnonzero(admissible)[: n - len(points)]:
+            points.append(pts[j])
+            for cols, v in zip(terms, vals):
+                cols.append(v[:, j])
+    values = np.array([[math.fsum(col) for col in cols] for cols in terms])
+    scales = np.array([[max(1.0, np.max(np.abs(col))) for col in cols] for cols in terms])
+    return Samples(names, np.array(points).reshape(n, dim), values, scales)
 
 
 def sample_points(e: Expr, policy: SamplingPolicy) -> list[dict]:
-    """Draw admissible points for every symbol of e (deterministic in seed)."""
-    names = _point_names(e)
-    rng = np.random.default_rng(policy.seed)
-    pts: list[dict] = []
-    tries = 0
-    while len(pts) < policy.n_points:
-        if tries >= policy.max_tries * policy.n_points:
-            raise SingularSamplingError(
-                "could not find admissible sample points "
-                f"({len(pts)} of {policy.n_points} after {tries} tries)"
-            )
-        tries += 1
-        vals = rng.uniform(policy.low, policy.high, size=len(names))
-        signs = rng.choice([-1.0, 1.0], size=len(names))
-        point = dict(zip(names, vals * signs))
-        if _excluded(point, policy.delta):
-            continue
-        val, scale = evaluate_with_scale(e, point)
-        if not math.isfinite(val) or not math.isfinite(scale):
-            continue
-        point["__value__"] = val
-        point["__scale__"] = scale
-        pts.append(point)
-    return pts
+    """sample([e], policy) as one dict per point, with __value__ and __scale__."""
+    s = sample([e], policy)
+    return [
+        {**dict(zip(s.names, row)), "__value__": float(v), "__scale__": float(sc)}
+        for row, v, sc in zip(s.points, s.values[0], s.scales[0])
+    ]
 
 
 def is_zero(e: Expr, policy: SamplingPolicy | None = None) -> ZeroVerdict:

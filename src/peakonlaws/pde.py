@@ -7,10 +7,12 @@ smoothing and unconditionally stable); time stepping is classical RK4 at
 fixed step.  Each RK stage makes two stacked FFT calls: one irfft of
 m_hat times the cached lift [1/(1+k^2), ik/(1+k^2), 1] gives u, u_x and
 m on the grid, and one rfft of [f*m, g*m] gives the product spectra,
-which are dealiased with the 2/3 rule.  The nodal state after a step is
-stage 1 of the next.  Wave breaking is detected, not resolved: the run
-stops when sup|u_x| crosses the configured threshold.  Equations
-singular at u = 0 (probed automatically) get a floor on min|u|.
+which are dealiased with the 2/3 rule; f and g are compiled once per
+stepper by expr.compile_terms, the evaluator the verdicts use.  The nodal
+state after a step is stage 1 of the next.  Wave breaking is detected,
+not resolved: the run stops when sup|u_x| crosses the configured
+threshold.  Equations singular at u = 0 (probed automatically) get a
+floor on min|u|.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -134,38 +137,12 @@ class GridState:
 
 
 def eval_on_grid(e: ex.Expr, env: dict) -> np.ndarray:
-    """Vectorized evaluation of an Expr over numpy arrays."""
-    if isinstance(e, ex.Const):
-        return np.asarray(e.value)
-    if isinstance(e, ex.Param):
-        return np.asarray(env[e.name])
-    if isinstance(e, ex.Var):
-        return np.asarray(env[e.v.name])
-    if isinstance(e, ex.Add):
-        out = eval_on_grid(e.terms[0], env)
-        for t in e.terms[1:]:
-            out = out + eval_on_grid(t, env)
-        return out
-    if isinstance(e, ex.Mul):
-        out = eval_on_grid(e.factors[0], env)
-        for f in e.factors[1:]:
-            out = out * eval_on_grid(f, env)
-        return out
-    if isinstance(e, ex.Pow):
-        base = eval_on_grid(e.base, env)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if e.exp.denominator == 1:
-                return base ** float(e.exp)
-            return np.power(base, float(e.exp))
-    if isinstance(e, ex.Fn):
-        arg = eval_on_grid(e.arg, env)
-        ufunc = {
-            "exp": np.exp, "ln": np.log, "sqrt": np.sqrt,
-            "sin": np.sin, "cos": np.cos, "arctanh": np.arctanh,
-        }[e.name]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return ufunc(arg)
-    raise ex.ExprError(f"cannot evaluate {type(e).__name__} on a grid")
+    """Vectorized evaluation of an Expr over numpy arrays (NaN off its domain)."""
+    return _sum_terms(ex.compile_terms(e)(env))
+
+
+def _sum_terms(terms: list) -> np.ndarray:
+    return reduce(operator.add, terms)  # left to right
 
 
 class SingularHit(RuntimeError):
@@ -320,7 +297,7 @@ class Stepper:
     def __init__(self, grid: Grid, eq: EquationSpec, dealias: bool = True,
                  guard_floor: float = 0.0):
         self.grid = grid
-        self.f, self.g = eq.bound_f, eq.bound_g  # binding rebuilds the tree
+        self.f, self.g = ex.compile_terms(eq.bound_f), ex.compile_terms(eq.bound_g)
         self.guard_floor = guard_floor
         mask = grid.dealias_mask if dealias else np.ones_like(grid.k)
         # m_hat_t = out_f*rfft(f*m) + out_g*rfft(g*m)
@@ -345,8 +322,8 @@ class Stepper:
             j = int(np.argmin(np.abs(u)))
             raise SingularHit(f"|u| fell below the floor {self.guard_floor:g}", float(x[j]))
         env = self._env(u, ux)
-        fv = eval_on_grid(self.f, env)
-        gv = eval_on_grid(self.g, env)
+        fv = _sum_terms(self.f(env))
+        gv = _sum_terms(self.g(env))
         if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
             bad = np.flatnonzero(~(np.isfinite(fv) & np.isfinite(gv)))
             raise SingularHit("f or g is non-finite on the grid", float(x[bad[0]]))
@@ -363,7 +340,7 @@ class Stepper:
 
     def check_cfl(self, state: GridState, dt: float):
         """Warn when dt*max|g|*N/L > 1, at the line calling step_rk4 or run."""
-        gmax = float(np.max(np.abs(eval_on_grid(self.g, self._env(state.u, state.ux)))))
+        gmax = float(np.max(np.abs(_sum_terms(self.g(self._env(state.u, state.ux))))))
         if dt * gmax * self.grid.n / self.grid.length > 1.0:
             warnings.warn("CFL sanity exceeded: dt*max|g|*N/L > 1", RuntimeWarning, stacklevel=3)
 

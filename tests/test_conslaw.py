@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from peakonlaws import conslaw
 from peakonlaws.conslaw import (
     ConservedCurrent,
     EquationSpec,
@@ -106,6 +107,32 @@ def test_known_equation_grid(name):
     assert rep.h1.conserved is h1
     assert rep.l2m.conserved is l2m
     assert rep.weighted_h2.conserved is wh2
+    # classify shares its zero tests; the standalone checks must agree
+    assert rep.momentum == check_momentum(eq, POL)
+    assert rep.h1 == check_h1(eq, POL)
+    assert rep.grad_energy == check_grad_energy(eq, POL)
+
+
+def test_classify_builds_each_condition_once(monkeypatch):
+    real_euler_u, real_is_zero = conslaw.euler_u, conslaw.is_zero
+    built, tested = [], []
+
+    def counting_euler_u(e):
+        built.append(real_euler_u(e))
+        return built[-1]
+
+    def counting_is_zero(e, policy=None):
+        tested.append(e)
+        return real_is_zero(e, policy)
+
+    monkeypatch.setattr(conslaw, "euler_u", counting_euler_u)
+    monkeypatch.setattr(conslaw, "is_zero", counting_is_zero)
+    # the momentum/H1 overlap instance: every verdict and both fluxes
+    rep = classify(EquationSpec.from_strings("ux*(u^2-ux^2)", "u*(u^2-ux^2)+(u^2-ux^2)"), POL)
+    assert rep.momentum.conserved and rep.h1.conserved
+    assert len(built) == 3
+    for cond in built:
+        assert sum(e is cond for e in tested) <= 1
 
 
 def test_singular_family_report():

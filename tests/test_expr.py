@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from peakonlaws.expr import (
     SamplingPolicy,
     SingularSamplingError,
     add,
+    compile_terms,
     const,
     d_t,
     d_x,
@@ -25,6 +27,7 @@ from peakonlaws.expr import (
     parse,
     poly_normal_form,
     pow_,
+    sample_points,
     sub,
     to_m_jet,
     to_source,
@@ -266,9 +269,47 @@ def test_singular_sampling_error():
         is_zero(e, SamplingPolicy(n_points=5, max_tries=20))
 
 
-def test_sampling_respects_exclusion_zones():
-    from peakonlaws.expr import sample_points
+def test_sample_points_follow_the_sequential_draw():
+    # one candidate at a time from the seeded stream: uniform values, then
+    # signs; the first n off the singular loci where e is finite are kept
+    e = parse("ln(u) + 1/(u^2-ux^2)")
+    policy = SamplingPolicy(n_points=30, seed=3)
+    rng = np.random.default_rng(policy.seed)
+    want = []
+    while len(want) < policy.n_points:
+        vals = rng.uniform(policy.low, policy.high, size=2)
+        signs = rng.choice([-1.0, 1.0], size=2)
+        u, ux = vals * signs  # names sorted: u, ux
+        if min(abs(u), abs(ux), abs(u * u - ux * ux)) < policy.delta:
+            continue
+        if u <= 0.0:  # ln(u) is not finite
+            continue
+        want.append((u, ux, math.log(u) + 1.0 / (u * u - ux * ux)))
+    got = sample_points(e, policy)
+    assert [(p["u"], p["ux"]) for p in got] == [w[:2] for w in want]
+    assert [p["__value__"] for p in got] == pytest.approx([w[2] for w in want], rel=1e-13)
 
+
+@pytest.mark.parametrize("source, outside", [
+    ("ln(u)", (0.0, -1.5)),
+    ("sqrt(u)", (-1e-3, -2.0)),
+    ("arctanh(u)", (1.0, -1.0, 1.5)),
+    ("1/u", (0.0,)),
+    ("exp(-1/u^2)", (0.0,)),  # NaN, not exp(-inf) = 0
+])
+def test_domain_violations_are_nan(source, outside):
+    e = parse(source)
+    grid = np.array([0.5, *outside])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        on_grid = compile_terms(e)({"u": grid})[0]
+        at_points = [evaluate(e, {"u": u}) for u in grid]
+    assert on_grid[0] == at_points[0] and math.isfinite(at_points[0])
+    assert np.isnan(on_grid[1:]).all()
+    assert all(math.isnan(v) for v in at_points[1:])
+
+
+def test_sampling_respects_exclusion_zones():
     e = parse("1/(u^2 - ux^2) + 1/u + 1/ux")
     pts = sample_points(e, SamplingPolicy(n_points=50, seed=1))
     for p in pts:
