@@ -17,19 +17,18 @@ floor on min|u|.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from . import expr as ex
 from .conslaw import EquationSpec
-from .twave import solitary_profile
+from .twave import _check_bc, solitary_profile
 
 __all__ = [
     "Grid",
@@ -54,6 +53,8 @@ __all__ = [
 STATUS_COMPLETED = "completed"
 STATUS_WAVE_BREAKING = "wave-breaking detected"
 STATUS_SINGULAR = "singularity guard triggered"
+
+_INITIAL_KINDS = ("gaussian", "cosine_offset", "mollified_peakon", "solitary_wave")
 
 
 @dataclass(frozen=True)
@@ -194,10 +195,27 @@ class SimConfig:
             raise ValueError("series_dt must be positive")
         if any(not t >= 0 for t in self.snapshot_times):
             raise ValueError("snapshot times must be non-negative")
+        kind = self.initial.get("kind")
+        if kind not in _INITIAL_KINDS:
+            raise ValueError(f"unknown initial-data kind {kind!r}")
+        if kind == "solitary_wave":
+            p = self.initial.get("params", {})
+            if "b" not in p or "c" not in p:
+                raise ValueError("solitary_wave initial data needs params b and c")
+            _check_bc(float(p["b"]), float(p["c"]))
 
     @property
     def grid(self) -> Grid:
-        return Grid(self.length, self.n)
+        """The Grid of (length, n), shared by every config on it."""
+        return _shared_grid(self.length, self.n)
+
+
+@lru_cache(maxsize=8)
+def _shared_grid(length: float, n: int) -> Grid:
+    # one Grid per (length, n), not per config: a Grid is immutable, and a
+    # batch of configs on one grid would otherwise hold a copy of x, k and
+    # lift each
+    return Grid(length, n)
 
 
 def read_config(source: str | dict) -> SimConfig:
@@ -272,10 +290,9 @@ def initial_data(config: SimConfig) -> np.ndarray:
         u0 = solitary_profile(b, c, xi).U
         peak = float(np.max(u0))
         for j in range(1, 64):
-            left = solitary_profile(b, c, np.abs(xi + j * L)).U
-            right = solitary_profile(b, c, np.abs(xi - j * L)).U
-            u0 = u0 + left + right
-            if max(np.max(left), np.max(right)) < 1e-12 * peak:
+            images = solitary_profile(b, c, np.abs([xi + j * L, xi - j * L])).U
+            u0 = u0 + images[0] + images[1]
+            if np.max(images) < 1e-12 * peak:
                 break
     else:
         raise ValueError(f"unknown initial-data kind {kind!r}")
@@ -373,6 +390,9 @@ def step_rk4(
 # series, run loop
 
 
+_SERIES_COLUMNS = ("t", "M", "H1sq", "L2msq", "E", "sup_u", "sup_ux", "min_u")
+
+
 @dataclass
 class ConservedSeries:
     """Time series of the monitored integrals on the periodic grid."""
@@ -399,8 +419,7 @@ class ConservedSeries:
         self.min_u.append(float(np.min(u)))
 
     def arrays(self) -> dict:
-        return {k: np.asarray(getattr(self, k)) for k in
-                ("t", "M", "H1sq", "L2msq", "E", "sup_u", "sup_ux", "min_u")}
+        return {k: np.asarray(getattr(self, k)) for k in _SERIES_COLUMNS}
 
     @staticmethod
     def relative_drift(values) -> float:
@@ -524,27 +543,27 @@ def check_apriori_bounds(series: ConservedSeries, l2m_conserved: bool = True) ->
 
 
 # ---------------------------------------------------------------------------
-# csv output (17 significant digits: round-trip exact doubles)
+# csv output (17 significant digits: round-trip exact doubles), the bytes
+# csv.writer writes: numbers need no quoting, and rows end in \r\n
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def _row_format(n_columns: int) -> str:
+    return ",".join(["%.17g"] * n_columns) + "\r\n"
 
 
 def write_series_csv(path: str, series: ConservedSeries):
     arrays = series.arrays()
+    columns = [arrays[k].tolist() for k in _SERIES_COLUMNS]
+    row = _row_format(len(columns))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "M", "H1sq", "L2msq", "E", "sup_u", "sup_ux", "min_u"])
-        for i in range(len(arrays["t"])):
-            w.writerow([_fmt(arrays[k][i]) for k in
-                        ("t", "M", "H1sq", "L2msq", "E", "sup_u", "sup_ux", "min_u")])
+        fh.write(",".join(_SERIES_COLUMNS) + "\r\n")
+        fh.write("".join([row % values for values in zip(*columns)]))
 
 
 def write_snapshots_csv(path: str, grid: Grid, snapshots: list):
+    x = grid.x.tolist()
+    row = _row_format(4)
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "x", "u", "m"])
+        fh.write("t,x,u,m\r\n")
         for t, u, m in snapshots:
-            for j in range(grid.n):
-                w.writerow([_fmt(t), _fmt(grid.x[j]), _fmt(u[j]), _fmt(m[j])])
+            fh.write("".join([row % (t, *values) for values in zip(x, u.tolist(), m.tolist())]))

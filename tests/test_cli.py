@@ -177,6 +177,13 @@ def test_simulate_bad_config(tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 1
         assert err.startswith("error:")
+    for initial in ({"kind": "sawtooth", "params": {}},
+                    {"kind": "solitary_wave", "params": {"c": 1.0}},
+                    {"kind": "solitary_wave", "params": {"b": 1.5, "c": 1.0}}):
+        path = _sim_config(tmp_path, initial=initial)
+        code, _, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert err.startswith("error: invalid simulation config")
 
 
 def test_simulate_wave_breaking_exit(tmp_path, capsys):

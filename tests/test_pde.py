@@ -1,3 +1,4 @@
+import csv
 import json
 import warnings
 
@@ -21,6 +22,7 @@ from peakonlaws.pde import (
     run,
     step_rk4,
     write_series_csv,
+    write_snapshots_csv,
 )
 
 CH = EquationSpec.from_strings("ux", "u")
@@ -193,6 +195,27 @@ def test_initial_data_kinds():
         initial_data(_gaussian_cfg(initial={"kind": "sawtooth", "params": {}}))
 
 
+def test_solitary_initial_data_sums_images(plain_bisection):
+    # u(0) = the profile plus pairs of images j*L away, up to the first pair
+    # below 1e-12 of the peak, each inverted by plain bisection
+    for length, n, b, c, centers in ((20.0, 1024, 0.5, 1.0, (10.0, 3.7, 16.25)),
+                                     (40.0, 512, 0.3, 2.0, (20.0,))):
+        for x0 in centers:
+            cfg = SimConfig(length, n, 1e-3, 1.0, SINGULAR, {
+                "kind": "solitary_wave", "params": {"b": b, "c": c, "center": x0}})
+            xi = np.mod(cfg.grid.x - x0 + length / 2.0, length) - length / 2.0
+            u0 = plain_bisection(b, c, xi)
+            peak = float(np.max(u0))
+            for j in range(1, 64):
+                left = plain_bisection(b, c, np.abs(xi + j * length))
+                right = plain_bisection(b, c, np.abs(xi - j * length))
+                u0 = u0 + left + right
+                if max(np.max(left), np.max(right)) < 1e-12 * peak:
+                    break
+            m0 = np.fft.irfft((1.0 + cfg.grid.k**2) * np.fft.rfft(u0), n=n)
+            assert np.array_equal(initial_data(cfg), m0)
+
+
 def test_series_and_energy_identity():
     # E(mu=2, nu=0) equals the L2 norm of m on the periodic grid
     cfg = _gaussian_cfg(t_final=0.2)
@@ -238,6 +261,41 @@ def test_series_csv_round_trip(tmp_path):
     assert back[1] == res.series.M[0]  # 17 digits round-trip exactly
 
 
+def _csv_module_bytes(path, header, rows) -> bytes:
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([f"{v:.17g}" for v in row])
+    return path.read_bytes()
+
+
+def test_csv_writers_match_csv_module_bytes(tmp_path):
+    special = np.array([-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan, 0.1, -2.5])
+    series = ConservedSeries()
+    for i in range(8):
+        for j, key in enumerate(("t", "M", "H1sq", "L2msq", "E", "sup_u", "sup_ux", "min_u")):
+            getattr(series, key).append(float(special[(i + j) % 8]))
+    write_series_csv(tmp_path / "series.csv", series)
+    arrays = series.arrays()
+    header = ["t", "M", "H1sq", "L2msq", "E", "sup_u", "sup_ux", "min_u"]
+    expected = _csv_module_bytes(tmp_path / "ref_series.csv", header,
+                                 zip(*(arrays[k] for k in header)))
+    got = (tmp_path / "series.csv").read_bytes()
+    assert got == expected
+    assert got.count(b"\r\n") == 9 and got.count(b"\n") == 9
+
+    grid = Grid(4.0, 16)
+    u = np.resize(special, 16)
+    snapshots = [(0.0, u, -u), (1e300, u[::-1].copy(), 3.0 * u)]
+    write_snapshots_csv(tmp_path / "snaps.csv", grid, snapshots)
+    rows = [(t, grid.x[j], us[j], ms[j]) for t, us, ms in snapshots for j in range(grid.n)]
+    expected = _csv_module_bytes(tmp_path / "ref_snaps.csv", ["t", "x", "u", "m"], rows)
+    got = (tmp_path / "snaps.csv").read_bytes()
+    assert got == expected
+    assert got.count(b"\r\n") == 33 and got.count(b"\n") == 33
+
+
 def test_read_config_validation(tmp_path):
     doc = {
         "L": 40.0, "N": 256, "dt": 1e-3, "t_final": 0.1,
@@ -246,6 +304,7 @@ def test_read_config_validation(tmp_path):
     }
     cfg = read_config(json.dumps(doc))
     assert cfg.n == 256
+    assert cfg.grid is cfg.grid is read_config(json.dumps(doc)).grid
     with pytest.raises(ValueError):
         read_config(json.dumps({"L": 40.0}))
     bad = dict(doc, equation={"f": "0", "g": "0"})
@@ -259,3 +318,11 @@ def test_read_config_validation(tmp_path):
             read_config(json.dumps(dict(doc, **extra)))
     with pytest.raises(ValueError):
         read_config(json.dumps([doc]))
+    # bad initial data is a config error, not a failure inside run
+    for initial in ({"kind": "sawtooth", "params": {}},
+                    {"kind": "solitary_wave", "params": {"b": 0.5}},
+                    {"kind": "solitary_wave", "params": {"c": 1.0}},
+                    {"kind": "solitary_wave", "params": {"b": 1.0, "c": 1.0}},
+                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": 0.0}}):
+        with pytest.raises(ValueError, match="invalid simulation config"):
+            read_config(json.dumps(dict(doc, initial=initial)))

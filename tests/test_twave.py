@@ -40,6 +40,19 @@ def test_parameter_validation():
         peakon(0.0)
 
 
+def test_profile_equals_plain_bisection(plain_bisection):
+    # nodes leave the bisection at their fixed point; the result must be
+    # that of 110 steps on every node, tail nodes included
+    for b, c, xi in (
+        (0.5, 1.0, np.arange(-60, 61) * 0.25),  # xi = 0 and negative xi
+        (0.9, 2.0, np.linspace(-110.0, 110.0, 2201)),  # far tail, at the cap
+        (0.3, 0.5, np.linspace(-8.0, 8.0, 96).reshape(2, 3, 16)),
+    ):
+        U = solitary_profile(b, c, xi).U
+        assert U.shape == xi.shape
+        assert np.array_equal(U, plain_bisection(b, c, xi))
+
+
 def test_profile_symmetry_and_monotone_decay():
     p = solitary_profile(0.5, 1.0, XI)
     assert np.max(np.abs(p.U - p.U[::-1])) <= 1e-10
