@@ -17,6 +17,13 @@ its grid.  There is one sampler: sample draws seeded jet points shared by
 a sequence of expressions and judges the candidates a block at a time;
 sample_points is its view for one expression.
 
+Trees share subtrees freely, so the kernel works once per distinct node.
+Each node computes its hash once, when it is built, and == compares the
+fields only of nodes whose hashes agree.  Every traversal (compile_terms,
+the derivatives d_x, d_t, diff and euler_u, substitute, jet_vars,
+param_names) visits each distinct node once per call: a subtree shared by
+several parents is compiled, derived or rebuilt once.
+
 Everything here is immutable and side-effect free; randomized zero testing
 takes an explicit SamplingPolicy carrying its own seed.
 """
@@ -172,8 +179,39 @@ _PARSE_VARS = {
 # expression nodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
+    """A node of an immutable expression tree.
+
+    Nodes compare and hash by their fields, as a frozen dataclass does, but
+    each node hashes its fields once, when it is built (its children have
+    done so before it), and == returns at once on identity or on unequal
+    hashes, comparing the fields only when the hashes agree.
+    """
+
+    def __post_init__(self):
+        # until now the instance dict holds the fields alone, in order
+        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
+
+    def __reduce__(self):
+        # rebuild from the fields: a string's hash, and with it the cached
+        # one, differs between processes, and a compiled closure cannot be
+        # pickled
+        return self.__class__, self._fields()
+
     def __add__(self, other):
         return add(self, _as_expr(other))
 
@@ -209,11 +247,11 @@ class Expr:
 
     @cached_property
     def _terms_fn(self):  # see compile_terms
-        parts = [_compile(t) for t in (self.terms if isinstance(self, Add) else (self,))]
+        parts = _fold(self.terms if isinstance(self, Add) else (self,), _compile)
         return lambda env: [part(env) for part in parts]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: float
 
@@ -221,29 +259,30 @@ class Const(Expr):
         object.__setattr__(self, "value", float(self.value))
         if not math.isfinite(self.value):
             raise ExprError("non-finite constant")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Param(Expr):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     v: JetVar
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Add(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mul(Expr):
     factors: tuple
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pow(Expr):
     base: Expr
     exp: Fraction
@@ -253,9 +292,10 @@ class Pow(Expr):
             object.__setattr__(self, "exp", Fraction(self.exp))
         if self.exp.denominator == 0:  # pragma: no cover - Fraction forbids this
             raise ExprError("zero-denominator exponent")
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Fn(Expr):
     name: str
     arg: Expr
@@ -263,10 +303,12 @@ class Fn(Expr):
     def __post_init__(self):
         if self.name not in FN_NAMES:
             raise ExprError(f"unknown function {self.name!r}")
+        super().__post_init__()
 
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+_UNIT = Fraction(1)  # the exponent of a factor that is not a Pow
 
 
 def _as_expr(x) -> Expr:
@@ -349,14 +391,14 @@ def mul(*factors) -> Expr:
     # group repeated bases: ux*ux -> ux^2, b*b^-1 -> 1
     grouped: list[tuple[Expr, Fraction]] = []
     for f in rest:
-        b, e = (f.base, f.exp) if isinstance(f, Pow) else (f, Fraction(1))
+        b, e = (f.base, f.exp) if isinstance(f, Pow) else (f, _UNIT)
         for i, (gb, ge) in enumerate(grouped):
             if gb == b:
                 grouped[i] = (gb, ge + e)
                 break
         else:
             grouped.append((b, e))
-    rest = [pow_(b, e) for b, e in grouped if e != 0]
+    rest = [b if e is _UNIT else pow_(b, e) for b, e in grouped if e != 0]
     rest = [f for f in rest if not (isinstance(f, Const) and f.value == 1.0)]
     if not rest:
         return Const(c)
@@ -394,7 +436,10 @@ def pow_(base, exp) -> Expr:
         if not isinstance(exp, Const):
             raise ExprError("exponents must be rational constants")
         exp = exp.value
-    exp = Fraction(exp).limit_denominator(10**9) if isinstance(exp, float) else Fraction(exp)
+    if isinstance(exp, float):
+        exp = Fraction(exp).limit_denominator(10**9)
+    elif not isinstance(exp, Fraction):
+        exp = Fraction(exp)
     if exp == 0:
         return ONE
     if exp == 1:
@@ -429,59 +474,77 @@ def _children(e: Expr) -> tuple:
     return ()
 
 
+def _nodes(roots: Sequence[Expr]) -> list:
+    """(node, children) for the distinct nodes under roots, each after its children.
+
+    Nodes are told apart by identity: a subtree shared by several parents
+    is listed once, so every traversal built on this visits each distinct
+    node once.
+    """
+    order, seen = [], set()
+
+    def walk(n: Expr):
+        seen.add(id(n))
+        kids = _children(n)
+        for c in kids:
+            if id(c) not in seen:
+                walk(c)
+        order.append((n, kids))
+
+    for r in roots:
+        if id(r) not in seen:
+            walk(r)
+    return order
+
+
+def _fold(roots: Sequence[Expr], visit: Callable[[Expr, list], object]) -> list:
+    """visit(node, results at its children), once per distinct node; the results at roots."""
+    done = {}
+    for n, kids in _nodes(roots):
+        done[id(n)] = visit(n, [done[id(c)] for c in kids])
+    return [done[id(r)] for r in roots]
+
+
 def jet_vars(e: Expr) -> set:
-    out: set[JetVar] = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Var):
-            out.add(n.v)
-        else:
-            stack.extend(_children(n))
-    return out
+    return {n.v for n, _ in _nodes((e,)) if isinstance(n, Var)}
 
 
 def param_names(e: Expr) -> set:
-    out: set[str] = set()
-    stack = [e]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, Param):
-            out.add(n.name)
-        else:
-            stack.extend(_children(n))
-    return out
+    return {n.name for n, _ in _nodes((e,)) if isinstance(n, Param)}
+
+
+def _rebuild(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
+    """e with every leaf n replaced by leaf(n), rebuilt through add, mul, pow_, fn."""
+
+    def visit(n: Expr, kids: list) -> Expr:
+        if isinstance(n, Add):
+            return add(*kids)
+        if isinstance(n, Mul):
+            return mul(*kids)
+        if isinstance(n, Pow):
+            return pow_(kids[0], n.exp)
+        if isinstance(n, Fn):
+            return fn(n.name, kids[0])
+        return leaf(n)
+
+    return _fold((e,), visit)[0]
 
 
 def bind_params(e: Expr, values: Mapping[str, float]) -> Expr:
     """Substitute numeric values for parameters."""
-    if isinstance(e, Param):
-        if e.name not in values:
-            raise ExprError(f"unbound parameter {e.name!r}")
-        return Const(values[e.name])
-    if isinstance(e, Add):
-        return add(*(bind_params(t, values) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(bind_params(f, values) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(bind_params(e.base, values), e.exp)
-    if isinstance(e, Fn):
-        return fn(e.name, bind_params(e.arg, values))
-    return e
+
+    def leaf(n: Expr) -> Expr:
+        if not isinstance(n, Param):
+            return n
+        if n.name not in values:
+            raise ExprError(f"unbound parameter {n.name!r}")
+        return Const(values[n.name])
+
+    return _rebuild(e, leaf)
 
 
 def substitute(e: Expr, table: Mapping[JetVar, Expr]) -> Expr:
-    if isinstance(e, Var):
-        return table.get(e.v, e)
-    if isinstance(e, Add):
-        return add(*(substitute(t, table) for t in e.terms))
-    if isinstance(e, Mul):
-        return mul(*(substitute(f, table) for f in e.factors))
-    if isinstance(e, Pow):
-        return pow_(substitute(e.base, table), e.exp)
-    if isinstance(e, Fn):
-        return fn(e.name, substitute(e.arg, table))
-    return e
+    return _rebuild(e, lambda n: table.get(n.v, n) if isinstance(n, Var) else n)
 
 
 # ---------------------------------------------------------------------------
@@ -499,8 +562,11 @@ _FN_UFUNCS = {
 }
 
 
-def _compile(e: Expr):
-    """Closure env -> value of e; env maps names to floats or numpy arrays."""
+def _compile(e: Expr, kids: list):
+    """Closure env -> value of e, given the closures of its children.
+
+    env maps names to floats or numpy arrays.
+    """
     if isinstance(e, Const):
         value = np.float64(e.value)
         return lambda env: value
@@ -515,11 +581,10 @@ def _compile(e: Expr):
 
         return leaf
     if isinstance(e, (Add, Mul)):
-        parts = [_compile(c) for c in _children(e)]
         op = operator.add if isinstance(e, Add) else operator.mul
-        return lambda env: reduce(op, [part(env) for part in parts])
+        return lambda env: reduce(op, [part(env) for part in kids])
     if isinstance(e, Pow):
-        base, p = _compile(e.base), float(e.exp)
+        base, p = kids[0], float(e.exp)
         integer, negative = e.exp.denominator == 1, e.exp < 0
         if integer and not negative:
             return lambda env: base(env) ** p
@@ -534,7 +599,7 @@ def _compile(e: Expr):
 
         return power
     if isinstance(e, Fn):
-        arg, ufunc = _compile(e.arg), _FN_UFUNCS[e.name]
+        arg, ufunc = kids[0], _FN_UFUNCS[e.name]
 
         def call(env):
             a = arg(env)
@@ -552,7 +617,8 @@ def compile_terms(e: Expr) -> Callable[[Mapping], list]:
     of one shape).  Sums and products combine left to right.  A domain
     violation (0 to a negative power, ln of x <= 0, sqrt of x < 0,
     arctanh of |x| >= 1) yields NaN, which propagates; nothing raises but
-    a missing name.  Compiled once per expression object and kept on it.
+    a missing name.  Compiled once per expression object and kept on it,
+    with one closure per distinct node.
     """
     return e._terms_fn
 
@@ -584,44 +650,46 @@ def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, flo
 
 def _derive(e: Expr, var_rule) -> Expr:
     """Chain-rule engine; var_rule maps a JetVar to its derivative Expr."""
-    if isinstance(e, (Const, Param)):
-        return ZERO
-    if isinstance(e, Var):
-        return var_rule(e.v)
-    if isinstance(e, Add):
-        return add(*(_derive(t, var_rule) for t in e.terms))
-    if isinstance(e, Mul):
-        parts = []
-        fs = e.factors
-        for i, f in enumerate(fs):
-            dfi = _derive(f, var_rule)
-            if dfi is ZERO or (isinstance(dfi, Const) and dfi.value == 0.0):
-                continue
-            parts.append(mul(*fs[:i], dfi, *fs[i + 1:]))
-        return add(*parts)
-    if isinstance(e, Pow):
-        db = _derive(e.base, var_rule)
-        if isinstance(db, Const) and db.value == 0.0:
+
+    def visit(n: Expr, d: list) -> Expr:
+        if isinstance(n, (Const, Param)):
             return ZERO
-        return mul(Const(float(e.exp)), pow_(e.base, e.exp - 1), db)
-    if isinstance(e, Fn):
-        da = _derive(e.arg, var_rule)
-        if isinstance(da, Const) and da.value == 0.0:
-            return ZERO
-        a = e.arg
-        if e.name == "exp":
-            return mul(e, da)
-        if e.name == "ln":
-            return div(da, a)
-        if e.name == "sqrt":
-            return div(da, mul(2, fn("sqrt", a)))
-        if e.name == "sin":
-            return mul(fn("cos", a), da)
-        if e.name == "cos":
-            return neg(mul(fn("sin", a), da))
-        if e.name == "arctanh":
-            return div(da, sub(1, mul(a, a)))
-    raise ExprError(f"cannot differentiate {type(e).__name__}")  # pragma: no cover
+        if isinstance(n, Var):
+            return var_rule(n.v)
+        if isinstance(n, Add):
+            return add(*d)
+        if isinstance(n, Mul):
+            fs = n.factors
+            return add(*(
+                mul(*fs[:i], dfi, *fs[i + 1:])
+                for i, dfi in enumerate(d)
+                if not (isinstance(dfi, Const) and dfi.value == 0.0)
+            ))
+        if isinstance(n, Pow):
+            db = d[0]
+            if isinstance(db, Const) and db.value == 0.0:
+                return ZERO
+            return mul(Const(float(n.exp)), pow_(n.base, n.exp - 1), db)
+        if isinstance(n, Fn):
+            da = d[0]
+            if isinstance(da, Const) and da.value == 0.0:
+                return ZERO
+            a = n.arg
+            if n.name == "exp":
+                return mul(n, da)
+            if n.name == "ln":
+                return div(da, a)
+            if n.name == "sqrt":
+                return div(da, mul(2, fn("sqrt", a)))
+            if n.name == "sin":
+                return mul(fn("cos", a), da)
+            if n.name == "cos":
+                return neg(mul(fn("sin", a), da))
+            if n.name == "arctanh":
+                return div(da, sub(1, mul(a, a)))
+        raise ExprError(f"cannot differentiate {type(n).__name__}")  # pragma: no cover
+
+    return _fold((e,), visit)[0]
 
 
 def _dx_m_jet_rule(v: JetVar) -> Expr:

@@ -198,8 +198,25 @@ class SimConfig:
         kind = self.initial.get("kind")
         if kind not in _INITIAL_KINDS:
             raise ValueError(f"unknown initial-data kind {kind!r}")
+        p = self.initial.get("params", {})
+        if not isinstance(p, dict):
+            raise ValueError("initial-data params must be an object")
+        # the parameters initial_data reads, converted as it converts them;
+        # b and c of a solitary wave are checked below
+        for key in ("amplitude", "center", "width", "offset", "mollify_width_dx"):
+            if key in p:
+                try:
+                    finite = math.isfinite(float(p[key]))
+                except (TypeError, ValueError):
+                    finite = False
+                if not finite:
+                    raise ValueError(f"initial-data parameter {key} must be a finite number, got {p[key]!r}")
+        if "mode" in p:
+            try:
+                operator.index(p["mode"])
+            except TypeError:
+                raise ValueError(f"initial-data parameter mode must be an integer, got {p['mode']!r}") from None
         if kind == "solitary_wave":
-            p = self.initial.get("params", {})
             if "b" not in p or "c" not in p:
                 raise ValueError("solitary_wave initial data needs params b and c")
             _check_bc(float(p["b"]), float(p["c"]))

@@ -49,8 +49,8 @@ def solitary_peak_height(b: float, c: float) -> float:
 def _check_bc(b: float, c: float):
     if not 0.0 < b < 1.0:
         raise ValueError(f"shape parameter b must lie in (0,1), got {b}")
-    if c <= 0.0:
-        raise ValueError(f"wave speed c must be positive, got {c}")
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"wave speed c must be positive and finite, got {c}")
 
 
 def _s_of(U, b, c):

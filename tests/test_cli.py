@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -179,7 +180,10 @@ def test_simulate_bad_config(tmp_path, capsys):
         assert err.startswith("error:")
     for initial in ({"kind": "sawtooth", "params": {}},
                     {"kind": "solitary_wave", "params": {"c": 1.0}},
-                    {"kind": "solitary_wave", "params": {"b": 1.5, "c": 1.0}}):
+                    {"kind": "solitary_wave", "params": {"b": 1.5, "c": 1.0}},
+                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": math.nan}},
+                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0, "center": "mid"}},
+                    {"kind": "gaussian", "params": {"amplitude": "x"}}):
         path = _sim_config(tmp_path, initial=initial)
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 1

@@ -1,13 +1,20 @@
 import math
+import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from peakonlaws import expr
 from peakonlaws.expr import (
+    Add,
     ExprError,
+    Fn,
     JetVar,
+    Mul,
     ParseError,
+    Pow,
     SamplingPolicy,
     SingularSamplingError,
     add,
@@ -24,6 +31,7 @@ from peakonlaws.expr import (
     is_zero,
     jet_vars,
     mul,
+    param_names,
     parse,
     poly_normal_form,
     pow_,
@@ -335,3 +343,106 @@ def test_partial_derivative():
     e = parse("u^2*ux + m*ux")
     assert zdiff(diff(e, "ux"), parse("u^2 + m")).is_zero
     assert zdiff(diff(e, "u"), parse("2*u*ux")).is_zero
+
+
+# ---------------------------------------------------------------------------
+# node identity: hashing, equality and shared subtrees
+
+
+def test_hash_and_equality_contract():
+    source = "ux*(u^2-ux^2)^2 + u/(u^2-ux^2) + sqrt(u^2+1)*exp(-mx) - ln(u)*mxx"
+    a, b = parse(source), parse(source)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert {a: 1}[b] == 1
+    assert const(0.0) == const(-0.0) and hash(const(0.0)) == hash(const(-0.0))
+    # hash(-1.0) == hash(-2.0): equal hashes fall back to the fields
+    assert hash(const(-1.0)) == hash(const(-2.0)) and const(-1.0) != const(-2.0)
+    u, ux = var("u"), var("ux")
+    assert Pow(u, Fraction(2)) != Pow(u, Fraction(3))
+    assert Pow(u, Fraction(2)) == Pow(u, 2)
+    assert Fn("sin", u) != Fn("cos", u)
+    assert Add((u, ux)) != Add((ux, u))
+    assert Mul((u, ux)) != Mul((ux, u))
+    assert Add((u, ux)) != Mul((u, ux))
+    assert a != 1.0 and const(1.0) != 1.0
+    # a pickled node is rebuilt from its fields, without its compiled closure
+    compile_terms(a)
+    c = pickle.loads(pickle.dumps(a))
+    assert c == a and hash(c) == hash(a)
+    point = {"u": 1.5, "ux": 0.5, "mx": 0.2, "mxx": 0.1}
+    assert evaluate(c, point) == evaluate(a, point)
+
+
+def _distinct_nodes(e) -> int:
+    seen, stack = set(), [e]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(expr._children(n))
+    return len(seen)
+
+
+def test_shared_subtrees_are_visited_once(monkeypatch):
+    # each level holds the previous one twice: 2^40 nodes as a tree, 83
+    # distinct ones; a walk per parent would not finish
+    e = add(var("m"), var("ux"))
+    for _ in range(40):
+        e = add(e, fn("sin", e))
+    distinct = _distinct_nodes(e)
+    assert distinct == 83
+    visits = 0
+    children = expr._children
+
+    def counted(n):
+        nonlocal visits
+        visits += 1
+        return children(n)
+
+    monkeypatch.setattr(expr, "_children", counted)
+    for op in (jet_vars, param_names, compile_terms, d_x, to_u_jet):
+        visits = 0
+        op(e)
+        assert visits <= 2 * distinct, op.__name__
+    assert jet_vars(e) == {JetVar("m"), JetVar("u", 1)}
+
+
+# the 7 reference equations of the verdicts, then family members
+# f = ux*f1(u^2-ux^2) + u/(u^2-ux^2) [+ 0.001*u] with the pole term
+TRAVERSAL_EQUATIONS = [
+    ("ux", "u"),
+    ("2*ux", "u"),
+    ("u*ux", "u^2"),
+    ("0", "u^2-ux^2"),
+    ("ux/u^3", "1/u^2"),
+    ("-u*ux", "u^2"),
+    ("ux*(u^2-ux^2)", "u*(u^2-ux^2)+(u^2-ux^2)"),
+    ("ux*(0.7 - 1.3*(u^2-ux^2)) + u/(u^2-ux^2)", "exp(u)"),
+    ("ux*(0.4 + 1.1*(u^2-ux^2)^2) + u/(u^2-ux^2) + 0.001*u", "sqrt(u^2+1)"),
+    ("-0.9*ux + u/(u^2-ux^2)", "1/u^2"),
+    ("ux*(1.7*(u^2-ux^2) - 0.2) + u/(u^2-ux^2)", "u^2-ux^2"),
+]
+
+
+def _traversal_results(f, g) -> list:
+    """d_x, d_t, euler_u, to_u_jet and to_m_jet of the determining products of f, g."""
+    f, g = parse(f), parse(g)
+    m, u, ux = var("m"), var("u"), var("ux")
+    out = []
+    for e in (mul(f, m), mul(sub(mul(u, f), mul(ux, g)), m),
+              mul(add(f, mul(0.5, d_x(g))), pow_(m, 2))):
+        condition = euler_u(e)
+        u_jet = to_u_jet(condition)
+        out += [d_x(e), d_t(e), condition, d_x(condition), u_jet, to_m_jet(u_jet)]
+    return out
+
+
+@pytest.mark.parametrize("f, g", TRAVERSAL_EQUATIONS)
+def test_traversals_match_plain_recursion(f, g, plain_derive, plain_substitute, monkeypatch):
+    got = _traversal_results(f, g)
+    monkeypatch.setattr(expr, "_derive", plain_derive)
+    monkeypatch.setattr(expr, "substitute", plain_substitute)
+    want = _traversal_results(f, g)
+    for a, b in zip(got, want, strict=True):
+        assert a == b and hash(a) == hash(b)
+        assert to_source(a) == to_source(b)

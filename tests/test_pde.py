@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import warnings
 
 import numpy as np
@@ -323,6 +324,17 @@ def test_read_config_validation(tmp_path):
                     {"kind": "solitary_wave", "params": {"b": 0.5}},
                     {"kind": "solitary_wave", "params": {"c": 1.0}},
                     {"kind": "solitary_wave", "params": {"b": 1.0, "c": 1.0}},
-                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": 0.0}}):
+                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": 0.0}},
+                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": math.nan}},
+                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": math.inf}},
+                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0, "center": "mid"}},
+                    {"kind": "gaussian", "params": {"amplitude": "x"}},
+                    {"kind": "gaussian", "params": {"width": math.inf}},
+                    {"kind": "gaussian", "params": {"center": None}},
+                    {"kind": "gaussian", "params": [1.0]},
+                    {"kind": "cosine_offset", "params": {"offset": math.nan}},
+                    {"kind": "cosine_offset", "params": {"mode": 1.5}},
+                    {"kind": "cosine_offset", "params": {"mode": "2"}},
+                    {"kind": "mollified_peakon", "params": {"mollify_width_dx": "wide"}}):
         with pytest.raises(ValueError, match="invalid simulation config"):
             read_config(json.dumps(dict(doc, initial=initial)))
