@@ -9,20 +9,24 @@ x-derivatives of u are always eliminated through u_xx = u - m.  The pure
 u-jet representation (u, ux, uxx, ... and ut, utx, ...) is used internally
 by the spatial Euler operators and is reachable via to_u_jet / to_m_jet.
 
-There is one evaluator: compile_terms turns an Expr, once, into a closure
-giving the values of its top-level terms on floats or numpy arrays alike,
-NaN wherever a power or function leaves its domain.  evaluate and
-evaluate_with_scale sum those terms with fsum; the solver sums them on
-its grid.  There is one sampler: sample draws seeded jet points shared by
-a sequence of expressions and judges the candidates a block at a time;
-sample_points is its view for one expression.
+There is one evaluator: a Program compiles a sequence of expressions, once,
+into one straight-line program that gives the values of each one's
+top-level terms on floats or numpy arrays alike, NaN wherever a power or
+function leaves its domain.  compile_terms is its view for one expression,
+kept on the expression; evaluate and evaluate_with_scale sum those terms
+with fsum.  The solver runs f and g as one program, and the sampler the
+expressions it is given.  There is one sampler: sample draws seeded jet
+points shared by a sequence of expressions and judges the candidates a
+block at a time; sample_points is its view for one expression.
 
 Trees share subtrees freely, so the kernel works once per distinct node.
 Each node computes its hash once, when it is built, and == compares the
-fields only of nodes whose hashes agree.  Every traversal (compile_terms,
-the derivatives d_x, d_t, diff and euler_u, substitute, jet_vars,
-param_names) visits each distinct node once per call: a subtree shared by
-several parents is compiled, derived or rebuilt once.
+fields only of nodes whose hashes agree.  Every traversal (Program, the
+derivatives d_x, d_t, diff and euler_u, substitute, jet_vars,
+param_names, poly_normal_form) visits each distinct node once per call,
+and a Program computes each distinct node once per call: a subtree shared
+by several parents is compiled, evaluated, derived, expanded or rebuilt
+once.
 
 Everything here is immutable and side-effect free; randomized zero testing
 takes an explicit SamplingPolicy carrying its own seed.
@@ -34,7 +38,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -63,6 +67,7 @@ __all__ = [
     "var",
     "parse",
     "to_source",
+    "Program",
     "compile_terms",
     "evaluate",
     "evaluate_with_scale",
@@ -246,9 +251,8 @@ class Expr:
         return to_source(self)
 
     @cached_property
-    def _terms_fn(self):  # see compile_terms
-        parts = _fold(self.terms if isinstance(self, Add) else (self,), _compile)
-        return lambda env: [part(env) for part in parts]
+    def _program(self) -> "Program":  # see compile_terms
+        return Program((self,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -562,52 +566,91 @@ _FN_UFUNCS = {
 }
 
 
-def _compile(e: Expr, kids: list):
-    """Closure env -> value of e, given the closures of its children.
+class Program:
+    """One straight-line evaluator for a sequence of expressions.
 
-    env maps names to floats or numpy arrays.
+    Called with env (as for compile_terms), it returns one list per
+    expression: the values of its top-level terms.  It is built once, in
+    _nodes order, with one slot per distinct node: a step is keyed by its
+    function and operand slots, so nodes of equal structure share a slot,
+    and a node shared by several expressions is computed once per call.
+    A sum or product of n parts is n - 1 binary steps left to right, each
+    the operation a node by node evaluation would make, so the values are
+    the same to the bit.  np.errstate is entered once per call, and only
+    when a negative or fractional power or a function can leave its domain.
     """
-    if isinstance(e, Const):
-        value = np.float64(e.value)
-        return lambda env: value
-    if isinstance(e, (Param, Var)):
-        name, kind = (e.name, "parameter") if isinstance(e, Param) else (e.v.name, "variable")
 
-        def leaf(env):
+    def __init__(self, exprs: Sequence[Expr]):
+        tops = [e.terms if isinstance(e, Add) else (e,) for e in exprs]
+        self._init: list = []  # slot values before a call: constants, else None
+        self._loads: list = []  # (slot, name, kind) read from env
+        self._code: list = []  # (function, out slot, arg slot, arg slot or None)
+        self._guarded = False  # needs np.errstate: a pole, root or function
+        numbered: dict = {}  # structural key -> slot
+        slot_of: dict = {}  # id(node) -> slot
+
+        def slot(key, value=None) -> int:
+            if key not in numbered:
+                numbered[key] = len(self._init)
+                self._init.append(value)
+            return numbered[key]
+
+        def emit(function, a: int, b: int | None = None) -> int:
+            """The slot of function(vals[a]) or function(vals[a], vals[b]), computed once."""
+            key = (function, a, b)
+            if key not in numbered:
+                self._code.append((function, slot(key), a, b))
+            return numbered[key]
+
+        for n, kids in _nodes([t for ts in tops for t in ts]):
+            args = [slot_of[id(c)] for c in kids]
+            if isinstance(n, Const):
+                out = slot((Const, n.value.hex()), np.float64(n.value))
+            elif isinstance(n, (Param, Var)):
+                name, kind = (n.name, "parameter") if isinstance(n, Param) else (n.v.name, "variable")
+                if (Var, name) not in numbered:
+                    self._loads.append((slot((Var, name)), name, kind))
+                out = numbered[(Var, name)]
+            elif isinstance(n, (Add, Mul)):
+                op = operator.add if isinstance(n, Add) else operator.mul
+                out = args[0]
+                for a in args[1:]:
+                    out = emit(op, out, a)
+            elif isinstance(n, Pow):
+                p = float(n.exp)
+                integer, negative = n.exp.denominator == 1, p < 0
+                out = emit(operator.pow if integer else np.power, args[0], slot((Pow, p), p))
+                if negative or not integer:
+                    self._guarded = True
+                if negative:
+                    # b / b is 1 exactly, and NaN at b = 0; one per distinct base
+                    out = emit(operator.mul, out, emit(operator.truediv, args[0], args[0]))
+            elif isinstance(n, Fn):
+                self._guarded = True
+                out = emit(_FN_UFUNCS[n.name], args[0])
+            else:
+                raise ExprError(f"cannot evaluate {type(n).__name__}")
+            slot_of[id(n)] = out
+        self._outputs = [[slot_of[id(t)] for t in ts] for ts in tops]
+
+    def __call__(self, env: Mapping) -> list:
+        """The top-level term values of each expression at env."""
+        vals = self._init.copy()
+        for s, name, kind in self._loads:
             try:
-                return np.asarray(env[name])
+                vals[s] = np.asarray(env[name])
             except KeyError:
                 raise ExprError(f"no value for {kind} {name!r}") from None
-
-        return leaf
-    if isinstance(e, (Add, Mul)):
-        op = operator.add if isinstance(e, Add) else operator.mul
-        return lambda env: reduce(op, [part(env) for part in kids])
-    if isinstance(e, Pow):
-        base, p = kids[0], float(e.exp)
-        integer, negative = e.exp.denominator == 1, e.exp < 0
-        if integer and not negative:
-            return lambda env: base(env) ** p
-
-        def power(env):
-            b = base(env)
+        if self._guarded:
             with np.errstate(all="ignore"):
-                # b ** p takes numpy's exact fast path for p = -1 (reciprocal)
-                r = b ** p if integer else np.power(b, p)
-                # b / b is 1 exactly, and NaN at b = 0
-                return r * (b / b) if negative else r
+                self._run(vals)
+        else:
+            self._run(vals)
+        return [[vals[s] for s in outs] for outs in self._outputs]
 
-        return power
-    if isinstance(e, Fn):
-        arg, ufunc = kids[0], _FN_UFUNCS[e.name]
-
-        def call(env):
-            a = arg(env)
-            with np.errstate(all="ignore"):
-                return ufunc(a)
-
-        return call
-    raise ExprError(f"cannot evaluate {type(e).__name__}")
+    def _run(self, vals: list):
+        for function, out, a, b in self._code:
+            vals[out] = function(vals[a]) if b is None else function(vals[a], vals[b])
 
 
 def compile_terms(e: Expr) -> Callable[[Mapping], list]:
@@ -617,10 +660,11 @@ def compile_terms(e: Expr) -> Callable[[Mapping], list]:
     of one shape).  Sums and products combine left to right.  A domain
     violation (0 to a negative power, ln of x <= 0, sqrt of x < 0,
     arctanh of |x| >= 1) yields NaN, which propagates; nothing raises but
-    a missing name.  Compiled once per expression object and kept on it,
-    with one closure per distinct node.
+    a missing name.  The Program of [e], built once per expression object
+    and kept on it.
     """
-    return e._terms_fn
+    program = e._program
+    return lambda env: program(env)[0]
 
 
 def evaluate(e: Expr, point: Mapping[str, float]) -> float:
@@ -823,23 +867,25 @@ def _pmul(p: _PolyT, q: _PolyT) -> _PolyT:
             for s, k in m2:
                 powers[s] = powers.get(s, 0) + k
             key = tuple(sorted((s, k) for s, k in powers.items() if k))
-            c = out.get(key, Fraction(0)) + c1 * c2
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
+            _accumulate(out, key, c1 * c2)
     return out
 
 
 def _padd(p: _PolyT, q: _PolyT) -> _PolyT:
     out = dict(p)
     for m, c in q.items():
-        s = out.get(m, Fraction(0)) + c
-        if s:
-            out[m] = s
-        elif m in out:
-            del out[m]
+        _accumulate(out, m, c)
     return out
+
+
+def _accumulate(out: _PolyT, m: tuple, c: Fraction):
+    """out[m] += c for a nonzero c, dropping the monomial when it cancels."""
+    if m in out:
+        c += out[m]
+        if not c:
+            del out[m]
+            return
+    out[m] = c
 
 
 def poly_normal_form(e: Expr) -> _PolyT | None:
@@ -847,8 +893,22 @@ def poly_normal_form(e: Expr) -> _PolyT | None:
 
     Returns None when the expression is not polynomial in the jet
     variables and parameters (negative/fractional powers of non-constant
-    bases, elementary functions of non-constant arguments).
+    bases, elementary functions of non-constant arguments).  Each distinct
+    node is expanded once per call; the expansion stops at the first
+    non-polynomial term it meets.
     """
+    memo: dict = {}  # id(node) -> its normal form; shared, never mutated
+
+    def nf(n: Expr) -> _PolyT | None:
+        if id(n) not in memo:
+            memo[id(n)] = _normal_form(n, nf)
+        return memo[id(n)]
+
+    return nf(e)
+
+
+def _normal_form(e: Expr, nf: Callable[[Expr], _PolyT | None]) -> _PolyT | None:
+    """poly_normal_form of e, with nf giving that of its children."""
     if isinstance(e, Const):
         c = Fraction(e.value)
         return {(): c} if c else {}
@@ -859,7 +919,7 @@ def poly_normal_form(e: Expr) -> _PolyT | None:
     if isinstance(e, Add):
         out: _PolyT = {}
         for t in e.terms:
-            p = poly_normal_form(t)
+            p = nf(t)
             if p is None:
                 return None
             out = _padd(out, p)
@@ -867,13 +927,13 @@ def poly_normal_form(e: Expr) -> _PolyT | None:
     if isinstance(e, Mul):
         out = {(): Fraction(1)}
         for f in e.factors:
-            p = poly_normal_form(f)
+            p = nf(f)
             if p is None:
                 return None
             out = _pmul(out, p)
         return out
     if isinstance(e, Pow):
-        p = poly_normal_form(e.base)
+        p = nf(e.base)
         if p is None:
             return None
         if len(p) == 0:
@@ -978,7 +1038,7 @@ def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
     """
     names = sorted({v.name for e in exprs for v in jet_vars(e)})
     names += sorted({p for e in exprs for p in param_names(e)})
-    evaluators = [compile_terms(e) for e in exprs]
+    program = exprs[0]._program if len(exprs) == 1 else Program(exprs)
     rng = np.random.default_rng(policy.seed)
     n, dim, budget = policy.n_points, len(names), policy.max_tries * policy.n_points
     points, terms, tries = [], [[] for _ in exprs], 0
@@ -996,7 +1056,7 @@ def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
             for _ in range(count)
         ]).reshape(count, dim)
         env = dict(zip(names, pts.T))
-        vals = [np.array([np.broadcast_to(v, (count,)) for v in f(env)]) for f in evaluators]
+        vals = [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in program(env)]
         admissible = ~_near_poles(env, policy.delta, count)
         for v in vals:
             admissible &= np.isfinite(v).all(axis=0)

@@ -7,9 +7,10 @@ smoothing and unconditionally stable); time stepping is classical RK4 at
 fixed step.  Each RK stage makes two stacked FFT calls: one irfft of
 m_hat times the cached lift [1/(1+k^2), ik/(1+k^2), 1] gives u, u_x and
 m on the grid, and one rfft of [f*m, g*m] gives the product spectra,
-which are dealiased with the 2/3 rule; f and g are compiled once per
-stepper by expr.compile_terms, the evaluator the verdicts use.  The nodal
-state after a step is stage 1 of the next.  Wave breaking is detected,
+which are dealiased with the 2/3 rule.  f and g are one expr.Program per
+stepper, the evaluator the verdicts use, and a stage writes its products
+and spectra into buffers the stepper owns.  The nodal state after a step
+is stage 1 of the next.  Wave breaking is detected,
 not resolved: the run stops when sup|u_x| crosses the configured
 threshold.  Equations singular at u = 0 (probed automatically) get a
 floor on min|u|.
@@ -325,29 +326,37 @@ class Stepper:
     """Classical RK4 on the spectrum m_hat for one grid and equation.
 
     guard_floor > 0 arms the min-|u| guard.  Stage rates raise SingularHit
-    when the guard trips or f, g are non-finite on the grid.
+    when the guard trips or f, g are non-finite on the grid.  A stage runs
+    on buffers the stepper owns; nothing it returns shares them.
     """
 
     def __init__(self, grid: Grid, eq: EquationSpec, dealias: bool = True,
                  guard_floor: float = 0.0):
         self.grid = grid
-        self.f, self.g = ex.compile_terms(eq.bound_f), ex.compile_terms(eq.bound_g)
+        self.program = _fg_program(eq.bound_f, eq.bound_g)
+        self._env = {"u": None, "ux": None, "x": grid.x}
         self.guard_floor = guard_floor
         mask = grid.dealias_mask if dealias else np.ones_like(grid.k)
-        # m_hat_t = out_f*rfft(f*m) + out_g*rfft(g*m)
-        self.out_f = -mask
-        self.out_g = -mask * grid.ik
+        # m_hat_t = weights[0]*rfft(f*m) + weights[1]*rfft(g*m)
+        self.weights = np.stack([-mask, -mask * grid.ik])
+        modes = grid.n // 2 + 1
+        self._products = np.empty((2, grid.n))
+        self._spectra = np.empty((2, modes), dtype=complex)
+        self._lifted = np.empty((3, modes), dtype=complex)
 
     def _nodal(self, mh: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(self.grid.lift * mh, n=self.grid.n)
+        return np.fft.irfft(np.multiply(self.grid.lift, mh, out=self._lifted), n=self.grid.n)
 
     def state(self, mh: np.ndarray, t: float) -> GridState:
         """Nodal u, u_x and m of the spectrum mh."""
         u, ux, m = self._nodal(mh)
         return GridState(t, m, u, ux)
 
-    def _env(self, u: np.ndarray, ux: np.ndarray) -> dict:
-        return {"u": u, "ux": ux, "x": self.grid.x}
+    def _fg(self, u: np.ndarray, ux: np.ndarray) -> tuple:
+        """f and g on the grid, each summed left to right."""
+        self._env["u"], self._env["ux"] = u, ux
+        f_terms, g_terms = self.program(self._env)
+        return _sum_terms(f_terms), _sum_terms(g_terms)
 
     def rates(self, u: np.ndarray, ux: np.ndarray, m: np.ndarray) -> np.ndarray:
         """m_hat_t at the nodal state (u, u_x, m)."""
@@ -355,14 +364,18 @@ class Stepper:
         if self.guard_floor > 0.0 and np.min(np.abs(u)) < self.guard_floor:
             j = int(np.argmin(np.abs(u)))
             raise SingularHit(f"|u| fell below the floor {self.guard_floor:g}", float(x[j]))
-        env = self._env(u, ux)
-        fv = _sum_terms(self.f(env))
-        gv = _sum_terms(self.g(env))
-        if not (np.all(np.isfinite(fv)) and np.all(np.isfinite(gv))):
+        fv, gv = self._fg(u, ux)
+        products = self._products
+        np.multiply(fv, m, out=products[0])
+        np.multiply(gv, m, out=products[1])
+        if not np.isfinite(products).all():
+            # a non-finite f or g makes its product non-finite; a finite
+            # product that overflows is not a singular hit
             bad = np.flatnonzero(~(np.isfinite(fv) & np.isfinite(gv)))
-            raise SingularHit("f or g is non-finite on the grid", float(x[bad[0]]))
-        fh, gh = np.fft.rfft(np.stack([fv * m, gv * m]))
-        return self.out_f * fh + self.out_g * gh
+            if bad.size:
+                raise SingularHit("f or g is non-finite on the grid", float(x[bad[0]]))
+        spectra = np.multiply(self.weights, np.fft.rfft(products, out=self._spectra), out=self._spectra)
+        return spectra[0] + spectra[1]
 
     def step(self, mh: np.ndarray, state: GridState, dt: float) -> np.ndarray:
         """m_hat one step on; `state` is the nodal state of mh (stage 1)."""
@@ -374,9 +387,16 @@ class Stepper:
 
     def check_cfl(self, state: GridState, dt: float):
         """Warn when dt*max|g|*N/L > 1, at the line calling step_rk4 or run."""
-        gmax = float(np.max(np.abs(_sum_terms(self.g(self._env(state.u, state.ux))))))
+        gmax = float(np.max(np.abs(self._fg(state.u, state.ux)[1])))
         if dt * gmax * self.grid.n / self.grid.length > 1.0:
             warnings.warn("CFL sanity exceeded: dt*max|g|*N/L > 1", RuntimeWarning, stacklevel=3)
+
+
+@lru_cache(maxsize=8)
+def _fg_program(f: ex.Expr, g: ex.Expr) -> ex.Program:
+    # one program per equation, not per stepper: rhs and step_rk4 build a
+    # stepper per call, and compiling f and g takes about a tenth of a step
+    return ex.Program([f, g])
 
 
 def rhs(grid: Grid, state: GridState, eq: EquationSpec, dealias: bool = True) -> np.ndarray:

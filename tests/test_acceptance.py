@@ -284,6 +284,7 @@ def _crest_speed(grid, snapshots):
 PEAKON_RUN = dict(length=4.0, n=1024, dt=1e-4)
 
 
+@pytest.mark.slow
 def test_criterion_9_peakon_speed_and_ordering():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

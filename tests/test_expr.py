@@ -1,4 +1,5 @@
 import math
+import operator
 import pickle
 import warnings
 from fractions import Fraction
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from peakonlaws import expr
+from peakonlaws.conslaw import EquationSpec, grad_energy_conditions
 from peakonlaws.expr import (
     Add,
     ExprError,
@@ -446,3 +448,61 @@ def test_traversals_match_plain_recursion(f, g, plain_derive, plain_substitute, 
     for a, b in zip(got, want, strict=True):
         assert a == b and hash(a) == hash(b)
         assert to_source(a) == to_source(b)
+
+
+# ---------------------------------------------------------------------------
+# one program per set of expressions
+
+
+def test_program_computes_each_distinct_node_once(monkeypatch):
+    calls = 0
+
+    def counted_sin(x):
+        nonlocal calls
+        calls += 1
+        return np.sin(x)
+
+    monkeypatch.setitem(expr._FN_UFUNCS, "sin", counted_sin)
+    e = add(var("m"), var("ux"))
+    for _ in range(40):
+        e = add(e, fn("sin", e))
+    assert math.isfinite(evaluate(e, {"m": 0.3, "ux": -0.2}))
+    assert calls == 40
+
+
+def _condition_grid() -> dict:
+    # every jet variable of A, B, C on a grid that crosses u = 0 and u = ux
+    rng = np.random.default_rng(11)
+    u = np.array([0.0, -0.7, 0.7, 1.3, 1e-3, *rng.uniform(-2.0, 2.0, 11)])
+    ux = np.array([0.4, -0.7, -0.7, 0.0, 0.2, *rng.uniform(-2.0, 2.0, 11)])
+    env = {"u": u, "ux": ux}
+    for name in ("m", "mx", "mxx", "mxxx", "mxxxx"):
+        env[name] = rng.uniform(-2.0, 2.0, len(u))
+    return env
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("f, g", TRAVERSAL_EQUATIONS)
+def test_program_equals_plain_evaluation(f, g, plain_terms):
+    conditions = grad_energy_conditions(EquationSpec.from_strings(f, g))
+    env = _condition_grid()
+    together = expr.Program(conditions)(env)
+    for c, terms in zip(conditions, together, strict=True):
+        want = plain_terms(c, env)
+        for got in (terms, compile_terms(c)(env)):
+            assert len(got) == len(want)
+            assert all(_same_bits(a, b) for a, b in zip(got, want))
+
+
+def test_negative_powers_share_one_mask():
+    e = parse("u^-3 + u^-2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(evaluate(e, {"u": 0.0}))
+        assert np.isnan(compile_terms(e)({"u": np.zeros(3)})).all()
+    program = expr.Program([e])
+    assert sum(step[0] is operator.truediv for step in program._code) == 1

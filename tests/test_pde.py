@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from peakonlaws import pde
 from peakonlaws.conslaw import EquationSpec
 from peakonlaws.pde import (
     STATUS_COMPLETED,
@@ -338,3 +339,81 @@ def test_read_config_validation(tmp_path):
                     {"kind": "mollified_peakon", "params": {"mollify_width_dx": "wide"}}):
         with pytest.raises(ValueError, match="invalid simulation config"):
             read_config(json.dumps(dict(doc, initial=initial)))
+
+
+# the reference runs of criterion 6 at N=512, and the solitary wave of
+# test_solitary_wave_transport_in_simulator at N=1024
+STEPPER_CASES = {
+    "camassa_holm": dict(length=40.0, n=512, dt=1e-3, equation=CH,
+                         initial={"kind": "gaussian", "params": {"center": 17.3}}),
+    "singular": dict(length=40.0, n=512, dt=1e-3, equation=SINGULAR,
+                     initial={"kind": "cosine_offset", "params": {"offset": 2.0, "amplitude": 0.5}}),
+    "solitary": dict(length=20.0, n=1024, dt=4e-5, equation=SINGULAR,
+                     initial={"kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0}}),
+}
+
+
+@pytest.mark.parametrize("case, dealias", [
+    ("camassa_holm", True), ("camassa_holm", False),
+    ("singular", True), ("singular", False),
+    ("solitary", True),
+])
+def test_run_equals_plain_stepper(case, dealias, plain_run):
+    steps = 50
+    spec = STEPPER_CASES[case]
+    cfg = SimConfig(t_final=steps * spec["dt"], dealias=dealias, **spec)
+    res = run(cfg)
+    (u, ux, m), series = plain_run(cfg, steps)
+    assert res.status == STATUS_COMPLETED and len(res.series.t) == steps + 1
+    for a, b in ((res.final.m, m), (res.final.u, u), (res.final.ux, ux)):
+        assert np.array_equal(a, b)
+    want = series.arrays()
+    for key, column in res.series.arrays().items():
+        assert np.array_equal(column, want[key]), key
+
+
+def test_stage_singular_hit_matches_plain_stepper(plain_stepper):
+    cfg = _gaussian_cfg(equation=SINGULAR, initial={"kind": "cosine_offset", "params": {}})
+    grid = cfg.grid
+    st = GridState.from_m(grid, initial_data(cfg))
+    u = st.u.copy()
+    u[37] = 0.0  # f = ux/u^3 and g = 1/u^2 are NaN at one node
+    hits = []
+    for stepper in (pde.Stepper(grid, SINGULAR), plain_stepper(grid, SINGULAR)):
+        with pytest.raises(pde.SingularHit) as hit:
+            stepper.rates(u, st.ux, st.m)
+        hits.append((str(hit.value), hit.value.location))
+    assert hits[0] == hits[1] == ("f or g is non-finite on the grid", float(grid.x[37]))
+    # finite f and g whose product overflows are not a singular hit
+    huge = np.full(grid.n, 1e300)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = pde.Stepper(grid, CH).rates(huge, huge, huge)
+        want = plain_stepper(grid, CH).rates(huge, huge, huge)
+    assert np.array_equal(got, want, equal_nan=True) and not np.isfinite(got).all()
+
+
+def test_returned_states_share_no_buffer(monkeypatch):
+    steppers = []
+
+    class Recording(pde.Stepper):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            steppers.append(self)
+
+    monkeypatch.setattr(pde, "Stepper", Recording)
+    cfg = SimConfig(t_final=0.02, snapshot_times=(0.0, 0.01), **STEPPER_CASES["singular"])
+    res = run(cfg)
+    (stepper,) = steppers
+    final = [res.final.m.copy(), res.final.u.copy(), res.final.ux.copy()]
+    snaps = [(u.copy(), m.copy()) for _, u, m in res.snapshots]
+    mh = np.fft.rfft(res.final.m)
+    k = stepper.rates(res.final.u, res.final.ux, res.final.m)
+    k_copy = k.copy()
+    state = stepper.state(mh, 0.0)
+    state_copy = [state.m.copy(), state.u.copy(), state.ux.copy()]
+    for _ in range(3):
+        mh = stepper.step(mh, stepper.state(mh, 0.0), cfg.dt)
+    assert all(np.array_equal(a, b) for a, b in zip((res.final.m, res.final.u, res.final.ux), final))
+    assert all(np.array_equal(u, su) and np.array_equal(m, sm) for (_, u, m), (su, sm) in zip(res.snapshots, snaps))
+    assert np.array_equal(k, k_copy)
+    assert all(np.array_equal(a, b) for a, b in zip((state.m, state.u, state.ux), state_copy))

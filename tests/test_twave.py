@@ -193,6 +193,7 @@ def test_ch_first_integral_constant_along_numerical_wave():
     assert np.max(np.abs(comb + (2.0 * c1 * st.u - c2))) < 1e-5
 
 
+@pytest.mark.slow
 def test_solitary_wave_transport_in_simulator():
     # image-sum periodized profile run under the singular equation:
     # crest speed within 1% of c over t in [0,5] (measured 0.35%)
