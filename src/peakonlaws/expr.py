@@ -6,16 +6,17 @@ m_t + f(u,ux)*m + (g(u,ux)*m)_x = 0,  m = u - u_xx.
 Canonical coordinates are {x, t, u, ux, m, mx, mxx, ...} plus the
 first-order-in-t variables {ut, utx, mt, mtx, mtxx, ...}; u_xx and higher
 x-derivatives of u are always eliminated through u_xx = u - m.  The pure
-u-jet representation (u, ux, uxx, ... and ut, utx, ...) is used internally
-by the spatial Euler operators and is reachable via to_u_jet / to_m_jet.
+u-jet representation (u, ux, uxx, ... and ut, utx, ...) is reachable via
+to_u_jet / to_m_jet; the spatial Euler operators do not use it, they work
+in the canonical chart.
 
 There is one evaluator: a Program compiles a sequence of expressions, once,
 into one straight-line program that gives the values of each one's
 top-level terms on floats or numpy arrays alike, NaN wherever a power or
 function leaves its domain.  compile_terms is its view for one expression,
 kept on the expression; evaluate and evaluate_with_scale sum those terms
-with fsum.  The solver runs f and g as one program, and the sampler the
-expressions it is given.  There is one sampler: sample draws seeded jet
+with fsum.  The solver runs f and g as one program, and the sampler each
+expression with its own.  There is one sampler: sample draws seeded jet
 points shared by a sequence of expressions and judges the candidates a
 block at a time; sample_points is its view for one expression.
 
@@ -749,23 +750,9 @@ def _dx_m_jet_rule(v: JetVar) -> Expr:
     return Var(JetVar("m", v.dx + 1, v.dt))
 
 
-def _dx_u_jet_rule(v: JetVar) -> Expr:
-    if v.base == "x":
-        return ONE
-    if v.base == "t":
-        return ZERO
-    if v.base == "m":
-        raise ExprError("m-variables are not part of the pure u-jet")
-    return Var(JetVar("u", v.dx + 1, v.dt))
-
-
 def d_x(e: Expr) -> Expr:
     """Total x-derivative in the canonical m-jet chart."""
     return _derive(e, _dx_m_jet_rule)
-
-
-def _dx_u(e: Expr) -> Expr:
-    return _derive(e, _dx_u_jet_rule)
 
 
 def _dt_rule(v: JetVar) -> Expr:
@@ -823,24 +810,31 @@ def to_m_jet(e: Expr) -> Expr:
 
 
 def _euler(e: Expr, base_dt: int) -> Expr:
-    eu = to_u_jet(e)
-    kmax = max((v.dx for v in jet_vars(eu) if v.base == "u" and v.dt == base_dt), default=-1)
-    total = ZERO
+    e = to_m_jet(e)
+    kmax = max((v.dx for v in jet_vars(e) if v.base == "m" and v.dt == base_dt), default=-1)
+    em = ZERO  # E_m e = sum_k (-D_x)^k de/dm^(k)
     for k in range(kmax + 1):
-        term = diff(eu, JetVar("u", k, base_dt))
+        term = diff(e, JetVar("m", k, base_dt))
         if isinstance(term, Const) and term.value == 0.0:
             continue
         for _ in range(k):
-            term = _dx_u(term)
-        total = add(total, term) if k % 2 == 0 else sub(total, term)
-    return to_m_jet(total)
+            term = d_x(term)
+        em = add(em, term) if k % 2 == 0 else sub(em, term)
+    return add(
+        diff(e, JetVar("u", 0, base_dt)),
+        neg(d_x(diff(e, JetVar("u", 1, base_dt)))),
+        em,
+        neg(d_x(d_x(em))),
+    )
 
 
 def euler_u(e: Expr) -> Expr:
     """Spatial Euler operator with respect to u: sum_k (-D_x)^k d/du^(k).
 
     Annihilates exactly the total x-derivatives among expressions of the
-    jet variables; computed in the pure u-jet and mapped back.
+    jet variables.  Computed in the canonical m-jet chart, where the chain
+    rule through m = u - u_xx gives E_u = d/du - D_x d/du_x + (1 - D_x^2) E_m
+    with E_m = sum_k (-D_x)^k d/dm^(k); the result is canonical.
     """
     return _euler(e, 0)
 
@@ -1035,10 +1029,12 @@ def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
     symbols.  They are judged a block at a time: a candidate is admissible
     off the singular loci (see SamplingPolicy) where every expression
     evaluates finitely.  At most max_tries * n_points candidates are drawn.
+    Each expression is evaluated by its own cached program (compile_terms).
     """
-    names = sorted({v.name for e in exprs for v in jet_vars(e)})
-    names += sorted({p for e in exprs for p in param_names(e)})
-    program = exprs[0]._program if len(exprs) == 1 else Program(exprs)
+    programs = [e._program for e in exprs]
+    names = []
+    for kind in ("variable", "parameter"):
+        names += sorted({name for p in programs for _, name, k in p._loads if k == kind})
     rng = np.random.default_rng(policy.seed)
     n, dim, budget = policy.n_points, len(names), policy.max_tries * policy.n_points
     points, terms, tries = [], [[] for _ in exprs], 0
@@ -1056,7 +1052,7 @@ def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
             for _ in range(count)
         ]).reshape(count, dim)
         env = dict(zip(names, pts.T))
-        vals = [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in program(env)]
+        vals = [np.array([np.broadcast_to(v, (count,)) for v in p(env)[0]]) for p in programs]
         admissible = ~_near_poles(env, policy.delta, count)
         for v in vals:
             admissible &= np.isfinite(v).all(axis=0)

@@ -190,6 +190,11 @@ class SimConfig:
     snapshot_times: tuple = ()
 
     def __post_init__(self):
+        # NaN passes every comparison below, and an infinite step or end
+        # time overflows the step count
+        for name in ("length", "dt", "t_final", "blowup_threshold", "min_u_floor", "energy_mu", "energy_nu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
         if self.series_dt is not None and not self.series_dt > 0:

@@ -81,6 +81,42 @@ def _plain_substitute(e: ex.Expr, table) -> ex.Expr:
     return e
 
 
+def _dx_u_jet_rule(v: ex.JetVar) -> ex.Expr:
+    """D_x of a jet variable in the pure u-jet."""
+    if v.base == "x":
+        return ex.ONE
+    if v.base == "t":
+        return ex.ZERO
+    if v.base == "m":
+        raise ex.ExprError("m-variables are not part of the pure u-jet")
+    return ex.Var(ex.JetVar("u", v.dx + 1, v.dt))
+
+
+def _plain_euler(e: ex.Expr, base_dt: int = 0) -> ex.Expr:
+    """sum_k (-D_x)^k d/du^(k) (base_dt = 0) or d/du_t^(k) (base_dt = 1) of e.
+
+    By the round trip through the pure u-jet: to_u_jet, then the
+    derivatives there, then to_m_jet of the sum.
+    """
+    eu = ex.to_u_jet(e)
+    kmax = max((v.dx for v in ex.jet_vars(eu) if v.base == "u" and v.dt == base_dt), default=-1)
+    total = ex.ZERO
+    for k in range(kmax + 1):
+        term = ex.diff(eu, ex.JetVar("u", k, base_dt))
+        if isinstance(term, ex.Const) and term.value == 0.0:
+            continue
+        for _ in range(k):
+            term = ex._derive(term, _dx_u_jet_rule)
+        total = ex.add(total, term) if k % 2 == 0 else ex.sub(total, term)
+    return ex.to_m_jet(total)
+
+
+@pytest.fixture
+def plain_euler():
+    """Reference for expr.euler_u (base_dt = 0) and expr.euler_ut (base_dt = 1)."""
+    return _plain_euler
+
+
 @pytest.fixture
 def plain_derive():
     """Reference for expr._derive, the engine of d_x, d_t, diff and euler_u."""

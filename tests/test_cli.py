@@ -188,6 +188,15 @@ def test_simulate_bad_config(tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 1
         assert err.startswith("error: invalid simulation config")
+    # non-finite numbers: not a traceback, a NaN run or a run that cannot
+    # detect wave breaking
+    for key, value in (("dt", math.nan), ("t_final", math.inf), ("L", math.nan),
+                       ("blowup_threshold", math.nan), ("min_u_floor", -math.inf),
+                       ("energy_mu", math.inf), ("energy_nu", math.nan)):
+        path = _sim_config(tmp_path, **{key: value})
+        code, _, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert err.startswith("error: invalid simulation config"), (key, err)
 
 
 def test_simulate_wave_breaking_exit(tmp_path, capsys):

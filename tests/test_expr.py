@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from peakonlaws import expr
-from peakonlaws.conslaw import EquationSpec, grad_energy_conditions
+from peakonlaws.conslaw import EquationSpec, classify, grad_energy_conditions, upsilon
 from peakonlaws.expr import (
     Add,
     ExprError,
@@ -426,13 +426,18 @@ TRAVERSAL_EQUATIONS = [
 ]
 
 
-def _traversal_results(f, g) -> list:
-    """d_x, d_t, euler_u, to_u_jet and to_m_jet of the determining products of f, g."""
+def _determining_products(f, g) -> tuple:
+    """The arguments of euler_u in the momentum, H1 and m^2 conditions of f, g."""
     f, g = parse(f), parse(g)
     m, u, ux = var("m"), var("u"), var("ux")
+    return (mul(f, m), mul(sub(mul(u, f), mul(ux, g)), m),
+            mul(add(f, mul(0.5, d_x(g))), pow_(m, 2)))
+
+
+def _traversal_results(f, g) -> list:
+    """d_x, d_t, euler_u, to_u_jet and to_m_jet of the determining products of f, g."""
     out = []
-    for e in (mul(f, m), mul(sub(mul(u, f), mul(ux, g)), m),
-              mul(add(f, mul(0.5, d_x(g))), pow_(m, 2))):
+    for e in _determining_products(f, g):
         condition = euler_u(e)
         u_jet = to_u_jet(condition)
         out += [d_x(e), d_t(e), condition, d_x(condition), u_jet, to_m_jet(u_jet)]
@@ -448,6 +453,78 @@ def test_traversals_match_plain_recursion(f, g, plain_derive, plain_substitute, 
     for a, b in zip(got, want, strict=True):
         assert a == b and hash(a) == hash(b)
         assert to_source(a) == to_source(b)
+
+
+# ---------------------------------------------------------------------------
+# the Euler operators in the m-jet chart
+
+
+def _assert_same_euler(e, plain_euler):
+    """euler_u and euler_ut of e equal the u-jet round trip; exactly when polynomial."""
+    for got, base_dt in ((euler_u(e), 0), (euler_ut(e), 1)):
+        assert all(v.is_canonical for v in jet_vars(got))
+        difference = sub(got, plain_euler(e, base_dt))
+        v = is_zero(difference)
+        assert v.is_zero, (to_source(e), base_dt, v)
+        if poly_normal_form(difference) is not None:
+            assert v.exact, (to_source(e), base_dt)
+
+
+@pytest.mark.parametrize("f, g", TRAVERSAL_EQUATIONS)
+def test_euler_equals_u_jet_round_trip(f, g, plain_euler):
+    for e in _determining_products(f, g):
+        _assert_same_euler(e, plain_euler)
+
+
+@pytest.mark.parametrize("f, g", [("ux", "u"), ("2*ux", "u"), ("ux/u^3", "1/u^2")])
+def test_multiplier_euler_equals_u_jet_round_trip(f, g, plain_euler):
+    # the argument of multiplier_conditions for every current classify builds
+    eq = EquationSpec.from_strings(f, g)
+    fluxes = classify(eq).fluxes
+    assert fluxes
+    for cur in fluxes:
+        _assert_same_euler(sub(d_t(cur.T), mul(cur.Q, upsilon(eq))), plain_euler)
+
+
+def test_euler_of_non_canonical_input(plain_euler):
+    u, ux, uxx, uxxx = (var(n) for n in ("u", "ux", "uxx", "uxxx"))
+    e = add(mul(uxx, uxxx, ux), mul(u, pow_(uxx, 3)), mul(var("mx"), uxxx),
+            mul(var("utxx"), uxx, u), mul(var("ut"), uxxx))
+    _assert_same_euler(e, plain_euler)
+
+
+def _sympy_condition(sp, f: str, g: str, which: str):
+    """E_u of the momentum or H1 product of f, g, by sympy in u(x), with m = u - u''."""
+    from sympy.calculus.euler import euler_equations
+
+    x, u_s, ux_s = sp.symbols("x u_s ux_s")
+    u = sp.Function("u")(x)
+    f_s, g_s = (
+        sp.sympify(src.replace("^", "**"), locals={"u": u_s, "ux": ux_s}).xreplace({u_s: u, ux_s: u.diff(x)})
+        for src in (f, g)
+    )
+    m = u - u.diff(x, 2)
+    density = f_s * m if which == "momentum" else (u * f_s - u.diff(x) * g_s) * m
+    # no equation when the Euler-Lagrange expression folds to 0 as it is built
+    eqs = euler_equations(density, u, x)
+    return x, u, eqs[0].lhs if eqs else sp.Integer(0)
+
+
+@pytest.mark.parametrize("which", ["momentum", "h1"])
+@pytest.mark.parametrize("f, g", TRAVERSAL_EQUATIONS[:7])
+def test_euler_u_matches_sympy(f, g, which):
+    sp = pytest.importorskip("sympy")
+    x, u, want = _sympy_condition(sp, f, g, which)
+    momentum, h1, _ = _determining_products(f, g)
+    got = euler_u(momentum if which == "momentum" else h1)
+    rng = np.random.default_rng(2017)
+    for _ in range(5):
+        d = [float(rng.uniform(0.5, 1.5))] + [float(v) for v in rng.uniform(-1.5, 1.5, 8)]
+        at = {u.diff(x, k): d[k] for k in range(1, len(d))}
+        at[u] = d[0]
+        point = {"u": d[0], "ux": d[1]}
+        point.update({"m" + "x" * k: d[k] - d[k + 2] for k in range(5)})
+        assert evaluate(got, point) == pytest.approx(float(want.xreplace(at)), rel=1e-10, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -506,3 +583,40 @@ def test_negative_powers_share_one_mask():
         assert np.isnan(compile_terms(e)({"u": np.zeros(3)})).all()
     program = expr.Program([e])
     assert sum(step[0] is operator.truediv for step in program._code) == 1
+
+
+# ---------------------------------------------------------------------------
+# the sampler on the programs of its expressions
+
+
+def test_sample_names_variables_then_parameters():
+    e = parse("a*u*mx + ux/b + m", ["b", "a"])
+    s = expr.sample([e], SamplingPolicy(n_points=5))
+    assert s.names == sorted(v.name for v in jet_vars(e)) + sorted(param_names(e))
+    assert s.names == ["m", "mx", "u", "ux", "a", "b"]
+
+
+def test_sample_values_equal_plain_terms(plain_terms):
+    # disjoint symbol sets: each expression reads only its own columns
+    e1, e2 = parse("u^2*ux - 1/u + ux^-3"), parse("a*m*mx^3 + mxx/m - 2", ["a"])
+    s = expr.sample([e1, e2], SamplingPolicy(n_points=25, seed=4))
+    assert s.names == ["m", "mx", "mxx", "u", "ux", "a"]
+    env = dict(zip(s.names, s.points.T))
+    for e, values, scales in zip((e1, e2), s.values, s.scales, strict=True):
+        cols = np.array([np.broadcast_to(t, (25,)) for t in plain_terms(e, env)])
+        assert _same_bits(values, np.array([math.fsum(col) for col in cols.T]))
+        assert _same_bits(scales, np.array([max(1.0, np.max(np.abs(col))) for col in cols.T]))
+
+
+def test_sample_reuses_each_expression_program(monkeypatch):
+    conditions = grad_energy_conditions(EquationSpec.from_strings(*TRAVERSAL_EQUATIONS[7]))
+    policy = SamplingPolicy(seed=3)
+    for c in conditions:
+        expr.sample([c], policy)
+
+    def compile_again(self, exprs):
+        raise AssertionError("sample compiled a Program")
+
+    monkeypatch.setattr(expr.Program, "__init__", compile_again)
+    s = expr.sample(conditions, policy)
+    assert s.values.shape == s.scales.shape == (3, policy.n_points)

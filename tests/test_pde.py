@@ -320,6 +320,13 @@ def test_read_config_validation(tmp_path):
             read_config(json.dumps(dict(doc, **extra)))
     with pytest.raises(ValueError):
         read_config(json.dumps([doc]))
+    # a non-finite number is a config error: NaN passes every comparison,
+    # and an infinite end time overflows the step count
+    for key, value in (("L", math.nan), ("dt", math.nan), ("t_final", math.inf),
+                       ("blowup_threshold", math.nan), ("min_u_floor", math.inf),
+                       ("energy_mu", math.nan), ("energy_nu", -math.inf)):
+        with pytest.raises(ValueError, match="invalid simulation config"):
+            read_config(json.dumps(dict(doc, **{key: value})))
     # bad initial data is a config error, not a failure inside run
     for initial in ({"kind": "sawtooth", "params": {}},
                     {"kind": "solitary_wave", "params": {"b": 0.5}},
