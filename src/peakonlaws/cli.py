@@ -128,10 +128,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_twave(args) -> int:
     try:
+        if not 0.0 < args.xi_max < np.inf:
+            raise ValueError(f"--xi-max must be positive and finite, got {args.xi_max}")
+        if args.n_points < 1:
+            raise ValueError(f"--n-points must be at least 1, got {args.n_points}")
+        xi = np.linspace(-args.xi_max, args.xi_max, args.n_points)
         if args.mode == "solitary":
             if not 0.0 < args.b < 1.0 or args.c <= 0.0:
                 raise ValueError("solitary waves need 0 < b < 1 and c > 0")
-            xi = np.linspace(-args.xi_max, args.xi_max, args.n_points)
             profile = twave.solitary_profile(args.b, args.c, xi)
             res = twave.solitary_ode_residual(profile)
             sidecar = {
@@ -146,7 +150,6 @@ def cmd_twave(args) -> int:
         else:
             if args.a == 0.0:
                 raise ValueError("peakon amplitude must be nonzero")
-            xi = np.linspace(-args.xi_max, args.xi_max, args.n_points)
             profile = twave.peakon(args.a, xi)
             sidecar = {
                 "a": args.a,

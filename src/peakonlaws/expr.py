@@ -745,8 +745,10 @@ def _dx_m_jet_rule(v: JetVar) -> Expr:
     if v.base == "u":
         if v.dx == 0:
             return Var(JetVar("u", 1, v.dt))
-        # u_xx = u - m  (and u_txx = u_t - m_t)
-        return sub(Var(JetVar("u", 0, v.dt)), Var(JetVar("m", 0, v.dt)))
+        # u^(k+1) = u^(k-1) - m^(k-1), e.g. u_xx = u - m, u_txx = u_t - m_t;
+        # from u_xxxx on, u^(k-1) is itself taken back into the chart
+        dv = sub(Var(JetVar("u", v.dx - 1, v.dt)), Var(JetVar("m", v.dx - 1, v.dt)))
+        return dv if v.dx <= 2 else to_m_jet(dv)
     return Var(JetVar("m", v.dx + 1, v.dt))
 
 

@@ -307,16 +307,27 @@ def initial_data(config: SimConfig) -> np.ndarray:
         c = float(p["c"])
         x0 = float(p.get("center", L / 2.0))
         xi = np.mod(x - x0 + L / 2.0, L) - L / 2.0
-        # periodize by summing profile images until they fall below 1e-12
-        # of the peak; a plain wrap would leave a derivative kink at the
-        # box edge whose radiation pollutes the transport
-        u0 = solitary_profile(b, c, xi).U
+        # periodize by summing image pairs j = 1, 2, ... up to the first
+        # that falls below 1e-12 of the peak; a plain wrap would leave a
+        # derivative kink at the box edge whose radiation pollutes the
+        # transport.  Bisected U does not grow with |xi| (a larger |xi|
+        # never steps up where a smaller one steps down), so a pair's
+        # largest value is U at its nearest node.  One inversion of xi and
+        # of each pair's nearest |xi| gives the peak and the number of
+        # pairs, a second inverts those pairs, and they are summed in
+        # order of j.  With |xi| <= L/2, rounded xi + jL and xi - jL keep
+        # their signs and their order in xi, so the nearest come from the
+        # extreme nodes.
+        shifts = L * np.arange(1, 64)
+        nearest = np.minimum(xi.min() + shifts, np.abs(xi.max() - shifts))
+        first = solitary_profile(b, c, np.concatenate([xi, nearest])).U
+        u0, pair_max = first[: xi.size], first[xi.size:]
         peak = float(np.max(u0))
-        for j in range(1, 64):
-            images = solitary_profile(b, c, np.abs([xi + j * L, xi - j * L])).U
-            u0 = u0 + images[0] + images[1]
-            if np.max(images) < 1e-12 * peak:
-                break
+        below = np.flatnonzero(pair_max < 1e-12 * peak)
+        shifts = shifts[: below[0] + 1 if below.size else len(shifts), None]
+        images = solitary_profile(b, c, np.abs(np.stack([xi + shifts, xi - shifts], axis=1))).U
+        for left, right in images:
+            u0 = u0 + left + right
     else:
         raise ValueError(f"unknown initial-data kind {kind!r}")
     uh = np.fft.rfft(u0)

@@ -13,7 +13,11 @@ b*sqrt(2-b^2)/sqrt(c).  The quadrature has the closed form
     t = sqrt(B/A),  A = 1 + s,  B = b^2 - 1 + s,
 
 which is inverted here by bisection in U (|xi| is strictly decreasing in
-U, and bisection stays robust at the peak where d xi/dU diverges).
+U, and bisection stays robust at the peak where d xi/dU diverges).  All
+nodes start from (0, peak) and halve hi until xi(peak*2^-k) > |xi|, so
+these leading halvings are shared: the quadrature is evaluated once on
+the dyadic points peak*2^-k and a sorted search places each node at its
+first step up, far down the tail included.
 Peakons u = a*exp(-|x - c t|) travel with c = 1/a^2.
 """
 
@@ -38,6 +42,10 @@ __all__ = [
     "hamiltonian_first_integrals",
     "smooth_solitary_analysis",
 ]
+
+
+# bisection steps per node, from (0, peak)
+_STEPS = 110
 
 
 def solitary_peak_height(b: float, c: float) -> float:
@@ -119,35 +127,56 @@ def solitary_profile(b: float, c: float, xi: np.ndarray) -> WaveProfile:
 
     Positive orientation; use .reflected() for the mirror solution.
     Bisection is run to ~1e-15 relative so downstream residual tests see
-    only the accuracy of the closed form itself.  A step depends only on
-    a node's (lo, hi) and |xi|, so once a step leaves (lo, hi) unchanged
-    the node sits at its fixed point and leaves the loop (checked every
-    few steps); the result is bit-identical to 110 steps on every node.
+    only the accuracy of the closed form itself.  The result is that of
+    _STEPS steps from (0, peak) on every node, bit for bit, at less cost:
+
+    * every node starts with the same halvings of hi, taken while
+      |xi| >= xi(peak*2^-k); one evaluation of the quadrature on those
+      dyadic mids places every node at its first step up;
+    * a step depends only on a node's (lo, hi) and |xi|, so a node whose
+      step leaves (lo, hi) unchanged sits at its fixed point and leaves
+      the loop (checked every few steps), as does a node whose steps are
+      spent.
     """
     _check_bc(b, c)
     xi = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("solitary profile needs finite xi")
     umax = solitary_peak_height(b, c)
     target = np.abs(xi).ravel()
+    # ladder[k] = umax halved k times, as the bisection halves it; the
+    # trailing 0 is the lo of a node that never steps up
+    ladder = np.append(np.multiply.accumulate(np.r_[umax, np.full(_STEPS, 0.5)]), 0.0)
+    # first step up: the first k with xi(ladder[k+1]) > |xi|; the running
+    # max makes that a sorted search without assuming xi(U) monotone
+    # there, and a node that never steps up gets k = _STEPS
+    first_up = np.searchsorted(
+        np.maximum.accumulate(_xi_of_U(ladder[1:-1], b, c)), target, side="right"
+    )
+    lo, hi = ladder[first_up + 1], ladder[first_up]
+    left = _STEPS - 1 - first_up  # steps still to take
     U = np.empty_like(target)
-    live = np.arange(target.size)  # nodes still moving; t_live, lo, hi are theirs
+    live = np.arange(target.size)  # nodes still moving; t_live, lo, hi, left are theirs
     t_live = target
-    lo = np.zeros_like(target)
-    hi = np.full_like(target, umax)
-    for step in range(1, 111):
-        if not live.size:
-            break
+    settled = False  # after every 8th step: the nodes it left in place
+    next_out = 0
+    for step in range(_STEPS):
+        if step % 8 == 0 or step >= next_out:
+            done = settled | (left <= step)
+            U[live[done]] = 0.5 * (lo[done] + hi[done])
+            keep = ~done
+            live, t_live, lo, hi, left = (a[keep] for a in (live, t_live, lo, hi, left))
+            if not live.size:
+                break
+            settled = False
+            next_out = left.min()
         mid = 0.5 * (lo + hi)
         too_close_to_peak = _xi_of_U(mid, b, c) > t_live
         new_lo = np.where(too_close_to_peak, mid, lo)
         new_hi = np.where(too_close_to_peak, hi, mid)
-        if step % 8 == 0:
-            moving = (new_lo != lo) | (new_hi != hi)
-            done = ~moving
-            U[live[done]] = 0.5 * (new_lo[done] + new_hi[done])
-            live, t_live = live[moving], t_live[moving]
-            new_lo, new_hi = new_lo[moving], new_hi[moving]
+        if (step + 1) % 8 == 0:
+            settled = (new_lo == lo) & (new_hi == hi)
         lo, hi = new_lo, new_hi
-    U[live] = 0.5 * (lo + hi)
     U = np.where(target == 0.0, umax, U).reshape(xi.shape)
     return WaveProfile(
         kind="solitary",

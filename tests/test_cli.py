@@ -84,6 +84,16 @@ def test_twave_solitary_range_error(capsys):
     assert "b" in err
 
 
+@pytest.mark.parametrize("mode_args", [("solitary", "--b", "0.5", "--c", "1"), ("peakon", "--a", "2")])
+@pytest.mark.parametrize("bad", [("--xi-max", "nan"), ("--xi-max", "inf"), ("--xi-max", "0"),
+                                 ("--xi-max", "-3"), ("--n-points", "0")])
+def test_twave_rejects_bad_grid(tmp_path, capsys, mode_args, bad):
+    code, _, err = run_cli(capsys, "--out", str(tmp_path), "twave", *mode_args, *bad)
+    assert code == 1
+    assert bad[0] in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_twave_peakon(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys, "--out", str(tmp_path), "twave", "peakon", "--a", "2", "--n-points", "101"

@@ -136,6 +136,34 @@ def test_dx_of_independents():
     assert to_source(d_x(parse("t"))) == "0"
 
 
+def test_dx_of_non_canonical_input(plain_derive):
+    # d_x takes u^(k+1) into the m-jet chart, so it commutes with to_m_jet
+    for name in ("uxx", "uxxx", "utxx"):
+        e = var(name)
+        v = is_zero(sub(d_x(e), d_x(to_m_jet(e))))
+        assert v.is_zero and v.exact, name
+        e = mul(e, parse("u^2 + x*ux"))
+        v = is_zero(sub(to_m_jet(d_x(e)), d_x(to_m_jet(e))))
+        assert v.is_zero and v.exact, name
+    assert to_source(d_x(var("uxx"))) == "ux - mx"
+    assert to_source(d_x(var("uxxx"))) == "u - m - mxx"
+
+    # canonical input: the chart's own rule, unchanged
+    def canonical_rule(v):
+        if v.base in ("x", "t"):
+            return const(1.0 if v.base == "x" else 0.0)
+        if v.base == "u":
+            assert v.dx <= 1
+            if v.dx == 0:
+                return var(JetVar("u", 1, v.dt))
+            return sub(var(JetVar("u", 0, v.dt)), var(JetVar("m", 0, v.dt)))
+        return var(JetVar("m", v.dx + 1, v.dt))
+
+    for src in ("u*ux^2 + m*mx/u", "ut*utx - mt*x", "sqrt(u^2 - ux^2)*mxx + t"):
+        e = parse(src)
+        assert d_x(e) == plain_derive(e, canonical_rule)
+
+
 def test_dt_examples():
     assert zdiff(d_t(parse("ux^2 + u^2")), parse("2*ux*utx + 2*u*ut")).is_zero
     assert zdiff(d_t(parse("m")), parse("mt")).is_zero

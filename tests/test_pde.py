@@ -218,6 +218,50 @@ def test_solitary_initial_data_sums_images(plain_bisection):
             assert np.array_equal(initial_data(cfg), m0)
 
 
+def _count_profile_calls(monkeypatch):
+    sizes = []
+    profile = pde.solitary_profile
+
+    def counted(b, c, xi):
+        sizes.append(np.size(xi))
+        return profile(b, c, xi)
+
+    monkeypatch.setattr(pde, "solitary_profile", counted)
+    return sizes
+
+
+def test_solitary_initial_data_all_image_pairs(plain_bisection, monkeypatch):
+    # a slow tail (decay rate b/sqrt(2)) in a small box: no pair falls
+    # below 1e-12 of the peak, so all 63 are summed
+    length, n, b, c, x0 = 2.0, 64, 0.05, 1.0, 0.7
+    cfg = SimConfig(length, n, 1e-3, 1.0, SINGULAR, {
+        "kind": "solitary_wave", "params": {"b": b, "c": c, "center": x0}})
+    xi = np.mod(cfg.grid.x - x0 + length / 2.0, length) - length / 2.0
+    u0 = plain_bisection(b, c, xi)
+    peak = float(np.max(u0))
+    for j in range(1, 64):
+        left = plain_bisection(b, c, np.abs(xi + j * length))
+        right = plain_bisection(b, c, np.abs(xi - j * length))
+        u0 = u0 + left + right
+    assert max(np.max(left), np.max(right)) >= 1e-12 * peak
+    m0 = np.fft.irfft((1.0 + cfg.grid.k**2) * np.fft.rfft(u0), n=n)
+    sizes = _count_profile_calls(monkeypatch)
+    assert np.array_equal(initial_data(cfg), m0)
+    assert sizes == [n + 63, 2 * 63 * n]
+
+
+def test_solitary_initial_data_inverts_twice(monkeypatch):
+    # the transport config: one inversion fixes the peak and the number
+    # of image pairs, a second inverts those pairs
+    cfg = SimConfig(20.0, 1024, 4e-5, 1.0, SINGULAR, {
+        "kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0, "center": 7.3}})
+    sizes = _count_profile_calls(monkeypatch)
+    initial_data(cfg)
+    assert len(sizes) == 2
+    assert sizes[0] == 1024 + 63
+    assert sizes[1] % (2 * 1024) == 0 and 0 < sizes[1] < 2 * 63 * 1024
+
+
 def test_series_and_energy_identity():
     # E(mu=2, nu=0) equals the L2 norm of m on the periodic grid
     cfg = _gaussian_cfg(t_final=0.2)

@@ -6,6 +6,7 @@ from peakonlaws.conslaw import EquationSpec
 from peakonlaws.pde import Grid, SimConfig, run
 from peakonlaws.twave import (
     SolitaryExistence,
+    _xi_of_U,
     first_integral_h1,
     first_integral_l2,
     hamiltonian_first_integrals,
@@ -38,6 +39,9 @@ def test_parameter_validation():
             solitary_profile(b, c, XI)
     with pytest.raises(ValueError):
         peakon(0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            solitary_profile(0.5, 1.0, np.array([0.0, 1.0, bad]))
 
 
 def test_profile_equals_plain_bisection(plain_bisection):
@@ -51,6 +55,26 @@ def test_profile_equals_plain_bisection(plain_bisection):
         U = solitary_profile(b, c, xi).U
         assert U.shape == xi.shape
         assert np.array_equal(U, plain_bisection(b, c, xi))
+
+
+@pytest.mark.parametrize("b, c", [(0.5, 1.0), (0.9, 2.0), (0.05, 3.0), (0.99, 0.2)])
+def test_profile_shared_halvings_edges(plain_bisection, b, c):
+    # every node first halves hi from the peak while |xi| >= xi(peak*2^-k);
+    # the result must still be that of 110 plain steps, bit for bit
+    octaves = solitary_peak_height(b, c) * 0.5 ** np.arange(1, 111)
+    table = _xi_of_U(octaves, b, c)
+    inside = _xi_of_U(1.5 * octaves, b, c)  # one target inside each octave
+    for xi in (
+        table,  # ties: the step goes up only where xi(mid) > |xi|
+        -table,
+        np.nextafter(table, 0.0),
+        np.nextafter(table, np.inf),
+        np.concatenate([2.0 * table, table + 1e3, [1e300]]),  # the far end: every step down
+        inside,
+        np.concatenate([[0.0], inside[::-1], table]),
+        np.empty(0),
+    ):
+        assert np.array_equal(solitary_profile(b, c, xi).U, plain_bisection(b, c, xi))
 
 
 def test_profile_symmetry_and_monotone_decay():
