@@ -8,7 +8,10 @@ multiplier conditions.
 
 All verdicts are randomized-numeric via expr.is_zero: an expression is
 declared zero only when every sampled jet point agrees, with an exact
-polynomial fast path where available.
+polynomial fast path where available.  A gradient-energy candidate
+(mu, nu) is judged by the same rule (expr.vote) without building its
+residual: exactly from the normal forms of A, B and C that their zero
+tests kept, else at the points the fit sampled.
 """
 
 from __future__ import annotations
@@ -202,10 +205,6 @@ class GradEnergySolutions:
         }
 
 
-def _grad_residual_expr(A: Expr, B: Expr, C: Expr, mu: float, nu: float) -> Expr:
-    return add(mul(const(mu - 2.0), A), mul(const(nu), B), C)
-
-
 def _snap(x: float, tol: float = 1e-9) -> float:
     return 0.0 if abs(x) < tol else float(x)
 
@@ -219,12 +218,40 @@ def check_grad_energy(
     expressions turns the classification into rank analysis of a K x 2
     linear system.  Singular values below 1e-7 of the largest are treated
     as zero; any value within a factor 10 of that threshold makes the rank
-    decision ambiguous and the verdict indeterminate.  Candidate solutions
-    are always cross-validated with a fresh is_zero of the residual.
+    decision ambiguous and the verdict indeterminate.  Each candidate
+    (mu, nu) is then zero-tested as a residual (see _candidate_verdict).
     """
     policy = policy or SamplingPolicy()
     A, B, C = grad_energy_conditions(eq)
     return _solve_grad_energy(A, B, C, is_zero(C, policy), policy)
+
+
+def _candidate_verdict(
+    conds: tuple[Expr, Expr, Expr], samples: ex.Samples, mu: float, nu: float, rel_tol: float
+) -> ZeroVerdict:
+    """Zero test of the residual (mu-2)*A + nu*B + C from the parts in hand.
+
+    conds is (A, B, C) and samples is sample([A, B, C]).  When A, B and C
+    are polynomial, their normal forms are combined exactly with weights
+    Fraction(mu-2), Fraction(nu) and 1, and an empty result is an exact
+    zero.  Otherwise the values (mu-2)*a + nu*b + c vote at the sampled
+    points, each against the scale max(1, |mu-2|*s_A, |nu|*s_B, s_C).
+    The residual is never built, normalized, compiled or sampled anew.
+    """
+    weights = (mu - 2.0, nu, 1.0)
+    forms = [e._poly for e in conds]
+    if all(nf is not None for nf in forms):
+        combined: dict = {}
+        for w, nf in zip(weights, forms):
+            if w:
+                for mono, c in nf.items():
+                    ex._accumulate(combined, mono, Fraction(w) * c)
+        if not combined:
+            return ZeroVerdict("zero", 0.0, None, exact=True)
+    (a, b, c), (sa, sb, sc) = samples.values, samples.scales
+    values = weights[0] * a + weights[1] * b + c
+    scales = np.maximum(np.maximum(abs(weights[0]) * sa, abs(weights[1]) * sb), sc)  # sc >= 1
+    return ex.vote(samples, values, scales, rel_tol)
 
 
 def _solve_grad_energy(
@@ -246,7 +273,7 @@ def _solve_grad_energy(
     rank = int(np.sum(svals > thresh))
 
     def validated(mu: float, nu: float) -> ZeroVerdict:
-        return is_zero(_grad_residual_expr(A, B, C, mu, nu), policy)
+        return _candidate_verdict((A, B, C), samples, mu, nu, policy.rel_tol)
 
     if rank == 0:
         if vc.status == "zero":

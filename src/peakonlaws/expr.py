@@ -30,7 +30,9 @@ by several parents is compiled, evaluated, derived, expanded or rebuilt
 once.
 
 Everything here is immutable and side-effect free; randomized zero testing
-takes an explicit SamplingPolicy carrying its own seed.
+takes an explicit SamplingPolicy carrying its own seed.  is_zero keeps the
+polynomial normal form on the expression, as compile_terms keeps the
+program, and vote is its verdict rule on sampled values.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ __all__ = [
     "Samples",
     "sample",
     "sample_points",
+    "vote",
 ]
 
 # hard caps: all computations in this problem class live within
@@ -254,6 +257,10 @@ class Expr:
     @cached_property
     def _program(self) -> "Program":  # see compile_terms
         return Program((self,))
+
+    @cached_property
+    def _poly(self) -> "_PolyT | None":  # see is_zero; shared, never mutated
+        return poly_normal_form(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1076,39 +1083,40 @@ def sample_points(e: Expr, policy: SamplingPolicy) -> list[dict]:
     ]
 
 
+def vote(samples: Samples, values: np.ndarray, scales: np.ndarray, rel_tol: float) -> ZeroVerdict:
+    """The zero-test verdict of values, one per point of samples.
+
+    A point votes "zero" when |value| <= rel_tol * scale.  All points must
+    agree; a split vote is reported as indeterminate, never resolved
+    silently.  residual_max is the largest |value| / scale, and the
+    witness of a verdict other than zero is the last point attaining it,
+    with its value and scale.
+    """
+    rel = np.abs(values) / scales
+    votes_zero = int(np.count_nonzero(rel <= rel_tol))
+    worst = len(rel) - 1 - int(np.argmax(rel[::-1]))
+    res_max = float(rel[worst])
+    if votes_zero == len(rel):
+        return ZeroVerdict("zero", res_max, None)
+    witness = dict(zip(samples.names, samples.points[worst]))
+    witness["value"] = float(values[worst])
+    witness["scale"] = float(scales[worst])
+    return ZeroVerdict("nonzero" if votes_zero == 0 else "indeterminate", res_max, witness)
+
+
 def is_zero(e: Expr, policy: SamplingPolicy | None = None) -> ZeroVerdict:
     """Randomized zero test with an exact fast path for polynomial input.
 
-    A point votes "zero" when |value| <= rel_tol * scale with scale the
-    largest top-level additive term there (floored at 1).  All points must
-    agree; a split vote is reported as indeterminate, never resolved
-    silently.
+    A polynomial e whose normal form (kept on e) is empty is an exact
+    zero.  Otherwise e is sampled and each point votes (see vote), with
+    scale the largest top-level additive term there (floored at 1).
     """
     policy = policy or SamplingPolicy()
-    nf = poly_normal_form(e)
+    nf = e._poly
     if nf is not None and not nf:
         return ZeroVerdict("zero", 0.0, None, exact=True)
-    pts = sample_points(e, policy)
-    worst = None
-    votes_zero = 0
-    res_max = 0.0
-    for p in pts:
-        rel = abs(p["__value__"]) / p["__scale__"]
-        if rel <= policy.rel_tol:
-            votes_zero += 1
-        if rel >= res_max:
-            res_max = rel
-            worst = p
-    witness = None
-    if worst is not None:
-        witness = {k: v for k, v in worst.items() if not k.startswith("__")}
-        witness["value"] = worst["__value__"]
-        witness["scale"] = worst["__scale__"]
-    if votes_zero == len(pts):
-        return ZeroVerdict("zero", res_max, None)
-    if votes_zero == 0:
-        return ZeroVerdict("nonzero", res_max, witness)
-    return ZeroVerdict("indeterminate", res_max, witness)
+    s = sample([e], policy)
+    return vote(s, s.values[0], s.scales[0], policy.rel_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from .conslaw import EquationSpec
-from .twave import _check_bc, solitary_profile
+from .twave import _check_bc, _solitary_U
 
 __all__ = [
     "Grid",
@@ -197,6 +197,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
+        # a bad length or node count is a config error, not a failure in run
+        _shared_grid(self.length, self.n)
+        if not isinstance(self.dealias, bool):
+            raise ValueError(f"dealias must be true or false, got {self.dealias!r}")
         if self.series_dt is not None and not self.series_dt > 0:
             raise ValueError("series_dt must be positive")
         if any(not t >= 0 for t in self.snapshot_times):
@@ -259,7 +263,7 @@ def read_config(source: str | dict) -> SimConfig:
             t_final=float(cfg["t_final"]),
             equation=eq,
             initial=dict(cfg["initial"]),
-            dealias=bool(cfg.get("dealias", True)),
+            dealias=cfg.get("dealias", True),
             series_dt=cfg.get("series_dt"),
             energy_mu=float(cfg.get("energy_mu", 2.0)),
             energy_nu=float(cfg.get("energy_nu", 0.0)),
@@ -320,12 +324,12 @@ def initial_data(config: SimConfig) -> np.ndarray:
         # extreme nodes.
         shifts = L * np.arange(1, 64)
         nearest = np.minimum(xi.min() + shifts, np.abs(xi.max() - shifts))
-        first = solitary_profile(b, c, np.concatenate([xi, nearest])).U
+        first = _solitary_U(b, c, np.concatenate([xi, nearest]))
         u0, pair_max = first[: xi.size], first[xi.size:]
         peak = float(np.max(u0))
         below = np.flatnonzero(pair_max < 1e-12 * peak)
         shifts = shifts[: below[0] + 1 if below.size else len(shifts), None]
-        images = solitary_profile(b, c, np.abs(np.stack([xi + shifts, xi - shifts], axis=1))).U
+        images = _solitary_U(b, c, np.abs(np.stack([xi + shifts, xi - shifts], axis=1)))
         for left, right in images:
             u0 = u0 + left + right
     else:
@@ -614,9 +618,11 @@ def write_series_csv(path: str, series: ConservedSeries):
 
 
 def write_snapshots_csv(path: str, grid: Grid, snapshots: list):
-    x = grid.x.tolist()
-    row = _row_format(4)
+    # x is formatted once per grid, and t once per snapshot into the row
+    # format's literal text ("%.17g" writes no "%")
+    x = ["%.17g" % v for v in grid.x.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write("t,x,u,m\r\n")
         for t, u, m in snapshots:
-            fh.write("".join([row % (t, *values) for values in zip(x, u.tolist(), m.tolist())]))
+            row = "%.17g" % t + ",%s,%.17g,%.17g\r\n"
+            fh.write("".join([row % values for values in zip(x, u.tolist(), m.tolist())]))

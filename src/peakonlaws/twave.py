@@ -46,6 +46,8 @@ __all__ = [
 
 # bisection steps per node, from (0, peak)
 _STEPS = 110
+# nodes bisected at a time
+_BLOCK = 16384
 
 
 def solitary_peak_height(b: float, c: float) -> float:
@@ -126,6 +128,24 @@ def solitary_profile(b: float, c: float, xi: np.ndarray) -> WaveProfile:
     """Invert the closed-form quadrature on a xi grid by bisection in U.
 
     Positive orientation; use .reflected() for the mirror solution.
+    U is that of _solitary_U; U' is from the first-order ODE branch.
+    """
+    U = _solitary_U(b, c, xi)
+    xi = np.asarray(xi, dtype=float)
+    return WaveProfile(
+        kind="solitary",
+        c=c,
+        b=b,
+        xi=xi,
+        U=U,
+        Uprime=_uprime_branch(U, xi, b, c),
+        peak_height=solitary_peak_height(b, c),
+    )
+
+
+def _solitary_U(b: float, c: float, xi: np.ndarray) -> np.ndarray:
+    """U(xi) of the solitary wave by bisection in U, without U'.
+
     Bisection is run to ~1e-15 relative so downstream residual tests see
     only the accuracy of the closed form itself.  The result is that of
     _STEPS steps from (0, peak) on every node, bit for bit, at less cost:
@@ -136,7 +156,8 @@ def solitary_profile(b: float, c: float, xi: np.ndarray) -> WaveProfile:
     * a step depends only on a node's (lo, hi) and |xi|, so a node whose
       step leaves (lo, hi) unchanged sits at its fixed point and leaves
       the loop (checked every few steps), as does a node whose steps are
-      spent.
+      spent.  For the same reason the nodes are bisected _BLOCK at a
+      time, which bounds the working memory and not the result.
     """
     _check_bc(b, c)
     xi = np.asarray(xi, dtype=float)
@@ -150,12 +171,19 @@ def solitary_profile(b: float, c: float, xi: np.ndarray) -> WaveProfile:
     # first step up: the first k with xi(ladder[k+1]) > |xi|; the running
     # max makes that a sorted search without assuming xi(U) monotone
     # there, and a node that never steps up gets k = _STEPS
-    first_up = np.searchsorted(
-        np.maximum.accumulate(_xi_of_U(ladder[1:-1], b, c)), target, side="right"
-    )
-    lo, hi = ladder[first_up + 1], ladder[first_up]
-    left = _STEPS - 1 - first_up  # steps still to take
+    rungs = np.maximum.accumulate(_xi_of_U(ladder[1:-1], b, c))
     U = np.empty_like(target)
+    for start in range(0, target.size, _BLOCK):
+        block = target[start:start + _BLOCK]
+        first_up = np.searchsorted(rungs, block, side="right")
+        _bisect(block, ladder[first_up + 1], ladder[first_up], _STEPS - 1 - first_up, b, c,
+                out=U[start:start + _BLOCK])
+    U[target == 0.0] = umax
+    return U.reshape(xi.shape)
+
+
+def _bisect(target, lo, hi, left, b, c, out):
+    """Bisect U at |xi| = target in (lo, hi), `left` steps still to take, into out."""
     live = np.arange(target.size)  # nodes still moving; t_live, lo, hi, left are theirs
     t_live = target
     settled = False  # after every 8th step: the nodes it left in place
@@ -163,7 +191,7 @@ def solitary_profile(b: float, c: float, xi: np.ndarray) -> WaveProfile:
     for step in range(_STEPS):
         if step % 8 == 0 or step >= next_out:
             done = settled | (left <= step)
-            U[live[done]] = 0.5 * (lo[done] + hi[done])
+            out[live[done]] = 0.5 * (lo[done] + hi[done])
             keep = ~done
             live, t_live, lo, hi, left = (a[keep] for a in (live, t_live, lo, hi, left))
             if not live.size:
@@ -177,16 +205,6 @@ def solitary_profile(b: float, c: float, xi: np.ndarray) -> WaveProfile:
         if (step + 1) % 8 == 0:
             settled = (new_lo == lo) & (new_hi == hi)
         lo, hi = new_lo, new_hi
-    U = np.where(target == 0.0, umax, U).reshape(xi.shape)
-    return WaveProfile(
-        kind="solitary",
-        c=c,
-        b=b,
-        xi=xi,
-        U=U,
-        Uprime=_uprime_branch(U, xi, b, c),
-        peak_height=umax,
-    )
 
 
 def peakon(a: float, xi: np.ndarray | None = None) -> WaveProfile:
@@ -296,7 +314,7 @@ def solitary_ode_residual(
     # (ii) fine grid, one-sided range is enough by symmetry
     n = int(round(xi_max / dxi))
     xif = np.arange(-fd_halfwidth, n + fd_halfwidth + 1) * dxi
-    Uf = solitary_profile(b, c, np.abs(xif)).U
+    Uf = _solitary_U(b, c, np.abs(xif))
     # 8th-order central difference weights
     w1 = np.array([3, -32, 168, -672, 0, 672, -168, 32, -3], dtype=float) / (840 * dxi)
     w3 = np.array([-7, 72, -338, 488, 0, -488, 338, -72, 7], dtype=float) / (240 * dxi**3)
@@ -320,7 +338,7 @@ def solitary_ode_residual(
 
     # first integrals on a moderate grid away from the tail underflow
     xig = np.linspace(0.05, min(xi_max, 10.0), 400)
-    Ug = solitary_profile(b, c, xig).U
+    Ug = _solitary_U(b, c, xig)
     Upg = _uprime_branch(Ug, xig, b, c)
     Uppg = _usecond(Ug, b, c)
     c1_vals = first_integral_l2(Ug, Uppg, c)
@@ -380,7 +398,7 @@ def quadrature_crosscheck(
         raise RuntimeError("direct quadrature failed to start near the peak")
     xis = np.linspace(max(xi_lo, xi0), xi_hi, n_eval)
     u_quad = sol.sol(xis)[0]
-    u_closed = solitary_profile(b, c, xis).U
+    u_closed = _solitary_U(b, c, xis)
     return float(np.max(np.abs(u_quad - u_closed)))
 
 

@@ -216,3 +216,39 @@ def plain_stepper():
 def plain_run():
     """Reference for pde.run without guard or blow-up check, recording every step."""
     return _plain_run
+
+
+def _plain_candidate_verdict(conds, mu: float, nu: float, policy) -> ex.ZeroVerdict:
+    """is_zero of the residual (mu-2)*A + nu*B + C, built as an expression."""
+    A, B, C = conds
+    return ex.is_zero(ex.add(ex.mul(ex.const(mu - 2.0), A), ex.mul(ex.const(nu), B), C), policy)
+
+
+@pytest.fixture
+def plain_candidate_verdict():
+    """Reference for conslaw._candidate_verdict: the residual built, normalized and sampled anew."""
+    return _plain_candidate_verdict
+
+
+def _plain_vote(names, points, values, scales, rel_tol: float) -> ex.ZeroVerdict:
+    """The vote of is_zero as a loop over the points, one dict each."""
+    pts = [{**dict(zip(names, row)), "__value__": float(v), "__scale__": float(sc)}
+           for row, v, sc in zip(points, values, scales)]
+    worst, votes_zero, res_max = None, 0, 0.0
+    for p in pts:
+        rel = abs(p["__value__"]) / p["__scale__"]
+        if rel <= rel_tol:
+            votes_zero += 1
+        if rel >= res_max:
+            res_max, worst = rel, p
+    witness = {k: v for k, v in worst.items() if not k.startswith("__")}
+    witness["value"], witness["scale"] = worst["__value__"], worst["__scale__"]
+    if votes_zero == len(pts):
+        return ex.ZeroVerdict("zero", res_max, None)
+    return ex.ZeroVerdict("nonzero" if votes_zero == 0 else "indeterminate", res_max, witness)
+
+
+@pytest.fixture
+def plain_vote():
+    """Reference for expr.vote."""
+    return _plain_vote

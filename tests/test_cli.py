@@ -207,6 +207,12 @@ def test_simulate_bad_config(tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 1
         assert err.startswith("error: invalid simulation config"), (key, err)
+    # a grid the solver cannot use, and a dealias flag that is not a boolean
+    for key, value in (("N", 100), ("L", 0.0), ("L", -40.0), ("dealias", "false")):
+        path = _sim_config(tmp_path, **{key: value})
+        code, _, err = run_cli(capsys, "simulate", str(path))
+        assert code == 1
+        assert err.startswith("error: invalid simulation config"), (key, err)
 
 
 def test_simulate_wave_breaking_exit(tmp_path, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from peakonlaws import conslaw
+from peakonlaws import expr as ex
 from peakonlaws.conslaw import (
     ConservedCurrent,
     EquationSpec,
@@ -88,6 +89,134 @@ def test_grad_energy_nu_line_family():
     rep = classify(eq, POL)
     assert rep.l2m.conserved is True
     assert rep.weighted_h2.conserved is False
+
+
+# the seven reference equations of the verdict benchmark, members
+# f = ux*f1(u^2-ux^2) [+ u/(u^2-ux^2)] [+ 0.001*u] of the momentum family
+# over its six g forms, and the line family of the free nu
+CANDIDATE_EQUATIONS = [
+    EquationSpec.from_strings(f, g) for f, g in (
+        ("ux", "u"), ("2*ux", "u"), ("u*ux", "u^2"), ("0", "u^2-ux^2"),
+        ("ux/u^3", "1/u^2"), ("-u*ux", "u^2"),
+        ("ux*(u^2-ux^2)", "u*(u^2-ux^2)+(u^2-ux^2)"),
+    )
+] + [
+    EquationSpec.from_strings("ux*(0.7-1.3*(u^2-ux^2)+0.4*(u^2-ux^2)^2)" + pole + perturbation, g)
+    for g in ("u", "u^2", "u^2-ux^2", "1/u^2", "exp(u)", "sqrt(u^2+1)")
+    for pole in ("", "+u/(u^2-ux^2)")
+    for perturbation in ("", "+0.001*u")
+] + [EquationSpec.from_strings("a*ux", "-2*a*u+b", {"a": 0.7, "b": 1.3})]
+
+
+def _record_candidates(monkeypatch) -> list:
+    tried = []
+    real = conslaw._candidate_verdict
+
+    def recording(conds, samples, mu, nu, rel_tol):
+        tried.append((conds, mu, nu, real(conds, samples, mu, nu, rel_tol)))
+        return tried[-1][-1]
+
+    monkeypatch.setattr(conslaw, "_candidate_verdict", recording)
+    return tried
+
+
+def test_grad_candidates_match_the_built_residual(monkeypatch, plain_candidate_verdict):
+    # each candidate (mu, nu) gets the status, and the exact or sampled
+    # path, that is_zero of the residual built as an expression gives
+    tried = _record_candidates(monkeypatch)
+    for eq in CANDIDATE_EQUATIONS:
+        classify(eq, POL)
+    assert len(tried) > len(CANDIDATE_EQUATIONS)
+    for conds, mu, nu, got in tried:
+        want = plain_candidate_verdict(conds, mu, nu, POL)
+        assert (got.status, got.exact) == (want.status, want.exact), (mu, nu, got, want)
+        if got.status == "zero":
+            assert got.residual_max == want.residual_max
+    seen = {(v.status, v.exact) for *_, v in tried}
+    assert {("zero", True), ("zero", False), ("nonzero", False)} <= seen
+
+
+def _conditions(A: str, B: str, C: str):
+    return tuple(parse(e) for e in (A, B, C))
+
+
+@pytest.mark.parametrize("A, B", [("u*ux", "ux^3"), ("ux/u^3", "ux^3/u")])
+def test_grad_energy_point_off_the_nu_axis(A, B):
+    # C = 1.5*A - 0.5*B puts the one solution at (mu, nu) = (0.5, 0.5):
+    # polynomial conditions take the exact path, rational ones the vote
+    A, B, C = _conditions(A, B, f"1.5*({A})-0.5*({B})")
+    sols = conslaw._solve_grad_energy(A, B, C, is_zero(C, POL), POL)
+    assert sols.kind == "point"
+    assert sols.mu == pytest.approx(0.5, abs=1e-9) and sols.nu == pytest.approx(0.5, abs=1e-9)
+
+
+def test_grad_energy_scale_covers_cancelling_coefficients():
+    # B = 3*A with terms of size 1e12 and C = 0: the solutions are the line
+    # mu - 2 + 3*nu = 0, where (mu-2)*a + nu*b cancels to rounding size,
+    # about 1e-4; each point judges it against |mu-2|*s_A and |nu|*s_B
+    A, B, C = _conditions("1e12*ux/u^3", "3e12*ux/u^3", "0")
+    sols = conslaw._solve_grad_energy(A, B, C, is_zero(C, POL), POL)
+    assert sols.kind == "line"
+    assert sols.contains(2.0, 0.0) and sols.contains(-1.0, 1.0)
+
+
+def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
+    # one sample of A, B and C serves the fit and every candidate: no
+    # is_zero, no Program but those of A, B and C, and a normal form of
+    # each at most once
+    for eq in (DP, L2FAM, SINGULAR, CANDIDATE_EQUATIONS[9], CANDIDATE_EQUATIONS[10]):
+        A, B, C = grad_energy_conditions(eq)
+        vc = is_zero(C, POL)
+        sampled, programs, forms = [], [], []
+        real_sample, real_program, real_nf = ex.sample, ex.Program, ex.poly_normal_form
+
+        class CountingProgram(real_program):
+            def __init__(self, exprs):
+                programs.extend(exprs)
+                super().__init__(exprs)
+
+        def counting_sample(exprs, policy):
+            sampled.append(list(exprs))
+            return real_sample(exprs, policy)
+
+        def counting_nf(e):
+            forms.append(e)
+            return real_nf(e)
+
+        def no_is_zero(e, policy=None):
+            raise AssertionError("is_zero called")
+
+        tried = _record_candidates(monkeypatch)
+        monkeypatch.setattr(ex, "sample", counting_sample)
+        monkeypatch.setattr(ex, "Program", CountingProgram)
+        monkeypatch.setattr(ex, "poly_normal_form", counting_nf)
+        monkeypatch.setattr(conslaw, "is_zero", no_is_zero)
+        conslaw._solve_grad_energy(A, B, C, vc, POL)
+        monkeypatch.undo()
+        assert tried
+        assert len(sampled) == 1 and [e is c for e, c in zip(sampled[0], (A, B, C))] == [True] * 3
+        assert all(any(e is c for c in (A, B)) for e in programs)
+        assert all(any(e is c for c in (A, B)) for e in forms)
+        assert len({id(e) for e in forms}) == len(forms)
+    # classify takes the normal form of each condition at most once (a
+    # shared constant such as ZERO keeps its own), for its zero test, and
+    # the candidates reuse it
+    for eq in (L2FAM, CANDIDATE_EQUATIONS[10]):
+        forms, conds = [], []
+        real_nf = ex.poly_normal_form
+        monkeypatch.setattr(ex, "poly_normal_form", lambda e: forms.append(e) or real_nf(e))
+        monkeypatch.setattr(conslaw, "grad_energy_conditions", _keep(conslaw.grad_energy_conditions, conds))
+        classify(eq, POL)
+        monkeypatch.undo()
+        assert len(conds) == 1
+        assert all(sum(e is c for e in forms) <= 1 for c in conds[0])
+
+
+def _keep(fn, out: list):
+    def kept(*args):
+        out.append(fn(*args))
+        return out[-1]
+    return kept
 
 
 TABLE = {

@@ -648,3 +648,18 @@ def test_sample_reuses_each_expression_program(monkeypatch):
     monkeypatch.setattr(expr.Program, "__init__", compile_again)
     s = expr.sample(conditions, policy)
     assert s.values.shape == s.scales.shape == (3, policy.n_points)
+
+
+def test_vote_equals_the_point_loop(plain_vote):
+    # all zero, all nonzero, split votes, and ties for the largest residual
+    rng = np.random.default_rng(8)
+    s = expr.sample([parse("u*ux + a", ["a"])], SamplingPolicy(n_points=12, seed=8))
+    scales = np.exp(rng.uniform(0.0, 3.0, 12))
+    for values in (np.zeros(12), 1e-12 * scales, rng.uniform(-1, 1, 12),
+                   np.where(np.arange(12) % 3, 1e-13, 0.5) * scales,
+                   np.where(np.arange(12) % 4, 0.25, -0.25) * scales):
+        got = expr.vote(s, values, scales, 1e-9)
+        want = plain_vote(s.names, s.points, values, scales, 1e-9)
+        assert got == want
+        assert got.witness is None or all(type(got.witness[k]) is type(want.witness[k]) for k in want.witness)
+

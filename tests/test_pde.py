@@ -219,14 +219,15 @@ def test_solitary_initial_data_sums_images(plain_bisection):
 
 
 def _count_profile_calls(monkeypatch):
+    # initial_data inverts through the U-only core of twave.solitary_profile
     sizes = []
-    profile = pde.solitary_profile
+    invert = pde._solitary_U
 
     def counted(b, c, xi):
         sizes.append(np.size(xi))
-        return profile(b, c, xi)
+        return invert(b, c, xi)
 
-    monkeypatch.setattr(pde, "solitary_profile", counted)
+    monkeypatch.setattr(pde, "_solitary_U", counted)
     return sizes
 
 
@@ -371,6 +372,15 @@ def test_read_config_validation(tmp_path):
                        ("energy_mu", math.nan), ("energy_nu", -math.inf)):
         with pytest.raises(ValueError, match="invalid simulation config"):
             read_config(json.dumps(dict(doc, **{key: value})))
+    # a grid the solver cannot use is a config error, not a failure inside run
+    for key, value in (("N", 100), ("N", 8), ("N", 0), ("L", 0.0), ("L", -40.0)):
+        with pytest.raises(ValueError, match="invalid simulation config"):
+            read_config(json.dumps(dict(doc, **{key: value})))
+    # dealias takes a JSON boolean only: bool("false") would be True
+    assert read_config(json.dumps(dict(doc, dealias=False))).dealias is False
+    for value in ("false", "true", 0, 1, None, [True]):
+        with pytest.raises(ValueError, match="invalid simulation config"):
+            read_config(json.dumps(dict(doc, dealias=value)))
     # bad initial data is a config error, not a failure inside run
     for initial in ({"kind": "sawtooth", "params": {}},
                     {"kind": "solitary_wave", "params": {"b": 0.5}},

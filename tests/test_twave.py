@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from peakonlaws import twave
 from peakonlaws.conslaw import EquationSpec
 from peakonlaws.pde import Grid, SimConfig, run
 from peakonlaws.twave import (
@@ -75,6 +76,15 @@ def test_profile_shared_halvings_edges(plain_bisection, b, c):
         np.empty(0),
     ):
         assert np.array_equal(solitary_profile(b, c, xi).U, plain_bisection(b, c, xi))
+
+
+def test_profile_in_blocks(plain_bisection, monkeypatch):
+    # nodes are bisected a block at a time; any block size gives the bits
+    # of plain bisection, in the shape of xi
+    xi = np.concatenate([[0.0], np.linspace(-40.0, 40.0, 2000), [1e300]]).reshape(2, 7, 143)
+    for block in (1, 7, 1000, 4002):
+        monkeypatch.setattr(twave, "_BLOCK", block)
+        assert np.array_equal(solitary_profile(0.5, 1.0, xi).U, plain_bisection(0.5, 1.0, xi))
 
 
 def test_profile_symmetry_and_monotone_decay():
