@@ -6,6 +6,13 @@ gradient energy over the two-parameter density u_xx^2 + mu*u_x^2 +
 that admit them, the off-shell characteristic-equation checker, and the
 multiplier conditions.
 
+The momentum and H1 currents need f (for H1, u*f - ux*g) of the form
+ux*f1(y) + f0*u/y, y = u^2 - ux^2, with f1 a polynomial or a single
+rational power of y.  The regular part is odd in ux and the pole term
+even, so f0 is read off the ux-even part at one point; f1 is then
+recognized from what is left, and a reconstruction that does not match
+it on the whole sampling box builds no current.
+
 All verdicts are randomized-numeric via expr.is_zero: an expression is
 declared zero only when every sampled jet point agrees, with an exact
 polynomial fast path where available.  A gradient-energy candidate
@@ -346,46 +353,20 @@ class ConservedCurrent:
         }
 
 
-def _pole_coefficient(w: Expr, u0_values=(0.9, 1.3, 1.7), h0: float = 1e-3) -> float:
-    """Coefficient of the u/(u^2-ux^2) pole in w(u, ux).
+def _pole_coefficient(w: Expr) -> float:
+    """Coefficient f0 of the u/(u^2-ux^2) pole in w = ux*q(u^2-ux^2) + f0*u/(u^2-ux^2).
 
-    w*(u^2-ux^2)/u evaluated along ux -> u equals the pole coefficient
-    exactly, plus a regular-part contamination vanishing with h.  A direct
-    probe at tiny h decides pole / no pole; Richardson extrapolation at
-    offsets h0/2^k then refines the coefficient.  Snapped to a nearby
-    small rational when one matches.
+    The regular part is odd in ux and the pole term even, so f0 is the
+    ux-even part of w times (u^2-ux^2)/u, read at one point off the loci
+    u = 0 and u^2 = ux^2.  Snapped to a nearby small rational when one
+    matches.  For a w of another form the value is meaningless; no current
+    comes of it, because the recognizer rejects what is left.
     """
-    probe = div(mul(w, _Y), _U)
-    # reference magnitude of w itself, for the pole / no-pole decision
-    wscale = 1.0
-    for u0 in u0_values:
-        v = ex.evaluate(w, {"u": u0, "ux": 0.6 * u0})
-        if math.isfinite(v):
-            wscale = max(wscale, abs(v))
-
-    raws = []
-    for u0 in u0_values:
-        v = ex.evaluate(probe, {"u": u0, "ux": u0 * (1.0 - 1e-7)})
-        if not math.isfinite(v):
-            return 0.0
-        raws.append(v)
-    if max(abs(v) for v in raws) < 1e-5 * wscale:
+    u0, ux0 = 1.3, 0.6
+    even = 0.5 * (ex.evaluate(w, {"u": u0, "ux": ux0}) + ex.evaluate(w, {"u": u0, "ux": -ux0}))
+    est = even * (u0 * u0 - ux0 * ux0) / u0
+    if not math.isfinite(est):
         return 0.0
-
-    results = []
-    for u0 in u0_values:
-        tbl = []
-        for k in range(4):
-            h = h0 / 2.0**k
-            v = ex.evaluate(probe, {"u": u0, "ux": u0 * (1.0 - h)})
-            if not math.isfinite(v):
-                return 0.0
-            tbl.append(v)
-        for order in range(1, 4):
-            fac = 2.0**order
-            tbl = [(fac * tbl[i + 1] - tbl[i]) / (fac - 1.0) for i in range(len(tbl) - 1)]
-        results.append(tbl[0])
-    est = float(np.median(results))
     snapped = Fraction(est).limit_denominator(1000)
     if abs(float(snapped) - est) <= 1e-6 * max(1.0, abs(est)):
         return float(snapped)
@@ -397,32 +378,15 @@ def _poly_in_y_exact(w: Expr) -> list[Fraction] | None:
     nf = ex.poly_normal_form(w)
     if nf is None or ex.param_names(w):
         return None
-    # divide by ux monomial-wise
-    q: dict = {}
+    # candidate f1 from w's ux*u^(2k) monomials, which are ux*f1(u^2)
+    coeffs: dict[int, Fraction] = {}
     for mono, c in nf.items():
         d = dict(mono)
-        if d.get("ux", 0) < 1:
-            return None
-        d["ux"] -= 1
-        q[tuple(sorted((s, k) for s, k in d.items() if k))] = c
-    # candidate f1 from Q(u, 0): only pure even powers of u survive
-    coeffs: dict[int, Fraction] = {}
-    for mono, c in q.items():
-        d = dict(mono)
-        if set(d) - {"u"}:
-            continue
         k = d.get("u", 0)
-        if k % 2:
-            return None
-        coeffs[k // 2] = c
-    deg = max(coeffs, default=0)
-    clist = [coeffs.get(k, Fraction(0)) for k in range(deg + 1)]
-    # verify Q(u, ux) == f1(u^2 - ux^2) exactly
-    f1_of_y = _poly_apply(clist, _Y)
-    diff = ex.poly_normal_form(sub(div(w, _UX), f1_of_y))
-    if diff is None:
-        rebuilt = mul(_UX, f1_of_y)
-        diff = ex.poly_normal_form(sub(w, rebuilt))
+        if d.get("ux") == 1 and k % 2 == 0:
+            coeffs[k // 2] = c
+    clist = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]
+    diff = ex.poly_normal_form(sub(w, mul(_UX, _poly_apply(clist, _Y))))
     return clist if diff == {} else None
 
 
@@ -432,55 +396,74 @@ def _poly_apply(coeffs, base: Expr) -> Expr:
 
 
 def _poly_antiderivative(coeffs) -> list[float]:
-    """Term-wise antiderivative of sum c_k y^k, vanishing at 0."""
+    """Term-wise antiderivative of sum c_k x^k, vanishing at 0."""
     return [0.0] + [float(c) / (k + 1) for k, c in enumerate(coeffs)]
 
 
 @dataclass(frozen=True)
-class _YFunction:
-    """w/ux recognized as a function of y = u^2 - ux^2: polynomial or single power."""
+class _Recognized:
+    """q(x) of one argument x (u^2-ux^2 or u): sum coeffs[k]*x^k, or c*x^r."""
 
-    kind: str  # "poly" | "power"
+    arg: Expr
     coeffs: tuple = ()
     c: float = 0.0
-    r: Fraction = Fraction(0)
+    r: Fraction | None = None  # None for the polynomial
 
     def expr(self) -> Expr:
-        if self.kind == "poly":
-            return _poly_apply(self.coeffs, _Y)
-        return mul(const(self.c), pow_(_Y, self.r))
+        if self.r is None:
+            return _poly_apply(self.coeffs, self.arg)
+        return mul(const(self.c), pow_(self.arg, self.r))
 
-    def antiderivative(self) -> Expr | None:
-        if self.kind == "poly":
-            return _poly_apply(_poly_antiderivative(self.coeffs), _Y)
+    def antiderivative(self) -> Expr:
+        if self.r is None:
+            return _poly_apply(_poly_antiderivative(self.coeffs), self.arg)
         if self.r == -1:
-            return mul(const(self.c), fn("ln", _Y))
-        return mul(const(self.c / float(self.r + 1)), pow_(_Y, self.r + 1))
+            return mul(const(self.c), fn("ln", self.arg))
+        return mul(const(self.c / float(self.r + 1)), pow_(self.arg, self.r + 1))
 
 
 _VALIDATION_POLICY = SamplingPolicy(seed=1299827)
 
 
-def _validated_y_function(w: Expr, cand: "_YFunction") -> "_YFunction | None":
-    """Accept a recognized q(y) only if w = ux*q(u^2-ux^2) on the whole box.
+def _validated(w: Expr, factor: Expr, cand: _Recognized) -> _Recognized | None:
+    """Accept a recognized q only if w = factor*q(x) on the whole box.
 
-    Numeric fits are done on a one-dimensional y-probe; an analytic
+    Numeric fits are done on a one-dimensional probe; an analytic
     impostor (say ln(4+y)) can match a polynomial there to 1e-10 yet break
     the flux off-shell, so the reconstruction is re-tested with the
     standard randomized sampler before use.
     """
     try:
-        v = is_zero(sub(w, mul(_UX, cand.expr())), _VALIDATION_POLICY)
+        v = is_zero(sub(w, mul(factor, cand.expr())), _VALIDATION_POLICY)
     except ex.SingularSamplingError:
         return None
     return cand if v.is_zero else None
 
 
-def _recognize_y_function(w: Expr) -> _YFunction | None:
+def _power_fit(xs: np.ndarray, vals: np.ndarray) -> tuple[float, Fraction] | None:
+    """(c, r) with vals = c*xs^r at every sample, r of denominator <= 12; else None.
+
+    The log-log slopes between neighbouring samples must agree to 1e-6.
+    """
+    if not np.all(np.isfinite(vals)) or not (np.all(vals > 0) or np.all(vals < 0)):
+        return None
+    sgn = 1.0 if vals[0] > 0 else -1.0
+    logs = np.log(sgn * vals)
+    slopes = np.diff(logs) / np.diff(np.log(xs))
+    r = float(np.median(slopes))
+    if np.max(np.abs(slopes - r)) > 1e-6 * max(1.0, abs(r)):
+        return None
+    rfrac = Fraction(r).limit_denominator(12)
+    if abs(float(rfrac) - r) > 1e-6:
+        return None
+    return sgn * float(np.median(np.exp(logs - float(rfrac) * np.log(xs)))), rfrac
+
+
+def _recognize_y_function(w: Expr) -> _Recognized | None:
     """Recognize w(u, ux) = ux * q(u^2 - ux^2); exact path first, numeric fit after."""
     exact = _poly_in_y_exact(w)
     if exact is not None:
-        return _YFunction("poly", tuple(exact))
+        return _Recognized(_Y, tuple(exact))
 
     def q_at(y: float, ux0: float) -> float:
         u0 = math.sqrt(y + ux0 * ux0)
@@ -509,21 +492,12 @@ def _recognize_y_function(w: Expr) -> _YFunction | None:
                 fr = Fraction(float(c)).limit_denominator(10**6)
                 snapped.append(fr if abs(float(fr) - c) <= 1e-10 * max(1.0, abs(c)) else c)
             snapped = [0.0 if abs(float(c)) < 1e-12 * scale else c for c in snapped]
-            return _validated_y_function(w, _YFunction("poly", tuple(snapped)))
+            return _validated(w, _UX, _Recognized(_Y, tuple(snapped)))
 
-    # single power c*y^r
-    if np.all(q1 > 0) or np.all(q1 < 0):
-        sgn = 1.0 if q1[0] > 0 else -1.0
-        logs = np.log(sgn * q1)
-        slopes = np.diff(logs) / np.diff(np.log(ys))
-        r = float(np.median(slopes))
-        if np.max(np.abs(slopes - r)) <= 1e-6 * max(1.0, abs(r)):
-            rfrac = Fraction(r).limit_denominator(12)
-            if abs(float(rfrac) - r) <= 1e-6:
-                cvals = sgn * np.exp(logs - float(rfrac) * np.log(ys))
-                c = float(np.median(cvals))
-                return _validated_y_function(w, _YFunction("power", c=c, r=rfrac))
-    return None
+    fit = _power_fit(ys, q1)
+    if fit is None:
+        return None
+    return _validated(w, _UX, _Recognized(_Y, c=fit[0], r=fit[1]))
 
 
 _LN_JUMP = fn("ln", div(sub(_U, _UX), add(_U, _UX)))
@@ -532,8 +506,10 @@ _LN_JUMP = fn("ln", div(sub(_U, _UX), add(_U, _UX)))
 def flux_momentum(eq: EquationSpec) -> ConservedCurrent | None:
     """Closed-form momentum current (T = u); None when not constructible.
 
-    Requires f = ux*f1(u^2-ux^2) + f0*u/(u^2-ux^2) with f1 in the supported
-    vocabulary (polynomial or a single rational power of the argument).
+    Requires f = ux*f1(u^2-ux^2) + f0*u/(u^2-ux^2) with f1 a polynomial or
+    a single rational power c*y^r of y = u^2-ux^2 (r = -1 integrates to a
+    logarithm).  f0 is read off the ux-parity: the pole term is the
+    ux-even part of f (see _pole_coefficient).
     """
     f = eq.bound_f
     f0 = _pole_coefficient(f)
@@ -541,17 +517,19 @@ def flux_momentum(eq: EquationSpec) -> ConservedCurrent | None:
     rec = _recognize_y_function(f_reg)
     if rec is None:
         return None
-    F1 = rec.antiderivative()
-    if F1 is None:
-        return None
-    phi = add(mul(eq.bound_g, _M), neg(_UTX), mul(0.5, F1))
+    phi = add(mul(eq.bound_g, _M), neg(_UTX), mul(0.5, rec.antiderivative()))
     if f0:
         phi = add(phi, mul(const(0.5 * f0), _LN_JUMP), mul(const(f0), _X))
     return ConservedCurrent("momentum", _U, phi, ex.ONE)
 
 
 def flux_h1(eq: EquationSpec) -> ConservedCurrent | None:
-    """Closed-form H1 current (T = ux^2 + u^2); None when not constructible."""
+    """Closed-form H1 current (T = ux^2 + u^2); None when not constructible.
+
+    Requires w = u*f - ux*g = ux*h1(u^2-ux^2) + h0*u/(u^2-ux^2), with h1
+    as f1 of flux_momentum and h0 the ux-even part of w times
+    (u^2-ux^2)/u.
+    """
     f, g = eq.bound_f, eq.bound_g
     w = sub(mul(_U, f), mul(_UX, g))
     h0 = _pole_coefficient(w)
@@ -560,9 +538,6 @@ def flux_h1(eq: EquationSpec) -> ConservedCurrent | None:
     if rec is None:
         return None
     h1 = rec.expr()
-    H1 = rec.antiderivative()
-    if H1 is None:
-        return None
     # split f = ux*h + ux*h1/(2u) + h0/(2y); h absorbs whatever remains
     known = mul(0.5, div(mul(_UX, h1), _U))
     if h0:
@@ -572,7 +547,7 @@ def flux_h1(eq: EquationSpec) -> ConservedCurrent | None:
         mul(-2.0, _U, _UTX),
         mul(2.0, pow_(_U, 2), h, _M),
         neg(mul(_U, h1, _M)),
-        H1,
+        rec.antiderivative(),
     )
     if h0:
         phi = add(
@@ -590,38 +565,19 @@ def _integral_in_u(g: Expr) -> Expr | None:
         return None
     nf = ex.poly_normal_form(g)
     if nf is not None:
-        terms = []
-        for mono, c in nf.items():
-            k = dict(mono).get("u", 0)
-            terms.append(mul(const(float(c) / (k + 1)), pow_(_U, k + 1)))
-        return add(*terms)
-    # single power: probe numerically
+        coeffs: dict[int, Fraction] = {dict(mono).get("u", 0): c for mono, c in nf.items()}
+        clist = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]
+        return _Recognized(_U, tuple(clist)).antiderivative()
     us = np.linspace(0.5, 2.5, 9)
     try:
         vals = np.array([ex.evaluate(g, {"u": float(u0)}) for u0 in us])
     except (ValueError, OverflowError):
         return None
-    if not np.all(np.isfinite(vals)) or not (np.all(vals > 0) or np.all(vals < 0)):
+    fit = _power_fit(us, vals)
+    if fit is None:
         return None
-    sgn = 1.0 if vals[0] > 0 else -1.0
-    logs = np.log(sgn * vals)
-    slopes = np.diff(logs) / np.diff(np.log(us))
-    r = float(np.median(slopes))
-    if np.max(np.abs(slopes - r)) > 1e-6 * max(1.0, abs(r)):
-        return None
-    rfrac = Fraction(r).limit_denominator(12)
-    if abs(float(rfrac) - r) > 1e-6:
-        return None
-    c = sgn * float(np.median(np.exp(logs - r * np.log(us))))
-    if rfrac == -1:
-        G = mul(const(c), fn("ln", _U))
-    else:
-        G = mul(const(c / float(rfrac + 1)), pow_(_U, rfrac + 1))
-    try:
-        ok = is_zero(sub(ex.diff(G, ex.U), g), _VALIDATION_POLICY).is_zero
-    except ex.SingularSamplingError:
-        return None
-    return G if ok else None
+    rec = _validated(g, ex.ONE, _Recognized(_U, c=fit[0], r=fit[1]))
+    return None if rec is None else rec.antiderivative()
 
 
 def flux_grad_energy(eq: EquationSpec, mu: float, nu: float) -> ConservedCurrent | None:

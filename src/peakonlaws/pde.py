@@ -12,8 +12,8 @@ stepper, the evaluator the verdicts use, and a stage writes its products
 and spectra into buffers the stepper owns.  The nodal state after a step
 is stage 1 of the next.  Wave breaking is detected,
 not resolved: the run stops when sup|u_x| crosses the configured
-threshold.  Equations singular at u = 0 (probed automatically) get a
-floor on min|u|.
+threshold.  Equations whose f or g is non-finite at u = 0 (evaluated
+there exactly, at u_x = 0.37) get a floor on min|u|.
 """
 
 from __future__ import annotations
@@ -156,13 +156,13 @@ class SingularHit(RuntimeError):
 
 
 def _is_singular_at_zero(eq: EquationSpec) -> bool:
-    """Probe whether f or g blows up as u -> 0 (poles of the singular families)."""
-    for probe_u in (1e-8, -1e-8):
-        for e in (eq.bound_f, eq.bound_g):
-            v = ex.evaluate(e, {"u": probe_u, "ux": 0.37})
-            if not math.isfinite(v) or abs(v) > 1e12:
-                return True
-    return False
+    """Whether f or g is non-finite at u = 0, u_x = 0.37 (a pole or a log there).
+
+    Each top-level term is tested, so terms whose infinities would meet in
+    the sum still count.
+    """
+    terms = _fg_program(eq.bound_f, eq.bound_g)({"u": 0.0, "ux": 0.37})
+    return not all(np.isfinite(t) for ts in terms for t in ts)
 
 
 @dataclass(frozen=True)
@@ -170,9 +170,9 @@ class SimConfig:
     """One simulation: grid, step, equation, initial data, outputs.
 
     initial: {"kind": "gaussian" | "cosine_offset" | "mollified_peakon" |
-    "solitary_wave", "params": {...}}.  min_u_floor applies only when the
-    equation is singular at u = 0 (auto-probed); blowup_threshold stops
-    the run on sup|u_x| (wave breaking).
+    "solitary_wave", "params": {...}}.  min_u_floor applies only when f or
+    g is non-finite at u = 0 (evaluated there, at u_x = 0.37);
+    blowup_threshold stops the run on sup|u_x| (wave breaking).
     """
 
     length: float
@@ -256,23 +256,35 @@ def read_config(source: str | dict) -> SimConfig:
             eq_raw["f"], eq_raw["g"], eq_raw.get("params", {})
         )
         out = cfg.get("output", {})
+        n = cfg["N"]
+        # a fractional or quoted N would silently run on another grid
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"N must be an integer, got {n!r}")
+        series_dt = cfg.get("series_dt")
         return SimConfig(
-            length=float(cfg["L"]),
-            n=int(cfg["N"]),
-            dt=float(cfg["dt"]),
-            t_final=float(cfg["t_final"]),
+            length=_number("L", cfg["L"]),
+            n=n,
+            dt=_number("dt", cfg["dt"]),
+            t_final=_number("t_final", cfg["t_final"]),
             equation=eq,
             initial=dict(cfg["initial"]),
             dealias=cfg.get("dealias", True),
-            series_dt=cfg.get("series_dt"),
-            energy_mu=float(cfg.get("energy_mu", 2.0)),
-            energy_nu=float(cfg.get("energy_nu", 0.0)),
-            blowup_threshold=float(cfg.get("blowup_threshold", 1e3)),
-            min_u_floor=float(cfg.get("min_u_floor", 1e-3)),
-            snapshot_times=tuple(out.get("snapshot_times", ())),
+            series_dt=None if series_dt is None else _number("series_dt", series_dt),
+            energy_mu=_number("energy_mu", cfg.get("energy_mu", 2.0)),
+            energy_nu=_number("energy_nu", cfg.get("energy_nu", 0.0)),
+            blowup_threshold=_number("blowup_threshold", cfg.get("blowup_threshold", 1e3)),
+            min_u_floor=_number("min_u_floor", cfg.get("min_u_floor", 1e-3)),
+            snapshot_times=tuple(_number("snapshot_times", t) for t in out.get("snapshot_times", ())),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"invalid simulation config: {err}") from err
+
+
+def _number(key: str, value) -> float:
+    """value as a float; it must be a JSON number, not a string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +512,8 @@ def run(config: SimConfig, eq: EquationSpec | None = None, *,
 
     m0 is the nodal m(0); by default initial_data(config).  Terminates
     early with a wave-breaking or singularity status (partial series
-    retained).  The min-|u| guard is armed only for equations that probe
-    singular at u = 0.
+    retained).  The min-|u| guard is armed only for equations whose f or
+    g is non-finite at u = 0.
     """
     eq = eq or config.equation
     grid = config.grid

@@ -209,8 +209,8 @@ def _bisect(target, lo, hi, left, b, c, out):
 
 def peakon(a: float, xi: np.ndarray | None = None) -> WaveProfile:
     """Peaked travelling wave u = a*exp(-|xi|) with speed c = 1/a^2."""
-    if a == 0.0:
-        raise ValueError("peakon amplitude must be nonzero")
+    if a == 0.0 or not math.isfinite(a):
+        raise ValueError(f"peakon amplitude must be nonzero and finite, got {a}")
     if xi is None:
         xi = np.linspace(-15.0, 15.0, 3001)
     xi = np.asarray(xi, dtype=float)

@@ -104,9 +104,13 @@ def test_twave_peakon(tmp_path, capsys):
     assert doc["peak_height"] == 2.0
 
 
-def test_twave_peakon_zero_amplitude(capsys):
-    code, _, _ = run_cli(capsys, "twave", "peakon", "--a", "0")
-    assert code == 1
+def test_twave_peakon_zero_amplitude(tmp_path, capsys):
+    # and a non-finite one, which would write a NaN profile
+    for a in ("0", "nan", "inf", "-inf"):
+        code, _, err = run_cli(capsys, "--out", str(tmp_path), "twave", "peakon", f"--a={a}")
+        assert code == 1
+        assert "amplitude" in err
+        assert not list(tmp_path.iterdir())
 
 
 def test_verify_spatial_example(capsys):
@@ -207,8 +211,11 @@ def test_simulate_bad_config(tmp_path, capsys):
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 1
         assert err.startswith("error: invalid simulation config"), (key, err)
-    # a grid the solver cannot use, and a dealias flag that is not a boolean
-    for key, value in (("N", 100), ("L", 0.0), ("L", -40.0), ("dealias", "false")):
+    # a grid the solver cannot use, a dealias flag that is not a boolean,
+    # and sizes that are not JSON numbers
+    for key, value in (("N", 100), ("L", 0.0), ("L", -40.0), ("dealias", "false"),
+                       ("N", 256.7), ("N", "256"), ("L", "40"), ("dt", "0.001"),
+                       ("energy_mu", "2")):
         path = _sim_config(tmp_path, **{key: value})
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 1

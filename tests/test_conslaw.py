@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,9 @@ def test_grad_energy_nu_line_family():
     rep = classify(eq, POL)
     assert rep.l2m.conserved is True
     assert rep.weighted_h2.conserved is False
+    # nu != 0 puts G = integral of g du into the flux
+    cur = flux_grad_energy(eq, 2.0, 3.7)
+    assert characteristic_check(cur, eq, POL).conserved is True
 
 
 # the seven reference equations of the verdict benchmark, members
@@ -350,6 +354,37 @@ def test_pole_family_momentum_flux():
     cur = flux_momentum(eq)
     assert cur is not None
     assert characteristic_check(cur, eq, POL).conserved is True
+
+
+# f1 forms the recognizer supports beyond polynomials: single powers of
+# y = u^2-ux^2, with r = -1 integrating to a logarithm
+POWER_F1 = ("ux/(u^2-ux^2)", "ux*(u^2-ux^2)^(-1/2)", "ux*(u^2-ux^2)^(1/2)")
+
+
+@pytest.mark.parametrize("f", list(POWER_F1) + [
+    f1 + pole for f1 in POWER_F1[1:] for pole in ("+u/(u^2-ux^2)", "+0.5*u/(u^2-ux^2)")
+])
+def test_power_family_momentum_flux(f):
+    eq = EquationSpec.from_strings(f, "u")
+    assert check_momentum(eq, POL).conserved is True
+    cur = flux_momentum(eq)
+    assert cur is not None
+    assert characteristic_check(cur, eq, POL).conserved is True
+
+
+@pytest.mark.parametrize("f1", ["ux*(0.7-1.3*(u^2-ux^2)+0.4*(u^2-ux^2)^2)", "ux",
+                                "ux*(u^2-ux^2)^(1/2)", "-2*ux*(u^2-ux^2)^(-3/2)", "ux/(u^2-ux^2)"])
+@pytest.mark.parametrize("f0", ["0", "1", "-1/2", "2/3"])
+def test_pole_coefficient_reads_the_even_part(f1, f0):
+    w = parse(f"{f1} + ({f0})*u/(u^2-ux^2)")
+    assert conslaw._pole_coefficient(w) == float(Fraction(f0))
+
+
+@pytest.mark.parametrize("h", ["exp(u^2-ux^2)", "(u^2-ux^2)^2", "(u^2-ux^2)^-2", "1+u^2-ux^2"])
+def test_no_pole_form_builds_no_current(h):
+    # u*h(y) is even in ux but not a multiple of u/y: no momentum or H1 current
+    assert flux_momentum(EquationSpec.from_strings(f"u*({h})", "u")) is None
+    assert flux_h1(EquationSpec.from_strings(h, "0")) is None
 
 
 def test_h1_pole_family_flux():

@@ -173,6 +173,30 @@ def test_run_singularity_guard():
     assert res.status == STATUS_SINGULAR
 
 
+@pytest.mark.parametrize("f, g, armed", [
+    ("ux/u^3", "1/u^2", True),
+    ("ux/u", "u", True),
+    ("ux", "1/u", True),
+    ("ux", "u+1/u", True),
+    ("ux", "ln(u^2)", True),
+    ("ux", "ln(u^2)-ln(u^4)", True),  # the terms' infinities cancel in a sum
+    ("ux", "u", False),
+    ("2*ux", "u", False),
+    ("u*ux", "u^2", False),
+    ("ux*(u^2-ux^2)+u/(u^2-ux^2)", "u", False),
+])
+def test_guard_armed_by_the_value_at_zero(f, g, armed):
+    assert pde._is_singular_at_zero(EquationSpec.from_strings(f, g)) is armed
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_guard_stops_a_simple_pole():
+    # gaussian tails fall below the floor at once; g = 1/u is singular there
+    res = run(_gaussian_cfg(equation=EquationSpec.from_strings("0", "1/u"), t_final=0.01))
+    assert res.status == STATUS_SINGULAR
+    assert "floor" in res.message
+
+
 def test_guard_not_armed_for_regular_equations():
     # CH evaluates fine at u = 0; gaussian tails below the floor must not abort
     cfg = _gaussian_cfg(t_final=0.05)
@@ -376,6 +400,17 @@ def test_read_config_validation(tmp_path):
     for key, value in (("N", 100), ("N", 8), ("N", 0), ("L", 0.0), ("L", -40.0)):
         with pytest.raises(ValueError, match="invalid simulation config"):
             read_config(json.dumps(dict(doc, **{key: value})))
+    # N is a JSON integer and the other numeric fields JSON numbers:
+    # int(256.7), float("40") or a series step of true would run a
+    # config nobody wrote
+    for key, value in (("N", 256.7), ("N", 256.0), ("N", "256"), ("N", True), ("L", "40"),
+                       ("dt", "0.001"), ("t_final", True), ("energy_mu", "2"),
+                       ("min_u_floor", None), ("series_dt", True),
+                       ("output", {"snapshot_times": [True]})):
+        with pytest.raises(ValueError, match="invalid simulation config"):
+            read_config(json.dumps(dict(doc, **{key: value})))
+    assert read_config(json.dumps(dict(doc, L=40))).length == 40.0
+    assert read_config(json.dumps(dict(doc, series_dt=None))).series_dt is None
     # dealias takes a JSON boolean only: bool("false") would be True
     assert read_config(json.dumps(dict(doc, dealias=False))).dealias is False
     for value in ("false", "true", 0, 1, None, [True]):
