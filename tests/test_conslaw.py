@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -318,6 +319,40 @@ def test_scaling_invariance_of_verdicts():
         assert (rep.momentum.conserved, rep.h1.conserved, rep.l2m.conserved) == (
             True, True, False,
         )
+
+
+# golden verdicts: the 7 reference equations and 36 family members
+# f = ux*f1(u^2-ux^2) [+ u/(u^2-ux^2)] [+ 0.001*u] over the six g forms,
+# the pole term and f1 of degree 0, 1 and 2, with a third perturbed
+GOLDEN_PATH = Path(__file__).parent / "data" / "verdicts_golden.json"
+GOLDEN_F1 = ("0.7", "-0.9+1.7*(u^2-ux^2)", "0.4-1.3*(u^2-ux^2)+1.1*(u^2-ux^2)^2")
+GOLDEN_G = ("u", "u^2", "u^2-ux^2", "1/u^2", "exp(u)", "sqrt(u^2+1)")
+GOLDEN_EQUATIONS = [
+    ("ux", "u"), ("2*ux", "u"), ("u*ux", "u^2"), ("0", "u^2-ux^2"),
+    ("ux/u^3", "1/u^2"), ("-u*ux", "u^2"), ("ux*(u^2-ux^2)", "u*(u^2-ux^2)+(u^2-ux^2)"),
+] + [
+    (f"ux*({f1})" + ("+u/(u^2-ux^2)" if pole else "") + ("+0.001*u" if (gi + pole + d) % 3 == 0 else ""), g)
+    for gi, g in enumerate(GOLDEN_G) for pole in (0, 1) for d, f1 in enumerate(GOLDEN_F1)
+]
+
+
+def _golden_record(f: str, g: str) -> dict:
+    """Every verdict, the grad-energy set and every current of classify; no residual or witness."""
+    rep = classify(EquationSpec.from_strings(f, g), SamplingPolicy(seed=42))
+    doc = {key: getattr(rep, key).conserved for key in ("momentum", "h1", "l2m", "weighted_h2")}
+    doc["grad_energy"] = rep.grad_energy.to_json()
+    doc["fluxes"] = [cur.to_json() for cur in rep.fluxes]
+    return doc
+
+
+def test_verdicts_equal_the_golden_record():
+    # recorded from the full-tree conditions (A, B, C each built by
+    # euler_u and sampled in the m-jet); regenerate with
+    # {f"{f} | {g}": _golden_record(f, g) for f, g in GOLDEN_EQUATIONS}
+    golden = json.loads(GOLDEN_PATH.read_text())
+    assert sorted(golden) == sorted(f"{f} | {g}" for f, g in GOLDEN_EQUATIONS)
+    for f, g in GOLDEN_EQUATIONS:
+        assert _golden_record(f, g) == golden[f"{f} | {g}"], (f, g)
 
 
 # ---------------------------------------------------------------------------
