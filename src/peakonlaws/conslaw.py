@@ -13,12 +13,22 @@ even, so f0 is read off the ux-even part at one point; f1 is then
 recognized from what is left, and a reconstruction that does not match
 it on the whole sampling box builds no current.
 
-All verdicts are randomized-numeric via expr.is_zero: an expression is
-declared zero only when every sampled jet point agrees, with an exact
-polynomial fast path where available.  A gradient-energy candidate
-(mu, nu) is judged by the same rule (expr.vote) without building its
-residual: exactly from the normal forms of A, B and C that their zero
-tests kept, else at the points the fit sampled.
+The determining conditions are split by m-monomials.  A (H1), B
+(momentum) and C (the m^2 part of the gradient energy) are linear in f
+and g, which depend on (u, ux) only, so each is a polynomial in
+(m, mx, mxx) whose coefficients depend on (u, ux) only, and it vanishes
+iff every coefficient does.  euler_u builds each condition once per
+process over placeholder partials of f and g (expr.Partial), and the
+normal form splits it into 2 (A, B) or 10 (C) templates.  Per equation
+the partials of f and g are substituted into the 14 templates.
+
+All verdicts are randomized-numeric: a coefficient is declared zero only
+when every sampled (u, ux) point agrees (expr.vote), unless its normal
+form is empty, an exact zero.  The coefficients of an equation share one
+sample.  A failed verdict names the m-monomial whose coefficient failed.
+A gradient-energy candidate (mu, nu) is judged by the same rule without
+building its residual: exactly from the coefficients' normal forms, else
+at the shared points.
 """
 
 from __future__ import annotations
@@ -27,7 +37,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -144,35 +154,144 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# determining conditions
+# determining conditions, split by m-monomials
 
 
-def momentum_condition(eq: EquationSpec) -> Expr:
-    return euler_u(mul(eq.bound_f, _M))
+def _monomial_source(mono: tuple) -> str:
+    """An m-monomial, a sorted tuple of (name, power), as source: "m*mx", "m^2", "1"."""
+    return ex.to_source(mul(*(pow_(var(name), k) for name, k in mono)))
 
 
-def h1_condition(eq: EquationSpec) -> Expr:
-    w = sub(mul(_U, eq.bound_f), mul(_UX, eq.bound_g))
-    return euler_u(mul(w, _M))
+@cache
+def _templates() -> dict:
+    """The conditions A, B and C over placeholder partials of f and g, split by m-monomials.
+
+    A = E_u((u*f - ux*g)*m) (H1), B = E_u(f*m) (momentum) and
+    C = E_u((f + D_x(g)/2)*m^2) are built once per process by euler_u over
+    ex.Partial placeholders F_ij = d^i/du^i d^j/dux^j f and G_ij.  Each is
+    a polynomial in every symbol, so its normal form splits it exactly:
+    {condition: {m-monomial source: coefficient}}, each coefficient an
+    expression in u, ux and the placeholders.
+    """
+    f, g = ex.Partial("f"), ex.Partial("g")
+    conds = {
+        "A": euler_u(mul(sub(mul(_U, f), mul(_UX, g)), _M)),
+        "B": euler_u(mul(f, _M)),
+        "C": euler_u(mul(add(f, mul(0.5, d_x(g))), pow_(_M, 2))),
+    }
+    leaves = {"u": _U, "ux": _UX}
+    leaves.update((p.name, p) for p in (ex.Partial(of, i, n - i) for of in "fg" for n in range(4) for i in range(n + 1)))
+    out = {}
+    for name, cond in conds.items():
+        split: dict = {}
+        for mono, c in ex.poly_normal_form(cond).items():
+            m_part = tuple(p for p in mono if p[0][0] == "m")
+            rest = [pow_(leaves[s], k) for s, k in mono if s[0] != "m"]
+            split.setdefault(_monomial_source(m_part), []).append(mul(const(c), *rest))
+        out[name] = {mono: add(*terms) for mono, terms in split.items()}
+    return out
 
 
-def grad_energy_conditions(eq: EquationSpec) -> tuple[Expr, Expr, Expr]:
-    """Coefficients (A, B, C) of the affine residual (mu-2)*A + nu*B + C."""
-    f, g = eq.bound_f, eq.bound_g
-    A = h1_condition(eq)
-    B = momentum_condition(eq)
-    C = euler_u(mul(add(f, mul(0.5, d_x(g))), pow_(_M, 2)))
-    return A, B, C
+def _coefficients(eq: EquationSpec) -> dict:
+    """{(condition, m-monomial): coefficient in (u, ux)} of eq: the templates with eq's partials."""
+    partials: dict = {}
+
+    def partial(p: ex.Partial) -> Expr:
+        if p not in partials:
+            if p.i:
+                partials[p] = ex.diff(partial(ex.Partial(p.of, p.i - 1, p.j)), ex.U)
+            elif p.j:
+                partials[p] = ex.diff(partial(ex.Partial(p.of, 0, p.j - 1)), ex.UX)
+            else:
+                partials[p] = eq.bound_f if p.of == "f" else eq.bound_g
+        return partials[p]
+
+    return {
+        (name, mono): ex.bind_partials(c, partial)
+        for name, split in _templates().items() for mono, c in split.items()
+    }
+
+
+@dataclass(frozen=True)
+class _SplitConditions:
+    """The m-monomial coefficients of A, B and C, zero-tested on one shared sample.
+
+    coeffs maps (condition, m-monomial) to the coefficient expression in
+    (u, ux).  A coefficient whose normal form is empty is an exact zero;
+    the others are sampled together, once, and each votes on its own row
+    of samples.values and samples.scales.
+    """
+
+    coeffs: dict
+    samples: ex.Samples | None
+    rows: dict  # (condition, m-monomial) -> row of samples, for the sampled ones
+    verdicts: dict
+
+    @staticmethod
+    def tested(coeffs: dict, policy: SamplingPolicy) -> "_SplitConditions":
+        pending = [k for k, e in coeffs.items() if e._poly != {}]
+        samples = ex.sample([coeffs[k] for k in pending], policy) if pending else None
+        verdicts = {k: ZeroVerdict("zero", 0.0, None, exact=True) for k in coeffs}
+        for row, k in enumerate(pending):
+            v = ex.vote(samples, samples.values[row], samples.scales[row], policy.rel_tol)
+            verdicts[k] = _named(v, k[1])
+        return _SplitConditions(coeffs, samples, {k: row for row, k in enumerate(pending)}, verdicts)
+
+    def monomials(self, name: str) -> list:
+        return [mono for cond, mono in self.coeffs if cond == name]
+
+    def verdict(self, name: str, monomials=None) -> ZeroVerdict:
+        """Zero test of a condition: all of its coefficients (or those of monomials)."""
+        if monomials is None:
+            monomials = self.monomials(name)
+        return _all_zero([self.verdicts[name, mono] for mono in monomials])
+
+    def at_points(self, keys: list) -> tuple[list, list]:
+        """Values and scales of the coefficients keys at the shared points.
+
+        A coefficient that is not sampled (an exact zero, or absent from
+        coeffs) reads 0 with scale 1.
+        """
+        n = self.samples.values.shape[1]
+        rows = [self.rows.get(k) for k in keys]
+        values = [np.zeros(n) if r is None else self.samples.values[r] for r in rows]
+        scales = [np.ones(n) if r is None else self.samples.scales[r] for r in rows]
+        return values, scales
+
+
+def _named(v: ZeroVerdict, monomial: str) -> ZeroVerdict:
+    """v with the failing coefficient's m-monomial in its witness."""
+    if v.witness is None:
+        return v
+    return ZeroVerdict(v.status, v.residual_max, {**v.witness, "monomial": monomial}, v.exact)
+
+
+def _all_zero(verdicts: list) -> ZeroVerdict:
+    """The verdict that every one of verdicts is zero.
+
+    One nonzero part makes the whole nonzero, else one indeterminate part
+    makes it indeterminate; the worst such part gives residual and witness.
+    """
+    for status in ("nonzero", "indeterminate"):
+        failed = [v for v in verdicts if v.status == status]
+        if failed:
+            return max(failed, key=lambda v: v.residual_max)
+    return ZeroVerdict("zero", max((v.residual_max for v in verdicts), default=0.0), None,
+                       exact=all(v.exact for v in verdicts))
+
+
+def _split_conditions(eq: EquationSpec, policy: SamplingPolicy) -> _SplitConditions:
+    return _SplitConditions.tested(_coefficients(eq), policy)
 
 
 def check_momentum(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Verdict:
     """Momentum density T = m (equivalently T = u) is conserved iff E_u(f*m) = 0."""
-    return Verdict.from_zero(is_zero(momentum_condition(eq), policy))
+    return Verdict.from_zero(_split_conditions(eq, policy or SamplingPolicy()).verdict("B"))
 
 
 def check_h1(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Verdict:
     """H1 density T = ux^2 + u^2 is conserved iff E_u((u*f - ux*g)*m) = 0."""
-    return Verdict.from_zero(is_zero(h1_condition(eq), policy))
+    return Verdict.from_zero(_split_conditions(eq, policy or SamplingPolicy()).verdict("A"))
 
 
 @dataclass(frozen=True)
@@ -221,54 +340,74 @@ def check_grad_energy(
 ) -> GradEnergySolutions:
     """Solve the gradient-energy determining condition over (mu, nu).
 
-    The residual is affine, (mu-2)*A + nu*B + C; sampling the coefficient
-    expressions turns the classification into rank analysis of a K x 2
-    linear system.  Singular values below 1e-7 of the largest are treated
-    as zero; any value within a factor 10 of that threshold makes the rank
-    decision ambiguous and the verdict indeterminate.  Each candidate
-    (mu, nu) is then zero-tested as a residual (see _candidate_verdict).
+    The residual (mu-2)*A + nu*B + C vanishes iff each of its m-monomial
+    coefficients does.  C alone has monomials other than 1 and m; those
+    coefficients must vanish on their own, else the set is empty.  The
+    coefficients of 1 and m are affine in (mu, nu), and their samples
+    stack into a 2-column linear system whose rank decides the set.
+    Singular values below 1e-7 of the largest are treated as zero; any
+    value within a factor 10 of that threshold makes the rank decision
+    ambiguous and the verdict indeterminate.  Each candidate (mu, nu) is
+    then zero-tested as a residual (see _candidate_verdict).
     """
     policy = policy or SamplingPolicy()
-    A, B, C = grad_energy_conditions(eq)
-    return _solve_grad_energy(A, B, C, is_zero(C, policy), policy)
+    return _solve_grad_energy(_split_conditions(eq, policy), policy)
 
 
-def _candidate_verdict(
-    conds: tuple[Expr, Expr, Expr], samples: ex.Samples, mu: float, nu: float, rel_tol: float
-) -> ZeroVerdict:
-    """Zero test of the residual (mu-2)*A + nu*B + C from the parts in hand.
+# the m-monomials of the gradient-energy residual that A and B share with C
+_AFFINE_ROWS = ("1", "m")
 
-    conds is (A, B, C) and samples is sample([A, B, C]).  When A, B and C
-    are polynomial, their normal forms are combined exactly with weights
-    Fraction(mu-2), Fraction(nu) and 1, and an empty result is an exact
-    zero.  Otherwise the values (mu-2)*a + nu*b + c vote at the sampled
-    points, each against the scale max(1, |mu-2|*s_A, |nu|*s_B, s_C).
-    The residual is never built, normalized, compiled or sampled anew.
+
+def _candidate_verdict(split: _SplitConditions, mu: float, nu: float, rel_tol: float) -> ZeroVerdict:
+    """Zero test of the 1 and m rows of the residual (mu-2)*A + nu*B + C.
+
+    When the coefficients of those rows are all polynomial, their normal
+    forms are combined exactly with weights Fraction(mu-2), Fraction(nu)
+    and 1, and two empty rows are an exact zero.  Otherwise each row's
+    values (mu-2)*a + nu*b + c vote at the shared sample points, each
+    against the scale max(1, |mu-2|*s_A, |nu|*s_B, s_C).  No residual is
+    built, normalized, compiled or sampled anew.
     """
     weights = (mu - 2.0, nu, 1.0)
-    forms = [e._poly for e in conds]
-    if all(nf is not None for nf in forms):
-        combined: dict = {}
-        for w, nf in zip(weights, forms):
-            if w:
-                for mono, c in nf.items():
-                    ex._accumulate(combined, mono, Fraction(w) * c)
-        if not combined:
+    rows = [[(name, row) for name in "ABC"] for row in _AFFINE_ROWS]
+    forms = [[split.coeffs[k]._poly if k in split.coeffs else {} for k in keys] for keys in rows]
+    if all(nf is not None for row_forms in forms for nf in row_forms):
+        combined = [{} for _ in rows]
+        for total, row_forms in zip(combined, forms):
+            for w, nf in zip(weights, row_forms):
+                if w:
+                    for mono, c in nf.items():
+                        ex._accumulate(total, mono, Fraction(w) * c)
+        if not any(combined):
             return ZeroVerdict("zero", 0.0, None, exact=True)
-    (a, b, c), (sa, sb, sc) = samples.values, samples.scales
-    values = weights[0] * a + weights[1] * b + c
-    scales = np.maximum(np.maximum(abs(weights[0]) * sa, abs(weights[1]) * sb), sc)  # sc >= 1
-    return ex.vote(samples, values, scales, rel_tol)
+    verdicts = []
+    for row, keys in zip(_AFFINE_ROWS, rows):
+        (a, b, c), (sa, sb, sc) = split.at_points(keys)
+        values = weights[0] * a + weights[1] * b + c
+        scales = np.maximum(np.maximum(abs(weights[0]) * sa, abs(weights[1]) * sb), sc)  # sc >= 1
+        verdicts.append(_named(ex.vote(split.samples, values, scales, rel_tol), row))
+    return _all_zero(verdicts)
 
 
-def _solve_grad_energy(
-    A: Expr, B: Expr, C: Expr, vc: ZeroVerdict, policy: SamplingPolicy
-) -> GradEnergySolutions:
-    """check_grad_energy on built conditions; vc is the zero test of C."""
-    samples = ex.sample([A, B, C], policy)
-    avals, bvals, cvals = samples.values / samples.scales.max(axis=0)
+def _solve_grad_energy(split: _SplitConditions, policy: SamplingPolicy) -> GradEnergySolutions:
+    """check_grad_energy on the split conditions of an equation."""
+    only_c = [mono for mono in split.monomials("C") if mono not in _AFFINE_ROWS]
+    vrest = split.verdict("C", only_c)
+    if vrest.status == "nonzero":
+        return GradEnergySolutions("empty", residual_max=vrest.residual_max)
+    if vrest.status == "indeterminate":
+        return GradEnergySolutions("indeterminate", residual_max=vrest.residual_max)
+    vc = split.verdict("C")
+    if split.samples is None:  # every coefficient is an exact zero
+        return GradEnergySolutions("plane", residual_max=vc.residual_max)
 
-    mat = np.column_stack([avals, bvals])
+    blocks, rhs = [], []
+    for row in _AFFINE_ROWS:
+        (a, b, c), scales = split.at_points([(name, row) for name in "ABC"])
+        top = np.maximum(np.maximum(scales[0], scales[1]), scales[2])
+        blocks.append(np.column_stack([a / top, b / top]))
+        rhs.append(-c / top)
+    mat, rhs = np.vstack(blocks), np.concatenate(rhs)
     svals = np.linalg.svd(mat, compute_uv=False)
     smax = svals[0] if len(svals) else 0.0
     # column magnitudes are O(1) after scale normalization, so compare the
@@ -280,7 +419,7 @@ def _solve_grad_energy(
     rank = int(np.sum(svals > thresh))
 
     def validated(mu: float, nu: float) -> ZeroVerdict:
-        return _candidate_verdict((A, B, C), samples, mu, nu, policy.rel_tol)
+        return _candidate_verdict(split, mu, nu, policy.rel_tol)
 
     if rank == 0:
         if vc.status == "zero":
@@ -290,7 +429,7 @@ def _solve_grad_energy(
         return GradEnergySolutions("indeterminate", residual_max=vc.residual_max)
 
     if rank == 2:
-        sol, *_ = np.linalg.lstsq(mat, -cvals, rcond=None)
+        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
         mu, nu = _snap(float(sol[0]) + 2.0), _snap(float(sol[1]))
         v = validated(mu, nu)
         if v.status == "zero":
@@ -300,7 +439,7 @@ def _solve_grad_energy(
         return GradEnergySolutions("indeterminate", residual_max=v.residual_max)
 
     # rank 1: minimum-norm particular solution plus the null direction
-    sol, *_ = np.linalg.lstsq(mat, -cvals, rcond=None)
+    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
     _, _, vt = np.linalg.svd(mat)
     null = vt[1]
     null = null / np.hypot(*null)
@@ -692,10 +831,10 @@ def classify(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Conserva
     and reported indeterminate on any disagreement.
     """
     policy = policy or SamplingPolicy()
-    A, B, C = grad_energy_conditions(eq)
-    va, vb, vc = (is_zero(e, policy) for e in (A, B, C))
+    split = _split_conditions(eq, policy)
+    va, vb, vc = (split.verdict(name) for name in "ABC")
     mom, h1 = Verdict.from_zero(vb), Verdict.from_zero(va)
-    sols = _solve_grad_energy(A, B, C, vc, policy)
+    sols = _solve_grad_energy(split, policy)
 
     l2m_direct = Verdict.from_zero(vc).conserved
     l2m_set = sols.contains(2.0, 0.0) if sols.kind != "indeterminate" else None

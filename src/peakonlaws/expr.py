@@ -29,6 +29,12 @@ and a Program computes each distinct node once per call: a subtree shared
 by several parents is compiled, evaluated, derived, expanded or rebuilt
 once.
 
+Partial is a placeholder for a partial derivative of an unknown function
+of (u, ux).  The derivatives and poly_normal_form know it, so euler_u
+builds a determining condition once for a generic f; bind_partials puts
+an equation's partials in its place.  The evaluator, the printer and the
+parser reject it.
+
 Everything here is immutable and side-effect free; randomized zero testing
 takes an explicit SamplingPolicy carrying its own seed.  is_zero keeps the
 polynomial normal form on the expression, as compile_terms keeps the
@@ -38,6 +44,7 @@ program, and vote is its verdict rule on sampled values.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +62,7 @@ __all__ = [
     "Const",
     "Param",
     "Var",
+    "Partial",
     "Add",
     "Mul",
     "Pow",
@@ -76,6 +84,7 @@ __all__ = [
     "evaluate_with_scale",
     "jet_vars",
     "param_names",
+    "bind_partials",
     "d_x",
     "d_t",
     "to_u_jet",
@@ -282,6 +291,25 @@ class Param(Expr):
 @dataclass(frozen=True, eq=False)
 class Var(Expr):
     v: JetVar
+
+
+@dataclass(frozen=True, eq=False)
+class Partial(Expr):
+    """Placeholder for the partial d^i/du^i d^j/dux^j of an unknown function of (u, ux).
+
+    of names the function ("f" or "g").  The derivatives know it through
+    the chain rule, D(F_ij) = D(u)*F_(i+1)j + D(ux)*F_i(j+1), and
+    poly_normal_form as the symbol F_ij; it builds templates only, and the
+    evaluator, the printer and the parser reject it.
+    """
+
+    of: str
+    i: int = 0
+    j: int = 0
+
+    @property
+    def name(self) -> str:
+        return f"{self.of}_{self.i}{self.j}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -555,6 +583,11 @@ def bind_params(e: Expr, values: Mapping[str, float]) -> Expr:
     return _rebuild(e, leaf)
 
 
+def bind_partials(e: Expr, partial: Callable[[Partial], Expr]) -> Expr:
+    """e with every placeholder p replaced by the expression partial(p)."""
+    return _rebuild(e, lambda n: partial(n) if isinstance(n, Partial) else n)
+
+
 def substitute(e: Expr, table: Mapping[JetVar, Expr]) -> Expr:
     return _rebuild(e, lambda n: table.get(n.v, n) if isinstance(n, Var) else n)
 
@@ -708,6 +741,9 @@ def _derive(e: Expr, var_rule) -> Expr:
             return ZERO
         if isinstance(n, Var):
             return var_rule(n.v)
+        if isinstance(n, Partial):
+            return add(mul(var_rule(U), Partial(n.of, n.i + 1, n.j)),
+                       mul(var_rule(UX), Partial(n.of, n.i, n.j + 1)))
         if isinstance(n, Add):
             return add(*d)
         if isinstance(n, Mul):
@@ -919,6 +955,8 @@ def _normal_form(e: Expr, nf: Callable[[Expr], _PolyT | None]) -> _PolyT | None:
         return {((e.name, 1),): Fraction(1)}
     if isinstance(e, Var):
         return {((e.v.name, 1),): Fraction(1)}
+    if isinstance(e, Partial):
+        return {((e.name, 1),): Fraction(1)}
     if isinstance(e, Add):
         out: _PolyT = {}
         for t in e.terms:
@@ -984,10 +1022,20 @@ class SamplingPolicy:
     max_tries: int = 400
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise ExprError("n_points must be >= 1")
+        for name in ("n_points", "max_tries"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ExprError(f"{name} must be an integer >= 1, got {v!r}")
+        for name in ("rel_tol", "low", "high", "delta"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+                raise ExprError(f"{name} must be a finite number, got {v!r}")
         if self.rel_tol <= 0:
             raise ExprError("rel_tol must be positive")
+        if not 0 < self.low < self.high:
+            raise ExprError(f"need 0 < low < high, got low={self.low!r}, high={self.high!r}")
+        if self.delta < 0:
+            raise ExprError(f"delta must be >= 0, got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -1069,8 +1117,9 @@ def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
             points.append(pts[j])
             for cols, v in zip(terms, vals):
                 cols.append(v[:, j])
-    values = np.array([[math.fsum(col) for col in cols] for cols in terms])
-    scales = np.array([[max(1.0, np.max(np.abs(col))) for col in cols] for cols in terms])
+    rows = [np.array(cols) for cols in terms]  # (n_points, terms) per expression
+    values = np.array([[math.fsum(row) for row in r] for r in rows])
+    scales = np.array([np.maximum(1.0, np.abs(r).max(axis=1)) for r in rows])
     return Samples(names, np.array(points).reshape(n, dim), values, scales)
 
 

@@ -218,15 +218,44 @@ def plain_run():
     return _plain_run
 
 
-def _plain_candidate_verdict(conds, mu: float, nu: float, policy) -> ex.ZeroVerdict:
-    """is_zero of the residual (mu-2)*A + nu*B + C, built as an expression."""
-    A, B, C = conds
-    return ex.is_zero(ex.add(ex.mul(ex.const(mu - 2.0), A), ex.mul(ex.const(nu), B), C), policy)
+def _full_conditions(eq) -> tuple:
+    """(A, B, C) of the residual (mu-2)*A + nu*B + C, each built whole by euler_u.
+
+    A = E_u((u*f - ux*g)*m) (H1), B = E_u(f*m) (momentum) and
+    C = E_u((f + D_x(g)/2)*m^2), in the m-jet chart.
+    """
+    f, g, u, ux, m = eq.bound_f, eq.bound_g, ex.var("u"), ex.var("ux"), ex.var("m")
+    A = ex.euler_u(ex.mul(ex.sub(ex.mul(u, f), ex.mul(ux, g)), m))
+    B = ex.euler_u(ex.mul(f, m))
+    C = ex.euler_u(ex.mul(ex.add(f, ex.mul(0.5, ex.d_x(g))), ex.pow_(m, 2)))
+    return A, B, C
+
+
+@pytest.fixture
+def full_conditions():
+    """Reference for the split conditions of conslaw: A, B and C as whole expression trees."""
+    return _full_conditions
+
+
+def _plain_candidate_verdict(coeffs: dict, mu: float, nu: float, policy) -> ex.ZeroVerdict:
+    """is_zero of the 1 and m rows of the residual (mu-2)*A + nu*B + C, each built as an expression.
+
+    coeffs maps (condition, m-monomial) to its coefficient.  A nonzero row
+    makes the residual nonzero, else an indeterminate row indeterminate.
+    """
+    rows = []
+    for row in ("1", "m"):
+        A, B, C = (coeffs.get((name, row), ex.ZERO) for name in "ABC")
+        rows.append(ex.is_zero(ex.add(ex.mul(ex.const(mu - 2.0), A), ex.mul(ex.const(nu), B), C), policy))
+    for status in ("nonzero", "indeterminate"):
+        if any(v.status == status for v in rows):
+            return ex.ZeroVerdict(status, max(v.residual_max for v in rows if v.status == status))
+    return ex.ZeroVerdict("zero", max(v.residual_max for v in rows), None, exact=all(v.exact for v in rows))
 
 
 @pytest.fixture
 def plain_candidate_verdict():
-    """Reference for conslaw._candidate_verdict: the residual built, normalized and sampled anew."""
+    """Reference for conslaw._candidate_verdict: each residual row built, normalized and sampled anew."""
     return _plain_candidate_verdict
 
 

@@ -135,6 +135,22 @@ def test_verify_detects_corruption(capsys):
     assert code == 2
     doc = json.loads(out)
     assert doc["zero"] is False and doc["witness"]
+    # the characteristic check samples the whole residual, m included
+    assert {"m", "u", "ux", "value", "scale"} <= set(doc["witness"]) and "monomial" not in doc["witness"]
+
+
+def test_classify_witness_names_its_monomial(capsys):
+    # Novikov breaks momentum, Degasperis-Procesi the H1 norm; each failed
+    # verdict names the m-monomial whose (u, ux) coefficient is not zero
+    for f, field in (("u*ux", "momentum"), ("2*ux", "h1")):
+        code, out, _ = run_cli(capsys, "classify", "--f", f, "--g", "u" if f == "2*ux" else "u^2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc[field]["conserved"] is False
+        witness = doc[field]["witness"]
+        assert set(witness) == {"u", "ux", "value", "scale", "monomial"}
+        assert witness["monomial"] in ("1", "m")
+        assert doc["l2m"]["witness"]["monomial"]
 
 
 def test_verify_parse_error(capsys):

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from peakonlaws.conslaw import (
     flux_grad_energy,
     flux_h1,
     flux_momentum,
-    grad_energy_conditions,
     multiplier_conditions,
     upsilon,
 )
@@ -113,12 +113,136 @@ CANDIDATE_EQUATIONS = [
 ] + [EquationSpec.from_strings("a*ux", "-2*a*u+b", {"a": 0.7, "b": 1.3})]
 
 
+# ---------------------------------------------------------------------------
+# the determining conditions split by m-monomials
+
+
+def _template_forms() -> dict:
+    """{(condition, m-monomial): normal form of its template coefficient}."""
+    return {(name, mono): ex.poly_normal_form(c)
+            for name, split in conslaw._templates().items() for mono, c in split.items()}
+
+
+def test_template_monomials():
+    forms = _template_forms()
+    assert {mono for name, mono in forms if name in "AB"} == {"1", "m"}
+    assert sorted(mono for name, mono in forms if name == "C") == sorted(
+        ["m", "m^2", "m^3", "m^4", "m*mx", "m^2*mx", "mx", "mx^2", "mxx", "m*mxx"])
+    assert len(forms) == 14 and all(forms.values())
+    F = Fraction
+    assert forms["B", "m"] == {(("f_02", 1), ("u", 1)): F(1), (("f_10", 1),): F(2), (("f_11", 1), ("ux", 1)): F(1)}
+    assert forms["C", "m^4"] == {(("g_03", 1),): F(1)}
+    assert forms["C", "m*mxx"] == {(("g_01", 1),): F(3)}
+    # only f up to order 2 and g up to order 3 enter
+    symbols = {s for nf in forms.values() for mono in nf for s, _ in mono}
+    assert symbols == {"u", "ux", "f_00", "f_10", "f_01", "f_20", "f_11", "f_02",
+                       "g_10", "g_01", "g_20", "g_11", "g_02", "g_30", "g_21", "g_12", "g_03"}
+
+
+def test_templates_match_sympy():
+    # an Euler operator of its own, sum_k (-D_x)^k d/dU_k on the u-jet
+    # U0..U9, with f(U0, U1) and g(U0, U1) left unknown; then m = U0 - U2
+    # and its derivatives replace U2, U3 and U4, and each coefficient of a
+    # monomial in (m, mx, mxx) must equal the package's template
+    sp = pytest.importorskip("sympy")
+    U = sp.symbols("U0:10")
+    m, mx, mxx = sp.symbols("m mx mxx")
+    f, g = sp.Function("f")(U[0], U[1]), sp.Function("g")(U[0], U[1])
+
+    def D(e):
+        return sum(U[k + 1] * sp.diff(e, U[k]) for k in range(9))
+
+    def euler(e):
+        total = 0
+        for k in range(5):
+            term = sp.diff(e, U[k])
+            for _ in range(k):
+                term = -D(term)
+            total += term
+        return sp.expand(total.subs({U[4]: U[0] - m - mxx, U[3]: U[1] - mx}).subs(U[2], U[0] - m))
+
+    M = U[0] - U[2]
+    conds = {"A": euler((U[0] * f - U[1] * g) * M), "B": euler(f * M), "C": euler((f + D(g) / 2) * M**2)}
+
+    def monomial(powers) -> str:
+        parts = [name if k == 1 else f"{name}^{k}" for name, k in zip(("m", "mx", "mxx"), powers) if k]
+        return "*".join(parts) or "1"
+
+    want = {}
+    for name, cond in conds.items():
+        for powers, c in sp.Poly(cond, m, mx, mxx).terms():
+            want[name, monomial(powers)] = c
+
+    def symbol(name: str):
+        if name in ("u", "ux"):
+            return U[0] if name == "u" else U[1]
+        fn, (i, j) = {"f": f, "g": g}[name[0]], (int(name[2]), int(name[3]))
+        return sp.diff(fn, *([U[0]] * i + [U[1]] * j)) if i + j else fn
+
+    got = {key: sum(sp.Rational(c.numerator, c.denominator) * sp.Mul(*(symbol(s) ** k for s, k in mono))
+                    for mono, c in nf.items())
+           for key, nf in _template_forms().items()}
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert sp.expand(got[key] - want[key]) == 0, key
+
+
+# the reference equations and momentum-family members with and without the pole
+SPLIT_EQUATIONS = CANDIDATE_EQUATIONS + [
+    EquationSpec.from_strings("-0.5*ux*exp(u)", "exp(u)"),
+    EquationSpec.from_strings("ux*(u^2-ux^2)^(1/2) + 0.5*u/(u^2-ux^2)", "sqrt(u^2+1)"),
+]
+
+
+@pytest.mark.parametrize("index", range(len(SPLIT_EQUATIONS)))
+def test_split_sums_to_the_full_conditions(index, full_conditions):
+    # sum_k c_k(u, ux) * m-monomial_k equals A, B and C built whole, to
+    # rounding, at seeded jet points off the loci u = 0, ux = 0 and
+    # u^2 = ux^2 where A, B and C are finite
+    eq = SPLIT_EQUATIONS[index]
+    full = dict(zip("ABC", full_conditions(eq)))
+    coeffs = conslaw._coefficients(eq)
+    assert all(ex.jet_vars(c) <= {ex.U, ex.UX} for c in coeffs.values())
+    rng = np.random.default_rng(1000 + index)
+    checked = 0
+    while checked < 12:
+        u, ux = rng.uniform(0.2, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
+        if min(abs(u), abs(ux), abs(u * u - ux * ux)) < 0.1:
+            continue
+        point = {"u": u, "ux": ux, **dict(zip(("m", "mx", "mxx"), rng.uniform(-2.0, 2.0, 3)))}
+        if not all(math.isfinite(ex.evaluate(cond, point)) for cond in full.values()):
+            continue  # outside the domain of f or g, as y^(1/2) at u^2 < ux^2
+        for name, cond in full.items():
+            # every top-level term of every coefficient, times its monomial
+            terms = [float(t) * ex.evaluate(ex.parse(mono), point)
+                     for (n, mono), c in coeffs.items() if n == name for t in ex.compile_terms(c)(point)]
+            want_terms = [float(t) for t in ex.compile_terms(cond)(point)]
+            scale = max([1.0] + [abs(t) for t in terms + want_terms])
+            assert abs(math.fsum(terms) - math.fsum(want_terms)) <= 1e-12 * scale, (name, point)
+        checked += 1
+
+
+def test_failed_verdict_names_its_monomial():
+    # Novikov: momentum fails; DP: H1 fails; CH: L2(m) fails
+    for eq, field in ((NOVIKOV, "momentum"), (DP, "h1"), (CH, "l2m")):
+        v = getattr(classify(eq, POL), field)
+        assert v.conserved is False
+        assert set(v.witness) == {"u", "ux", "value", "scale", "monomial"}
+        monomials = conslaw._templates()[{"momentum": "B", "h1": "A", "l2m": "C"}[field]]
+        assert v.witness["monomial"] in monomials
+        # the witness is a point where that coefficient is not zero
+        c = conslaw._coefficients(eq)[{"momentum": "B", "h1": "A", "l2m": "C"}[field], v.witness["monomial"]]
+        assert ex.evaluate(c, v.witness) == v.witness["value"] != 0.0
+    rep = classify(CH, POL)
+    assert rep.momentum.witness is None and rep.h1.witness is None
+
+
 def _record_candidates(monkeypatch) -> list:
     tried = []
     real = conslaw._candidate_verdict
 
-    def recording(conds, samples, mu, nu, rel_tol):
-        tried.append((conds, mu, nu, real(conds, samples, mu, nu, rel_tol)))
+    def recording(split, mu, nu, rel_tol):
+        tried.append((split.coeffs, mu, nu, real(split, mu, nu, rel_tol)))
         return tried[-1][-1]
 
     monkeypatch.setattr(conslaw, "_candidate_verdict", recording)
@@ -127,30 +251,45 @@ def _record_candidates(monkeypatch) -> list:
 
 def test_grad_candidates_match_the_built_residual(monkeypatch, plain_candidate_verdict):
     # each candidate (mu, nu) gets the status, and the exact or sampled
-    # path, that is_zero of the residual built as an expression gives
+    # path, that is_zero of its residual rows built as expressions gives.
+    # classify tries candidates only where the m-monomials of C alone
+    # vanish (the L2(m) family), so every equation is also probed at
+    # three fixed points, which most fail
     tried = _record_candidates(monkeypatch)
     for eq in CANDIDATE_EQUATIONS:
         classify(eq, POL)
+    from_classify = len(tried)
+    for eq in CANDIDATE_EQUATIONS:
+        split = conslaw._split_conditions(eq, POL)
+        for mu, nu in ((2.0, 0.0), (3.0, 0.0), (2.0, 1.5)):
+            conslaw._candidate_verdict(split, mu, nu, POL.rel_tol)
     assert len(tried) > len(CANDIDATE_EQUATIONS)
-    for conds, mu, nu, got in tried:
-        want = plain_candidate_verdict(conds, mu, nu, POL)
+    for index, (coeffs, mu, nu, got) in enumerate(tried):
+        want = plain_candidate_verdict(coeffs, mu, nu, POL)
         assert (got.status, got.exact) == (want.status, want.exact), (mu, nu, got, want)
         if got.status == "zero":
-            assert got.residual_max == want.residual_max
+            # (mu-2)*a + nu*b + c of the coefficient sums, against the sum of
+            # the built row's terms: equal where classify tries (mu, nu),
+            # to rounding at the probes
+            if index < from_classify:
+                assert got.residual_max == want.residual_max
+            else:
+                assert got.residual_max == pytest.approx(want.residual_max, abs=1e-14)
     seen = {(v.status, v.exact) for *_, v in tried}
     assert {("zero", True), ("zero", False), ("nonzero", False)} <= seen
 
 
-def _conditions(A: str, B: str, C: str):
-    return tuple(parse(e) for e in (A, B, C))
+def _conditions(A: str, B: str, C: str) -> conslaw._SplitConditions:
+    """Synthetic conditions whose only m-monomial is m, zero-tested as classify's are."""
+    coeffs = {(name, "m"): parse(e) for name, e in zip("ABC", (A, B, C))}
+    return conslaw._SplitConditions.tested(coeffs, POL)
 
 
 @pytest.mark.parametrize("A, B", [("u*ux", "ux^3"), ("ux/u^3", "ux^3/u")])
 def test_grad_energy_point_off_the_nu_axis(A, B):
     # C = 1.5*A - 0.5*B puts the one solution at (mu, nu) = (0.5, 0.5):
     # polynomial conditions take the exact path, rational ones the vote
-    A, B, C = _conditions(A, B, f"1.5*({A})-0.5*({B})")
-    sols = conslaw._solve_grad_energy(A, B, C, is_zero(C, POL), POL)
+    sols = conslaw._solve_grad_energy(_conditions(A, B, f"1.5*({A})-0.5*({B})"), POL)
     assert sols.kind == "point"
     assert sols.mu == pytest.approx(0.5, abs=1e-9) and sols.nu == pytest.approx(0.5, abs=1e-9)
 
@@ -159,19 +298,19 @@ def test_grad_energy_scale_covers_cancelling_coefficients():
     # B = 3*A with terms of size 1e12 and C = 0: the solutions are the line
     # mu - 2 + 3*nu = 0, where (mu-2)*a + nu*b cancels to rounding size,
     # about 1e-4; each point judges it against |mu-2|*s_A and |nu|*s_B
-    A, B, C = _conditions("1e12*ux/u^3", "3e12*ux/u^3", "0")
-    sols = conslaw._solve_grad_energy(A, B, C, is_zero(C, POL), POL)
+    sols = conslaw._solve_grad_energy(_conditions("1e12*ux/u^3", "3e12*ux/u^3", "0"), POL)
     assert sols.kind == "line"
     assert sols.contains(2.0, 0.0) and sols.contains(-1.0, 1.0)
 
 
 def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
-    # one sample of A, B and C serves the fit and every candidate: no
-    # is_zero, no Program but those of A, B and C, and a normal form of
-    # each at most once
-    for eq in (DP, L2FAM, SINGULAR, CANDIDATE_EQUATIONS[9], CANDIDATE_EQUATIONS[10]):
-        A, B, C = grad_energy_conditions(eq)
-        vc = is_zero(C, POL)
+    # one sample of the coefficients serves their zero tests, the fit and
+    # every candidate: no is_zero, no Program but those of the sampled
+    # coefficients, and a normal form of each coefficient at most once.
+    # Candidates are tried only where the m-monomials of C alone vanish:
+    # on members f = -ux*h'(u)/2, g = h(u) of the L2(m) family
+    for eq in (L2FAM, SINGULAR, CANDIDATE_EQUATIONS[-1], EquationSpec.from_strings("-0.5*ux*exp(u)", "exp(u)"),
+               EquationSpec.from_strings("-0.5*ux*u/sqrt(u^2+1)", "sqrt(u^2+1)")):
         sampled, programs, forms = [], [], []
         real_sample, real_program, real_nf = ex.sample, ex.Program, ex.poly_normal_form
 
@@ -191,30 +330,33 @@ def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
         def no_is_zero(e, policy=None):
             raise AssertionError("is_zero called")
 
+        coeffs = conslaw._coefficients(eq)
         tried = _record_candidates(monkeypatch)
         monkeypatch.setattr(ex, "sample", counting_sample)
         monkeypatch.setattr(ex, "Program", CountingProgram)
         monkeypatch.setattr(ex, "poly_normal_form", counting_nf)
         monkeypatch.setattr(conslaw, "is_zero", no_is_zero)
-        conslaw._solve_grad_energy(A, B, C, vc, POL)
+        conslaw._solve_grad_energy(conslaw._SplitConditions.tested(coeffs, POL), POL)
         monkeypatch.undo()
         assert tried
-        assert len(sampled) == 1 and [e is c for e, c in zip(sampled[0], (A, B, C))] == [True] * 3
-        assert all(any(e is c for c in (A, B)) for e in programs)
-        assert all(any(e is c for c in (A, B)) for e in forms)
+        inexact = [c for c in coeffs.values() if c._poly != {}]
+        assert len(sampled) == 1 and len(sampled[0]) == len(inexact)
+        assert all(e is c for e, c in zip(sampled[0], inexact))
+        assert all(any(e is c for c in inexact) for e in programs)
+        assert all(any(e is c for c in coeffs.values()) for e in forms)
         assert len({id(e) for e in forms}) == len(forms)
-    # classify takes the normal form of each condition at most once (a
+    # classify takes the normal form of each coefficient at most once (a
     # shared constant such as ZERO keeps its own), for its zero test, and
     # the candidates reuse it
     for eq in (L2FAM, CANDIDATE_EQUATIONS[10]):
-        forms, conds = [], []
+        forms, splits = [], []
         real_nf = ex.poly_normal_form
         monkeypatch.setattr(ex, "poly_normal_form", lambda e: forms.append(e) or real_nf(e))
-        monkeypatch.setattr(conslaw, "grad_energy_conditions", _keep(conslaw.grad_energy_conditions, conds))
+        monkeypatch.setattr(conslaw, "_split_conditions", _keep(conslaw._split_conditions, splits))
         classify(eq, POL)
         monkeypatch.undo()
-        assert len(conds) == 1
-        assert all(sum(e is c for e in forms) <= 1 for c in conds[0])
+        assert len(splits) == 1
+        assert all(sum(e is c for e in forms) <= 1 for c in splits[0].coeffs.values())
 
 
 def _keep(fn, out: list):
@@ -248,25 +390,42 @@ def test_known_equation_grid(name):
 
 
 def test_classify_builds_each_condition_once(monkeypatch):
-    real_euler_u, real_is_zero = conslaw.euler_u, conslaw.is_zero
-    built, tested = [], []
+    # euler_u builds the three templates on the first classify of a process
+    # and runs no more: every later classify only substitutes partials of
+    # f and g into them and samples the coefficients, each once
+    real_euler_u = conslaw.euler_u
+    built, sampled = [], []
 
     def counting_euler_u(e):
         built.append(real_euler_u(e))
         return built[-1]
 
-    def counting_is_zero(e, policy=None):
-        tested.append(e)
-        return real_is_zero(e, policy)
-
+    real_sample = ex.sample
     monkeypatch.setattr(conslaw, "euler_u", counting_euler_u)
-    monkeypatch.setattr(conslaw, "is_zero", counting_is_zero)
+    monkeypatch.setattr(ex, "sample", lambda exprs, policy: sampled.append(list(exprs)) or real_sample(exprs, policy))
+    monkeypatch.setattr(conslaw, "is_zero", _no_is_zero_of(conslaw.is_zero, lambda: sampled[0]))
+    conslaw._templates.cache_clear()
+    per_classify = []
     # the momentum/H1 overlap instance: every verdict and both fluxes
-    rep = classify(EquationSpec.from_strings("ux*(u^2-ux^2)", "u*(u^2-ux^2)+(u^2-ux^2)"), POL)
-    assert rep.momentum.conserved and rep.h1.conserved
-    assert len(built) == 3
-    for cond in built:
-        assert sum(e is cond for e in tested) <= 1
+    eq = EquationSpec.from_strings("ux*(u^2-ux^2)", "u*(u^2-ux^2)+(u^2-ux^2)")
+    for _ in range(3):
+        sampled.clear()
+        before = len(built)
+        rep = classify(eq, POL)
+        per_classify.append(len(built) - before)
+        assert rep.momentum.conserved and rep.h1.conserved
+        assert len({id(e) for e in sampled[0]}) == len(sampled[0])
+    monkeypatch.undo()
+    assert per_classify == [3, 0, 0]
+    assert conslaw.euler_u is ex.euler_u
+
+
+def _no_is_zero_of(is_zero_fn, coefficients):
+    """is_zero that fails on any of the coefficients the verdicts sampled."""
+    def checked(e, policy=None):
+        assert not any(e is c for c in coefficients()), "a coefficient was zero-tested again"
+        return is_zero_fn(e, policy)
+    return checked
 
 
 def test_singular_family_report():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from peakonlaws import expr
-from peakonlaws.conslaw import EquationSpec, classify, grad_energy_conditions, upsilon
+from peakonlaws.conslaw import EquationSpec, classify, upsilon
 from peakonlaws.expr import (
     Add,
     ExprError,
@@ -295,6 +295,26 @@ def test_is_zero_trivial_and_witness():
     assert set(v.witness) >= {"u", "ux", "value", "scale"}
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rel_tol", float("nan")), ("rel_tol", float("inf")), ("rel_tol", 0.0), ("rel_tol", -1e-9),
+    ("low", float("nan")), ("low", 0.0), ("low", -0.2), ("low", 2.0), ("low", 3.0),
+    ("high", float("nan")), ("high", float("inf")), ("high", 0.1),
+    ("delta", float("nan")), ("delta", float("inf")), ("delta", -0.1),
+    ("n_points", 0), ("n_points", 2.5), ("n_points", True), ("n_points", "20"),
+    ("max_tries", 0), ("max_tries", 1.0), ("max_tries", -3),
+])
+def test_sampling_policy_rejects_bad_values(field, value):
+    with pytest.raises(ExprError, match=field):
+        SamplingPolicy(**{field: value})
+
+
+def test_sampling_policy_accepts_edge_values():
+    SamplingPolicy(n_points=1, max_tries=1, delta=0.0, low=1e-3, high=1.5e-3, rel_tol=1e-15)
+    SamplingPolicy(n_points=np.int64(5), low=np.float64(0.5))
+    # with a nan tolerance every point voted "nonzero" on this identity
+    assert is_zero(parse("exp(u)*exp(ux) - exp(u+ux)"), SamplingPolicy()).is_zero
+
+
 def test_is_zero_resamples_function_domains():
     # arctanh only defined on |u| < 1: valid points must still be found
     e = sub(fn("arctanh", mul(0.4, parse("u"))), fn("arctanh", mul(0.4, parse("u"))))
@@ -484,6 +504,48 @@ def test_traversals_match_plain_recursion(f, g, plain_derive, plain_substitute, 
 
 
 # ---------------------------------------------------------------------------
+# placeholder partials of an unknown f(u, ux)
+
+
+def test_partial_placeholder_rules():
+    P = expr.Partial
+    F = P("f", 1, 2)
+    assert diff(F, "u") == P("f", 2, 2) and diff(F, "ux") == P("f", 1, 3)
+    assert diff(F, "m") == const(0.0) and diff(F, "x") == const(0.0)
+    # the chain rule through u and ux: D_x u = ux, D_x ux = u - m
+    want = add(mul(var("ux"), P("f", 2, 2)), mul(sub(var("u"), var("m")), P("f", 1, 3)))
+    assert poly_normal_form(sub(d_x(F), want)) == {}
+    assert poly_normal_form(sub(d_t(F), add(mul(var("ut"), P("f", 2, 2)), mul(var("utx"), P("f", 1, 3))))) == {}
+    assert poly_normal_form(mul(2, F, var("u"))) == {(("f_12", 1), ("u", 1)): Fraction(2)}
+    assert jet_vars(mul(F, var("m"))) == {JetVar("m")}
+    # the same placeholder is one node, f and g are not
+    assert mul(F, P("f", 1, 2)) == pow_(F, 2) and add(F, P("g", 1, 2)) != mul(2, F)
+
+
+def test_partial_placeholders_never_evaluate_print_or_parse():
+    e = add(var("u"), mul(var("ux"), expr.Partial("g", 0, 1)))
+    with pytest.raises(ExprError):
+        compile_terms(e)
+    with pytest.raises(ExprError):
+        to_source(e)
+    with pytest.raises(ExprError):
+        is_zero(e)
+    with pytest.raises(ParseError):
+        parse("g_01")
+
+
+def test_bind_partials_substitutes_every_placeholder():
+    f = parse("u^3*ux + ux/u")
+    derivative = {(0, 0): f, (1, 0): diff(f, "u"), (0, 1): diff(f, "ux"), (1, 1): diff(diff(f, "u"), "ux")}
+    P = expr.Partial
+    template = add(P("f"), mul(var("u"), P("f", 1, 0)), mul(2, var("ux"), P("f", 1, 1)), P("f", 0, 1))
+    got = expr.bind_partials(template, lambda p: derivative[p.i, p.j])
+    want = parse("u^3*ux + ux/u + u*(3*u^2*ux - ux/u^2) + 2*ux*(3*u^2 - 1/u^2) + u^3 + 1/u")
+    assert is_zero(sub(got, want)).is_zero
+    assert expr.bind_partials(var("m"), lambda p: 1 / 0) == var("m")
+
+
+# ---------------------------------------------------------------------------
 # the Euler operators in the m-jet chart
 
 
@@ -592,8 +654,8 @@ def _same_bits(a, b) -> bool:
 
 
 @pytest.mark.parametrize("f, g", TRAVERSAL_EQUATIONS)
-def test_program_equals_plain_evaluation(f, g, plain_terms):
-    conditions = grad_energy_conditions(EquationSpec.from_strings(f, g))
+def test_program_equals_plain_evaluation(f, g, plain_terms, full_conditions):
+    conditions = full_conditions(EquationSpec.from_strings(f, g))
     env = _condition_grid()
     together = expr.Program(conditions)(env)
     for c, terms in zip(conditions, together, strict=True):
@@ -636,8 +698,8 @@ def test_sample_values_equal_plain_terms(plain_terms):
         assert _same_bits(scales, np.array([max(1.0, np.max(np.abs(col))) for col in cols.T]))
 
 
-def test_sample_reuses_each_expression_program(monkeypatch):
-    conditions = grad_energy_conditions(EquationSpec.from_strings(*TRAVERSAL_EQUATIONS[7]))
+def test_sample_reuses_each_expression_program(monkeypatch, full_conditions):
+    conditions = full_conditions(EquationSpec.from_strings(*TRAVERSAL_EQUATIONS[7]))
     policy = SamplingPolicy(seed=3)
     for c in conditions:
         expr.sample([c], policy)
