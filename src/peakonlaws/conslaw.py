@@ -179,8 +179,9 @@ def _templates() -> dict:
         "B": euler_u(mul(f, _M)),
         "C": euler_u(mul(add(f, mul(0.5, d_x(g))), pow_(_M, 2))),
     }
-    leaves = {"u": _U, "ux": _UX}
-    leaves.update((p.name, p) for p in (ex.Partial(of, i, n - i) for of in "fg" for n in range(4) for i in range(n + 1)))
+    # the symbols of the normal forms: u, ux and the partials up to order 3
+    partials = [ex.Partial(of, i, n - i) for of in "fg" for n in range(4) for i in range(n + 1)]
+    leaves = {"u": _U, "ux": _UX, **{p.name: p for p in partials}}
     out = {}
     for name, cond in conds.items():
         split: dict = {}

@@ -224,14 +224,13 @@ def test_split_sums_to_the_full_conditions(index, full_conditions):
 
 def test_failed_verdict_names_its_monomial():
     # Novikov: momentum fails; DP: H1 fails; CH: L2(m) fails
-    for eq, field in ((NOVIKOV, "momentum"), (DP, "h1"), (CH, "l2m")):
+    for eq, field, cond in ((NOVIKOV, "momentum", "B"), (DP, "h1", "A"), (CH, "l2m", "C")):
         v = getattr(classify(eq, POL), field)
         assert v.conserved is False
         assert set(v.witness) == {"u", "ux", "value", "scale", "monomial"}
-        monomials = conslaw._templates()[{"momentum": "B", "h1": "A", "l2m": "C"}[field]]
-        assert v.witness["monomial"] in monomials
+        assert v.witness["monomial"] in conslaw._templates()[cond]
         # the witness is a point where that coefficient is not zero
-        c = conslaw._coefficients(eq)[{"momentum": "B", "h1": "A", "l2m": "C"}[field], v.witness["monomial"]]
+        c = conslaw._coefficients(eq)[cond, v.witness["monomial"]]
         assert ex.evaluate(c, v.witness) == v.witness["value"] != 0.0
     rep = classify(CH, POL)
     assert rep.momentum.witness is None and rep.h1.witness is None
