@@ -69,11 +69,12 @@ def cmd_classify(args) -> int:
     try:
         params = _parse_params(args.param)
         eq = EquationSpec.from_strings(args.f, args.g, params)
+        policy = _policy(args)
     except (ParseError, ExprError, ValueError) as err:
         _report_parse_error(err, {"f": args.f, "g": args.g})
         return 1
     try:
-        report = classify(eq, _policy(args))
+        report = classify(eq, policy)
     except SingularSamplingError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -191,11 +192,12 @@ def cmd_verify(args) -> int:
                 bind_params(cur.Phi, params),
                 bind_params(cur.Q, params),
             )
+        policy = _policy(args)
     except (ParseError, ExprError, ValueError) as err:
         _report_parse_error(err, {"T": args.T, "Phi": args.Phi, "Q": args.Q})
         return 1
     try:
-        verdict = characteristic_check(cur, eq, _policy(args))
+        verdict = characteristic_check(cur, eq, policy)
     except SingularSamplingError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -218,25 +218,28 @@ class _SplitConditions:
     """The m-monomial coefficients of A, B and C, zero-tested on one shared sample.
 
     coeffs maps (condition, m-monomial) to the coefficient expression in
-    (u, ux).  A coefficient whose normal form is empty is an exact zero;
-    the others are sampled together, once, and each votes on its own row
-    of samples.values and samples.scales.
+    (u, ux), and forms to its normal form, all taken in one call.  A
+    coefficient whose normal form is empty is an exact zero; the others
+    are sampled together, once, and each votes on its own row of
+    samples.values and samples.scales.
     """
 
     coeffs: dict
+    forms: dict  # (condition, m-monomial) -> normal form of the coefficient, or None
     samples: ex.Samples | None
     rows: dict  # (condition, m-monomial) -> row of samples, for the sampled ones
     verdicts: dict
 
     @staticmethod
     def tested(coeffs: dict, policy: SamplingPolicy) -> "_SplitConditions":
-        pending = [k for k, e in coeffs.items() if e._poly != {}]
+        forms = dict(zip(coeffs, ex.poly_normal_forms(list(coeffs.values()))))
+        pending = [k for k in coeffs if forms[k] != {}]
         samples = ex.sample([coeffs[k] for k in pending], policy) if pending else None
         verdicts = {k: ZeroVerdict("zero", 0.0, None, exact=True) for k in coeffs}
         for row, k in enumerate(pending):
             v = ex.vote(samples, samples.values[row], samples.scales[row], policy.rel_tol)
             verdicts[k] = _named(v, k[1])
-        return _SplitConditions(coeffs, samples, {k: row for row, k in enumerate(pending)}, verdicts)
+        return _SplitConditions(coeffs, forms, samples, {k: row for row, k in enumerate(pending)}, verdicts)
 
     def monomials(self, name: str) -> list:
         return [mono for cond, mono in self.coeffs if cond == name]
@@ -371,7 +374,7 @@ def _candidate_verdict(split: _SplitConditions, mu: float, nu: float, rel_tol: f
     """
     weights = (mu - 2.0, nu, 1.0)
     rows = [[(name, row) for name in "ABC"] for row in _AFFINE_ROWS]
-    forms = [[split.coeffs[k]._poly if k in split.coeffs else {} for k in keys] for keys in rows]
+    forms = [[split.forms.get(k, {}) for k in keys] for keys in rows]
     if all(nf is not None for row_forms in forms for nf in row_forms):
         combined = [{} for _ in rows]
         for total, row_forms in zip(combined, forms):
@@ -503,8 +506,8 @@ def _pole_coefficient(w: Expr) -> float:
     comes of it, because the recognizer rejects what is left.
     """
     u0, ux0 = 1.3, 0.6
-    even = 0.5 * (ex.evaluate(w, {"u": u0, "ux": ux0}) + ex.evaluate(w, {"u": u0, "ux": -ux0}))
-    est = even * (u0 * u0 - ux0 * ux0) / u0
+    plus, minus = ex.evaluate(w, {"u": np.array([u0, u0]), "ux": np.array([ux0, -ux0])})
+    est = 0.5 * float(plus + minus) * (u0 * u0 - ux0 * ux0) / u0
     if not math.isfinite(est):
         return 0.0
     snapped = Fraction(est).limit_denominator(1000)
@@ -605,17 +608,11 @@ def _recognize_y_function(w: Expr) -> _Recognized | None:
     if exact is not None:
         return _Recognized(_Y, tuple(exact))
 
-    def q_at(y: float, ux0: float) -> float:
-        u0 = math.sqrt(y + ux0 * ux0)
-        v = ex.evaluate(w, {"u": u0, "ux": ux0})
-        return v / ux0
-
+    # q = w/ux on the lines ux = 0.7 and ux = 1.1, at the same ten values of y
     ys = np.linspace(0.4, 2.2, 10)
-    try:
-        q1 = np.array([q_at(y, 0.7) for y in ys])
-        q2 = np.array([q_at(y, 1.1) for y in ys])
-    except (ValueError, OverflowError):
-        return None
+    uxs = np.repeat([0.7, 1.1], len(ys))
+    u0s = np.sqrt(np.tile(ys, 2) + uxs * uxs)
+    q1, q2 = (ex.evaluate(w, {"u": u0s, "ux": uxs}) / uxs).reshape(2, -1)
     if not (np.all(np.isfinite(q1)) and np.all(np.isfinite(q2))):
         return None
     scale = max(1.0, float(np.max(np.abs(q1))))
@@ -709,11 +706,7 @@ def _integral_in_u(g: Expr) -> Expr | None:
         clist = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]
         return _Recognized(_U, tuple(clist)).antiderivative()
     us = np.linspace(0.5, 2.5, 9)
-    try:
-        vals = np.array([ex.evaluate(g, {"u": float(u0)}) for u0 in us])
-    except (ValueError, OverflowError):
-        return None
-    fit = _power_fit(us, vals)
+    fit = _power_fit(us, ex.evaluate(g, {"u": us}))
     if fit is None:
         return None
     rec = _validated(g, ex.ONE, _Recognized(_U, c=fit[0], r=fit[1]))

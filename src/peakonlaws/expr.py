@@ -13,21 +13,23 @@ in the canonical chart.
 There is one evaluator: a Program compiles a sequence of expressions, once,
 into one straight-line program that gives the values of each one's
 top-level terms on floats or numpy arrays alike, NaN wherever a power or
-function leaves its domain.  compile_terms is its view for one expression,
-kept on the expression; evaluate and evaluate_with_scale sum those terms
-with fsum.  The solver runs f and g as one program, and the sampler each
-expression with its own.  There is one sampler: sample draws seeded jet
-points shared by a sequence of expressions and judges the candidates a
-block at a time; sample_points is its view for one expression.
+function leaves its domain.  compile_terms is its view for one expression;
+evaluate and evaluate_with_scale sum those terms with fsum.  The solver
+runs f and g as one program, and the sampler the expressions of one call
+as one program.  There is one sampler: sample draws seeded jet points
+shared by a sequence of expressions and judges the candidates a block at
+a time; sample_points is its view for one expression.
 
 Trees share subtrees freely, so the kernel works once per distinct node.
 Each node computes its hash once, when it is built, and == compares the
 fields only of nodes whose hashes agree.  Every traversal (Program, the
 derivatives d_x, d_t, diff and euler_u, substitute, jet_vars,
-param_names, poly_normal_form) visits each distinct node once per call,
+param_names, poly_normal_forms) visits each distinct node once per call,
 and a Program computes each distinct node once per call: a subtree shared
 by several parents is compiled, evaluated, derived, expanded or rebuilt
-once.
+once.  Nodes hold their fields and hash only; a batch API (Program,
+sample, poly_normal_forms) shares its work across the expressions of one
+call, and nothing is kept between calls.
 
 Partial is a placeholder for a partial derivative of an unknown function
 of (u, ux).  The derivatives and poly_normal_form know it, so euler_u
@@ -36,9 +38,9 @@ an equation's partials in its place.  The evaluator, the printer and the
 parser reject it.
 
 Everything here is immutable and side-effect free; randomized zero testing
-takes an explicit SamplingPolicy carrying its own seed.  is_zero keeps the
-polynomial normal form on the expression, as compile_terms keeps the
-program, and vote is its verdict rule on sampled values.
+takes an explicit SamplingPolicy carrying its own seed.  is_zero tries the
+polynomial normal form first, and vote is its verdict rule on sampled
+values.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -93,6 +94,7 @@ __all__ = [
     "euler_u",
     "euler_ut",
     "poly_normal_form",
+    "poly_normal_forms",
     "SamplingPolicy",
     "ZeroVerdict",
     "is_zero",
@@ -226,8 +228,7 @@ class Expr:
 
     def __reduce__(self):
         # rebuild from the fields: a string's hash, and with it the cached
-        # one, differs between processes, and a compiled closure cannot be
-        # pickled
+        # one, differs between processes
         return self.__class__, self._fields()
 
     def __add__(self, other):
@@ -262,14 +263,6 @@ class Expr:
 
     def __str__(self):
         return to_source(self)
-
-    @cached_property
-    def _program(self) -> "Program":  # see compile_terms
-        return Program((self,))
-
-    @cached_property
-    def _poly(self) -> "_PolyT | None":  # see is_zero; shared, never mutated
-        return poly_normal_form(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -701,21 +694,34 @@ def compile_terms(e: Expr) -> Callable[[Mapping], list]:
     of one shape).  Sums and products combine left to right.  A domain
     violation (0 to a negative power, ln of x <= 0, sqrt of x < 0,
     arctanh of |x| >= 1) yields NaN, which propagates; nothing raises but
-    a missing name.  The Program of [e], built once per expression object
-    and kept on it.
+    a missing name.  The Program of [e], compiled anew on every call.
     """
-    program = e._program
+    program = Program((e,))
     return lambda env: program(env)[0]
 
 
-def evaluate(e: Expr, point: Mapping[str, float]) -> float:
+def _fsum(terms) -> float:
+    """math.fsum of terms; their plain float sum where fsum raises (inf - inf, overflow)."""
+    try:
+        return math.fsum(terms)
+    except (ValueError, OverflowError):
+        return sum(map(float, terms))
+
+
+def evaluate(e: Expr, point: Mapping) -> float | np.ndarray:
     """Evaluate at a point mapping variable/parameter names to values.
 
     The top-level terms are summed with fsum.  Domain violations (log of a
     negative number, division by zero, ...) yield NaN rather than raising;
-    is_zero re-samples such points.
+    is_zero re-samples such points.  Values may be 1-D arrays, one entry
+    per point: then the result is the array of the fsums at each point.
     """
-    return math.fsum(compile_terms(e)(point))
+    terms = compile_terms(e)(point)
+    shape = np.broadcast_shapes(*map(np.shape, point.values()), *map(np.shape, terms))
+    if not shape:
+        return _fsum(terms)
+    columns = np.array([np.broadcast_to(t, shape) for t in terms])
+    return np.array([_fsum(col) for col in columns.T])
 
 
 def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, float]:
@@ -726,7 +732,7 @@ def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, flo
     not masquerade as exact zeros.
     """
     vals = [float(v) for v in compile_terms(e)(point)]
-    return math.fsum(vals), max(1.0, *map(abs, vals))
+    return _fsum(vals), max(1.0, *map(abs, vals))
 
 
 # ---------------------------------------------------------------------------
@@ -927,14 +933,11 @@ def _accumulate(out: _PolyT, m: tuple, c: Fraction):
     out[m] = c
 
 
-def poly_normal_form(e: Expr) -> _PolyT | None:
-    """Expand to an exact multivariate polynomial over the rationals.
+def poly_normal_forms(exprs: Sequence[Expr]) -> list:
+    """The exact normal form of each of exprs (see poly_normal_form), on one memo.
 
-    Returns None when the expression is not polynomial in the jet
-    variables and parameters (negative/fractional powers of non-constant
-    bases, elementary functions of non-constant arguments).  Each distinct
-    node is expanded once per call; the expansion stops at the first
-    non-polynomial term it meets.
+    Each distinct node under exprs is expanded once per call, however many
+    of exprs share it.  The forms may share dicts; callers never mutate them.
     """
     memo: dict = {}  # id(node) -> its normal form; shared, never mutated
 
@@ -943,7 +946,20 @@ def poly_normal_form(e: Expr) -> _PolyT | None:
             memo[id(n)] = _normal_form(n, nf)
         return memo[id(n)]
 
-    return nf(e)
+    return [nf(e) for e in exprs]
+
+
+def poly_normal_form(e: Expr) -> _PolyT | None:
+    """Expand to an exact multivariate polynomial over the rationals.
+
+    Returns None when the expression is not polynomial in the jet
+    variables and parameters (negative/fractional powers of non-constant
+    bases, elementary functions of non-constant arguments).  Each distinct
+    node is expanded once per call; the expansion stops at the first
+    non-polynomial term it meets.  poly_normal_forms([e]) for one
+    expression.
+    """
+    return poly_normal_forms([e])[0]
 
 
 def _normal_form(e: Expr, nf: Callable[[Expr], _PolyT | None]) -> _PolyT | None:
@@ -1022,10 +1038,10 @@ class SamplingPolicy:
     max_tries: int = 400
 
     def __post_init__(self):
-        for name in ("n_points", "max_tries"):
+        for name, least in (("n_points", 1), ("max_tries", 1), ("seed", 0)):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise ExprError(f"{name} must be an integer >= 1, got {v!r}")
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < least:
+                raise ExprError(f"{name} must be an integer >= {least}, got {v!r}")
         for name in ("rel_tol", "low", "high", "delta"):
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
@@ -1086,12 +1102,13 @@ def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
     symbols.  They are judged a block at a time: a candidate is admissible
     off the singular loci (see SamplingPolicy) where every expression
     evaluates finitely.  At most max_tries * n_points candidates are drawn.
-    Each expression is evaluated by its own cached program (compile_terms).
+    The expressions are compiled as one Program, once per call, and each
+    block of candidates is evaluated by one call of it.
     """
-    programs = [e._program for e in exprs]
+    program = Program(exprs)
     names = []
     for kind in ("variable", "parameter"):
-        names += sorted({name for p in programs for _, name, k in p._loads if k == kind})
+        names += sorted(name for _, name, k in program._loads if k == kind)
     rng = np.random.default_rng(policy.seed)
     n, dim, budget = policy.n_points, len(names), policy.max_tries * policy.n_points
     points, terms, tries = [], [[] for _ in exprs], 0
@@ -1109,7 +1126,7 @@ def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
             for _ in range(count)
         ]).reshape(count, dim)
         env = dict(zip(names, pts.T))
-        vals = [np.array([np.broadcast_to(v, (count,)) for v in p(env)[0]]) for p in programs]
+        vals = [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in program(env)]
         admissible = ~_near_poles(env, policy.delta, count)
         for v in vals:
             admissible &= np.isfinite(v).all(axis=0)
@@ -1118,7 +1135,7 @@ def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
             for cols, v in zip(terms, vals):
                 cols.append(v[:, j])
     rows = [np.array(cols) for cols in terms]  # (n_points, terms) per expression
-    values = np.array([[math.fsum(row) for row in r] for r in rows])
+    values = np.array([[_fsum(row) for row in r] for r in rows])
     scales = np.array([np.maximum(1.0, np.abs(r).max(axis=1)) for r in rows])
     return Samples(names, np.array(points).reshape(n, dim), values, scales)
 
@@ -1156,12 +1173,12 @@ def vote(samples: Samples, values: np.ndarray, scales: np.ndarray, rel_tol: floa
 def is_zero(e: Expr, policy: SamplingPolicy | None = None) -> ZeroVerdict:
     """Randomized zero test with an exact fast path for polynomial input.
 
-    A polynomial e whose normal form (kept on e) is empty is an exact
-    zero.  Otherwise e is sampled and each point votes (see vote), with
-    scale the largest top-level additive term there (floored at 1).
+    A polynomial e whose normal form is empty is an exact zero.
+    Otherwise e is sampled and each point votes (see vote), with scale the
+    largest top-level additive term there (floored at 1).
     """
     policy = policy or SamplingPolicy()
-    nf = e._poly
+    nf = poly_normal_form(e)
     if nf is not None and not nf:
         return ZeroVerdict("zero", 0.0, None, exact=True)
     s = sample([e], policy)

@@ -42,7 +42,6 @@ __all__ = [
     "helmholtz_u",
     "eval_on_grid",
     "rhs",
-    "step_rk4",
     "run",
     "initial_data",
     "check_apriori_bounds",
@@ -418,7 +417,7 @@ class Stepper:
         return mh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def check_cfl(self, state: GridState, dt: float):
-        """Warn when dt*max|g|*N/L > 1, at the line calling step_rk4 or run."""
+        """Warn when dt*max|g|*N/L > 1, at the line calling run."""
         gmax = float(np.max(np.abs(self._fg(state.u, state.ux)[1])))
         if dt * gmax * self.grid.n / self.grid.length > 1.0:
             warnings.warn("CFL sanity exceeded: dt*max|g|*N/L > 1", RuntimeWarning, stacklevel=3)
@@ -426,8 +425,9 @@ class Stepper:
 
 @lru_cache(maxsize=8)
 def _fg_program(f: ex.Expr, g: ex.Expr) -> ex.Program:
-    # one program per equation, not per stepper: rhs and step_rk4 build a
-    # stepper per call, and compiling f and g takes about a tenth of a step
+    # one program per equation, not per stepper: run probes f and g at u = 0
+    # before it builds its stepper, rhs builds a stepper per call, and
+    # compiling f and g takes about a tenth of a step
     return ex.Program([f, g])
 
 
@@ -437,22 +437,6 @@ def rhs(grid: Grid, state: GridState, eq: EquationSpec, dealias: bool = True) ->
     u and u_x are taken from the state, as GridState.from_m makes them.
     """
     return np.fft.irfft(Stepper(grid, eq, dealias).rates(state.u, state.ux, state.m), n=grid.n)
-
-
-def step_rk4(
-    grid: Grid, state: GridState, eq: EquationSpec, dt: float,
-    dealias: bool = True, blowup_threshold: float = 1e3,
-) -> GridState:
-    """One classical RK4 step; raises SingularHit past the gradient threshold.
-
-    Stage 1 takes u and u_x from the state, as GridState.from_m makes them.
-    """
-    stepper = Stepper(grid, eq, dealias)
-    stepper.check_cfl(state, dt)
-    new = stepper.state(stepper.step(np.fft.rfft(state.m), state, dt), state.t + dt)
-    if float(np.max(np.abs(new.ux))) > blowup_threshold:
-        raise SingularHit("wave-breaking detected: sup|u_x| crossed the threshold")
-    return new
 
 
 # ---------------------------------------------------------------------------

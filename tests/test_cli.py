@@ -38,6 +38,14 @@ def test_classify_rejects_degenerate_equation(capsys):
     assert "degenerate" in err
 
 
+def test_bad_seed_is_an_error(capsys):
+    for command in (["classify", "--f", "ux", "--g", "u"],
+                    ["verify", "--T", "u", "--Phi", "u*m", "--Q", "1", "--f", "ux", "--g", "u"]):
+        code, out, err = run_cli(capsys, "--seed", "-1", *command)
+        assert code == 1 and out == ""
+        assert err.startswith("error: seed must be an integer >= 0"), err
+
+
 def test_classify_parse_error_with_caret(capsys):
     code, _, err = run_cli(capsys, "classify", "--f", "ux +* u", "--g", "u")
     assert code == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -304,58 +305,74 @@ def test_grad_energy_scale_covers_cancelling_coefficients():
 
 def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
     # one sample of the coefficients serves their zero tests, the fit and
-    # every candidate: no is_zero, no Program but those of the sampled
-    # coefficients, and a normal form of each coefficient at most once.
+    # every candidate: no is_zero, one Program, over the sampled
+    # coefficients, and one poly_normal_forms call, over all of them.
     # Candidates are tried only where the m-monomials of C alone vanish:
     # on members f = -ux*h'(u)/2, g = h(u) of the L2(m) family
     for eq in (L2FAM, SINGULAR, CANDIDATE_EQUATIONS[-1], EquationSpec.from_strings("-0.5*ux*exp(u)", "exp(u)"),
                EquationSpec.from_strings("-0.5*ux*u/sqrt(u^2+1)", "sqrt(u^2+1)")):
         sampled, programs, forms = [], [], []
-        real_sample, real_program, real_nf = ex.sample, ex.Program, ex.poly_normal_form
+        real_sample, real_program, real_forms = ex.sample, ex.Program, ex.poly_normal_forms
 
         class CountingProgram(real_program):
             def __init__(self, exprs):
-                programs.extend(exprs)
+                programs.append(list(exprs))
                 super().__init__(exprs)
 
         def counting_sample(exprs, policy):
             sampled.append(list(exprs))
             return real_sample(exprs, policy)
 
-        def counting_nf(e):
-            forms.append(e)
-            return real_nf(e)
+        def counting_forms(exprs):
+            forms.append(list(exprs))
+            return real_forms(exprs)
 
         def no_is_zero(e, policy=None):
             raise AssertionError("is_zero called")
 
         coeffs = conslaw._coefficients(eq)
+        inexact = [c for c, nf in zip(coeffs.values(), real_forms(list(coeffs.values()))) if nf != {}]
         tried = _record_candidates(monkeypatch)
         monkeypatch.setattr(ex, "sample", counting_sample)
         monkeypatch.setattr(ex, "Program", CountingProgram)
-        monkeypatch.setattr(ex, "poly_normal_form", counting_nf)
+        monkeypatch.setattr(ex, "poly_normal_forms", counting_forms)
         monkeypatch.setattr(conslaw, "is_zero", no_is_zero)
         conslaw._solve_grad_energy(conslaw._SplitConditions.tested(coeffs, POL), POL)
         monkeypatch.undo()
         assert tried
-        inexact = [c for c in coeffs.values() if c._poly != {}]
-        assert len(sampled) == 1 and len(sampled[0]) == len(inexact)
-        assert all(e is c for e, c in zip(sampled[0], inexact))
-        assert all(any(e is c for c in inexact) for e in programs)
-        assert all(any(e is c for c in coeffs.values()) for e in forms)
-        assert len({id(e) for e in forms}) == len(forms)
-    # classify takes the normal form of each coefficient at most once (a
-    # shared constant such as ZERO keeps its own), for its zero test, and
-    # the candidates reuse it
+        for calls, want in ((sampled, inexact), (programs, inexact), (forms, list(coeffs.values()))):
+            assert len(calls) == 1 and len(calls[0]) == len(want)
+            assert all(e is c for e, c in zip(calls[0], want))
+    # classify expands its coefficients in one poly_normal_forms call, over
+    # exactly those coefficients, and the candidates reuse the forms; the
+    # flux builders expand expressions of their own
     for eq in (L2FAM, CANDIDATE_EQUATIONS[10]):
         forms, splits = [], []
-        real_nf = ex.poly_normal_form
-        monkeypatch.setattr(ex, "poly_normal_form", lambda e: forms.append(e) or real_nf(e))
+        real_forms = ex.poly_normal_forms
+        monkeypatch.setattr(ex, "poly_normal_forms", lambda exprs: forms.append(list(exprs)) or real_forms(exprs))
         monkeypatch.setattr(conslaw, "_split_conditions", _keep(conslaw._split_conditions, splits))
         classify(eq, POL)
         monkeypatch.undo()
         assert len(splits) == 1
-        assert all(sum(e is c for e in forms) <= 1 for c in splits[0].coeffs.values())
+        coeffs = list(splits[0].coeffs.values())
+        of_coeffs = [f for f in forms if any(e is c for e in f for c in coeffs)]
+        assert len(of_coeffs) == 1 and len(of_coeffs[0]) == len(coeffs)
+        assert all(e is c for e, c in zip(of_coeffs[0], coeffs))
+
+
+def test_nodes_hold_only_their_fields():
+    # expressions are plain values: classify and the flux builders leave no
+    # compiled program, normal form or other state on any node they read
+    currents = []
+    for eq in CANDIDATE_EQUATIONS:
+        currents += classify(eq, POL).fluxes
+        currents += [flux_momentum(eq), flux_h1(eq), flux_grad_energy(eq, 3.0, 0.5), flux_grad_energy(eq, 2.0, 3.7)]
+    roots = [e for eq in CANDIDATE_EQUATIONS for e in (eq.bound_f, eq.bound_g)]
+    roots += [c for split in conslaw._templates().values() for c in split.values()]
+    roots += [e for cur in currents if cur is not None for e in (cur.T, cur.Phi, cur.Q)]
+    assert len(roots) > 2 * len(CANDIDATE_EQUATIONS) + 14
+    for n, _ in ex._nodes(roots):
+        assert set(vars(n)) == {f.name for f in dataclasses.fields(n)} | {"_hash"}, n
 
 
 def _keep(fn, out: list):

@@ -283,6 +283,42 @@ def test_scale_tracks_cancellation():
     assert abs(val - 0.4) < 1e-1
 
 
+def test_evaluate_never_raises():
+    # fsum raises on inf - inf and on an intermediate overflow; the plain
+    # sum is NaN or inf there, and finite sums keep fsum's bits
+    e = parse("exp(u) - exp(2*u)")
+    assert math.isnan(evaluate(e, {"u": 800.0}))
+    value, scale = evaluate_with_scale(e, {"u": 800.0})
+    assert math.isnan(value) and scale == math.inf
+    big = parse("1e308*u + 1e308*ux - 1e308*m")
+    ones = {"u": 1.0, "ux": 1.0, "m": 1.0}
+    with pytest.raises(OverflowError):
+        math.fsum(compile_terms(big)(ones))
+    assert evaluate(big, ones) == evaluate_with_scale(big, ones)[0] == math.inf
+    cancelling = parse("1e16*u + ux - 1e16*m")
+    assert evaluate(cancelling, ones) == 1.0
+    at = {"u": np.array([800.0, 1.0]), "ux": np.array([1.0, 1.0]), "m": np.array([1.0, 1.0])}
+    with np.errstate(over="ignore"):  # 1e308*800
+        assert np.isnan(evaluate(e, at)[0]) and evaluate(big, at)[1] == math.inf
+    assert evaluate(cancelling, at)[1] == 1.0
+
+
+@pytest.mark.parametrize("source", [
+    "u^2*ux - 1/u + ux^-3", "exp(u) - exp(2*u)", "sqrt(u) + ln(ux) + 3", "1e16*u + ux - 1e16*u^2", "u + a", "2.5",
+])
+def test_evaluate_on_arrays_equals_each_point(source):
+    e = parse(source, ["a"])
+    rng = np.random.default_rng(6)
+    at = {"u": np.array([0.0, -1.0, 800.0, *rng.uniform(-2.0, 2.0, 9)]),
+          "ux": np.array([0.5, 0.0, 1.0, *rng.uniform(-2.0, 2.0, 9)]), "a": 0.3}
+    got = evaluate(e, at)
+    assert got.shape == (12,) and got.dtype == np.float64
+    for j, value in enumerate(got):
+        want = evaluate(e, {"u": float(at["u"][j]), "ux": float(at["ux"][j]), "a": 0.3})
+        assert type(want) is float
+        assert np.array(value).tobytes() == np.array(want).tobytes()
+
+
 def test_is_zero_exact_path():
     v = is_zero(sub(parse("(u+ux)^2"), parse("u^2+2*u*ux+ux^2")))
     assert v.is_zero and v.exact
@@ -302,6 +338,7 @@ def test_is_zero_trivial_and_witness():
     ("delta", float("nan")), ("delta", float("inf")), ("delta", -0.1),
     ("n_points", 0), ("n_points", 2.5), ("n_points", True), ("n_points", "20"),
     ("max_tries", 0), ("max_tries", 1.0), ("max_tries", -3),
+    ("seed", None), ("seed", -1), ("seed", 1.5), ("seed", True), ("seed", "42"),
 ])
 def test_sampling_policy_rejects_bad_values(field, value):
     with pytest.raises(ExprError, match=field):
@@ -309,7 +346,8 @@ def test_sampling_policy_rejects_bad_values(field, value):
 
 
 def test_sampling_policy_accepts_edge_values():
-    SamplingPolicy(n_points=1, max_tries=1, delta=0.0, low=1e-3, high=1.5e-3, rel_tol=1e-15)
+    SamplingPolicy(n_points=1, max_tries=1, delta=0.0, low=1e-3, high=1.5e-3, rel_tol=1e-15, seed=0)
+    SamplingPolicy(seed=np.int64(7), max_tries=np.int32(3))
     SamplingPolicy(n_points=np.int64(5), low=np.float64(0.5))
     # with a nan tolerance every point voted "nonzero" on this identity
     assert is_zero(parse("exp(u)*exp(ux) - exp(u+ux)"), SamplingPolicy()).is_zero
@@ -698,18 +736,23 @@ def test_sample_values_equal_plain_terms(plain_terms):
         assert _same_bits(scales, np.array([max(1.0, np.max(np.abs(col))) for col in cols.T]))
 
 
-def test_sample_reuses_each_expression_program(monkeypatch, full_conditions):
+def test_sample_builds_one_program_per_call(monkeypatch, full_conditions):
     conditions = full_conditions(EquationSpec.from_strings(*TRAVERSAL_EQUATIONS[7]))
     policy = SamplingPolicy(seed=3)
-    for c in conditions:
-        expr.sample([c], policy)
+    built = []
 
-    def compile_again(self, exprs):
-        raise AssertionError("sample compiled a Program")
+    class CountingProgram(expr.Program):
+        def __init__(self, exprs):
+            built.append(list(exprs))
+            super().__init__(exprs)
 
-    monkeypatch.setattr(expr.Program, "__init__", compile_again)
-    s = expr.sample(conditions, policy)
-    assert s.values.shape == s.scales.shape == (3, policy.n_points)
+    monkeypatch.setattr(expr, "Program", CountingProgram)
+    for exprs in (conditions, conditions[:1], conditions):
+        built.clear()
+        s = expr.sample(exprs, policy)
+        assert s.values.shape == s.scales.shape == (len(exprs), policy.n_points)
+        assert len(built) == 1 and len(built[0]) == len(exprs)
+        assert all(a is b for a, b in zip(built[0], exprs))
 
 
 def test_vote_equals_the_point_loop(plain_vote):

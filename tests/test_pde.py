@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from peakonlaws.pde import (
     read_config,
     rhs,
     run,
-    step_rk4,
     write_series_csv,
     write_snapshots_csv,
 )
@@ -98,14 +96,20 @@ def test_rhs_matches_finite_difference_oracle():
         assert np.max(np.abs(r_spec - r_fd)) / np.max(np.abs(r_fd)) < 1e-6
 
 
+def _rk4_step(grid, state, dt, dealias=True):
+    """One Stepper.step of CH from the nodal state, back to nodal values."""
+    stepper = pde.Stepper(grid, CH, dealias)
+    return stepper.state(stepper.step(np.fft.rfft(state.m), state, dt), state.t + dt)
+
+
 def test_step_rk4_fixed_point_and_reversal():
     grid = Grid(40.0, 256)
     zero = GridState.from_m(grid, np.zeros(256))
-    assert np.max(np.abs(step_rk4(grid, zero, CH, 1e-3).m)) == 0.0
+    assert np.max(np.abs(_rk4_step(grid, zero, 1e-3).m)) == 0.0
 
     st = GridState.from_m(grid, initial_data(_gaussian_cfg()))
-    fwd = step_rk4(grid, st, CH, 1e-3)
-    back = step_rk4(grid, fwd, CH, -1e-3)
+    fwd = _rk4_step(grid, st, 1e-3)
+    back = _rk4_step(grid, fwd, -1e-3)
     rel = np.max(np.abs(back.m - st.m)) / np.max(np.abs(st.m))
     assert rel < 1e-10
 
@@ -118,11 +122,8 @@ def test_step_richardson_ratio_is_fourth_order():
     h = 0.02
 
     def advance(state, steps):
-        dt = h / steps
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for _ in range(steps):
-                state = step_rk4(grid, state, CH, dt)
+        for _ in range(steps):
+            state = _rk4_step(grid, state, h / steps)
         return state.m
 
     d1 = np.max(np.abs(advance(st, 1) - advance(st, 2)))
@@ -133,14 +134,14 @@ def test_step_richardson_ratio_is_fourth_order():
 @pytest.mark.parametrize("dealias", [True, False])
 def test_run_and_step_rk4_are_one_integrator(dealias):
     # the Nyquist mode in m(0) survives undealiased products; run keeps the
-    # spectrum between steps, step_rk4 goes through nodal m every step
+    # spectrum between steps, _rk4_step goes through nodal m every step
     cfg = _gaussian_cfg(t_final=0.02, dealias=dealias)
     grid = cfg.grid
     m0 = initial_data(cfg) + 1e-3 * (-1.0) ** np.arange(grid.n)
     res = run(cfg, m0=m0)
     st = GridState.from_m(grid, m0)
     for _ in range(20):
-        st = step_rk4(grid, st, CH, cfg.dt, dealias=dealias)
+        st = _rk4_step(grid, st, cfg.dt, dealias=dealias)
     assert res.status == STATUS_COMPLETED and st.t == pytest.approx(res.final.t)
     for a, b in ((st.m, res.final.m), (st.u, res.final.u), (st.ux, res.final.ux)):
         assert np.max(np.abs(a - b)) / np.max(np.abs(b)) <= 1e-12
@@ -149,8 +150,12 @@ def test_run_and_step_rk4_are_one_integrator(dealias):
 def test_cfl_warning():
     grid = Grid(40.0, 256)
     st = GridState.from_m(grid, initial_data(_gaussian_cfg()))
-    with pytest.warns(RuntimeWarning):
-        step_rk4(grid, st, CH, 1.0)
+    with pytest.warns(RuntimeWarning, match="CFL"):
+        pde.Stepper(grid, CH).check_cfl(st, 1.0)
+    # run warns at the line that calls it
+    with pytest.warns(RuntimeWarning, match="CFL") as record:
+        run(_gaussian_cfg(dt=1.0, t_final=1.0))
+    assert any(w.filename == __file__ for w in record)
 
 
 def test_run_wave_breaking_status():
