@@ -20,7 +20,7 @@ and g, which depend on (u, ux) only, so each is a polynomial in
 iff every coefficient does.  euler_u builds each condition once per
 process over placeholder partials of f and g (expr.Partial), and the
 normal form splits it into 2 (A, B) or 10 (C) templates.  Per equation
-the partials of f and g are substituted into the 14 templates.
+each coefficient is a sum of template weight(u, ux) * partial of f or g.
 
 All verdicts are randomized-numeric: a coefficient is declared zero only
 when every sampled (u, ux) point agrees (expr.vote), unless its normal
@@ -169,9 +169,9 @@ def _templates() -> dict:
     A = E_u((u*f - ux*g)*m) (H1), B = E_u(f*m) (momentum) and
     C = E_u((f + D_x(g)/2)*m^2) are built once per process by euler_u over
     ex.Partial placeholders F_ij = d^i/du^i d^j/dux^j f and G_ij.  Each is
-    a polynomial in every symbol, so its normal form splits it exactly:
-    {condition: {m-monomial source: coefficient}}, each coefficient an
-    expression in u, ux and the placeholders.
+    a polynomial in every symbol and linear in the placeholders, so its
+    normal form splits it exactly: {condition: {m-monomial source:
+    ((placeholder, weight in u and ux), ...)}}, summing weight * placeholder.
     """
     f, g = ex.Partial("f"), ex.Partial("g")
     conds = {
@@ -187,30 +187,33 @@ def _templates() -> dict:
         split: dict = {}
         for mono, c in ex.poly_normal_form(cond).items():
             m_part = tuple(p for p in mono if p[0][0] == "m")
-            rest = [pow_(leaves[s], k) for s, k in mono if s[0] != "m"]
-            split.setdefault(_monomial_source(m_part), []).append(mul(const(c), *rest))
-        out[name] = {mono: add(*terms) for mono, terms in split.items()}
+            (placeholder,) = [leaves[s] for s, _ in mono if s[0] in "fg"]
+            rest = [pow_(leaves[s], k) for s, k in mono if s[0] == "u"]
+            split.setdefault(_monomial_source(m_part), {}).setdefault(placeholder, []).append(mul(const(c), *rest))
+        out[name] = {mono: tuple((p, add(*ts)) for p, ts in weights.items()) for mono, weights in split.items()}
     return out
 
 
 def _coefficients(eq: EquationSpec) -> dict:
-    """{(condition, m-monomial): coefficient in (u, ux)} of eq: the templates with eq's partials."""
-    partials: dict = {}
+    """{(condition, m-monomial): coefficient in (u, ux)} of eq, as Add over Mul((weight, partial)).
+
+    Zero partials are left out.  No like terms are collected across partials, so the
+    trees are not canonical; only poly_normal_forms, Program/sample and evaluate read them.
+    """
+    partials = {ex.Partial("f"): eq.bound_f, ex.Partial("g"): eq.bound_g}
 
     def partial(p: ex.Partial) -> Expr:
-        if p not in partials:
-            if p.i:
-                partials[p] = ex.diff(partial(ex.Partial(p.of, p.i - 1, p.j)), ex.U)
-            elif p.j:
-                partials[p] = ex.diff(partial(ex.Partial(p.of, 0, p.j - 1)), ex.UX)
-            else:
-                partials[p] = eq.bound_f if p.of == "f" else eq.bound_g
+        if p not in partials:  # d/du of the partial one order lower in u, else d/dux
+            lower, v = (ex.Partial(p.of, p.i - 1, p.j), ex.U) if p.i else (ex.Partial(p.of, 0, p.j - 1), ex.UX)
+            partials[p] = ex.diff(partial(lower), v)
         return partials[p]
 
-    return {
-        (name, mono): ex.bind_partials(c, partial)
-        for name, split in _templates().items() for mono, c in split.items()
-    }
+    out = {}
+    for name, split in _templates().items():
+        for mono, weights in split.items():
+            terms = tuple(ex.Mul((w, partial(p))) for p, w in weights if partial(p) != ex.ZERO)
+            out[name, mono] = ex.Add(terms) if len(terms) > 1 else terms[0] if terms else ex.ZERO
+    return out
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ class _SplitConditions:
     (u, ux), and forms to its normal form, all taken in one call.  A
     coefficient whose normal form is empty is an exact zero; the others
     are sampled together, once, and each votes on its own row of
-    samples.values and samples.scales.
+    samples.values and samples.scales (its largest |weight * partial|).
     """
 
     coeffs: dict

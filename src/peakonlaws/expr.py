@@ -33,8 +33,8 @@ call, and nothing is kept between calls.
 
 Partial is a placeholder for a partial derivative of an unknown function
 of (u, ux).  The derivatives and poly_normal_form know it, so euler_u
-builds a determining condition once for a generic f; bind_partials puts
-an equation's partials in its place.  The evaluator, the printer and the
+builds a determining condition once for a generic f, whose normal form
+reads off each placeholder's weight.  The evaluator, the printer and the
 parser reject it.
 
 Everything here is immutable and side-effect free; randomized zero testing
@@ -85,7 +85,6 @@ __all__ = [
     "evaluate_with_scale",
     "jet_vars",
     "param_names",
-    "bind_partials",
     "d_x",
     "d_t",
     "to_u_jet",
@@ -576,11 +575,6 @@ def bind_params(e: Expr, values: Mapping[str, float]) -> Expr:
     return _rebuild(e, leaf)
 
 
-def bind_partials(e: Expr, partial: Callable[[Partial], Expr]) -> Expr:
-    """e with every placeholder p replaced by the expression partial(p)."""
-    return _rebuild(e, lambda n: partial(n) if isinstance(n, Partial) else n)
-
-
 def substitute(e: Expr, table: Mapping[JetVar, Expr]) -> Expr:
     return _rebuild(e, lambda n: table.get(n.v, n) if isinstance(n, Var) else n)
 
@@ -694,10 +688,11 @@ def compile_terms(e: Expr) -> Callable[[Mapping], list]:
     of one shape).  Sums and products combine left to right.  A domain
     violation (0 to a negative power, ln of x <= 0, sqrt of x < 0,
     arctanh of |x| >= 1) yields NaN, which propagates; nothing raises but
-    a missing name.  The Program of [e], compiled anew on every call.
+    a missing name, and an overflow gives inf without a warning.  The
+    Program of [e], compiled anew on every call.
     """
     program = Program((e,))
-    return lambda env: program(env)[0]
+    return np.errstate(all="ignore")(lambda env: program(env)[0])
 
 
 def _fsum(terms) -> float:
@@ -1126,7 +1121,9 @@ def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
             for _ in range(count)
         ]).reshape(count, dim)
         env = dict(zip(names, pts.T))
-        vals = [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in program(env)]
+        with np.errstate(all="ignore"):  # an overflow is inf, and rejects the candidate
+            out = program(env)
+        vals = [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in out]
         admissible = ~_near_poles(env, policy.delta, count)
         for v in vals:
             admissible &= np.isfinite(v).all(axis=0)

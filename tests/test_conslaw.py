@@ -119,9 +119,84 @@ CANDIDATE_EQUATIONS = [
 
 
 def _template_forms() -> dict:
-    """{(condition, m-monomial): normal form of its template coefficient}."""
-    return {(name, mono): ex.poly_normal_form(c)
-            for name, split in conslaw._templates().items() for mono, c in split.items()}
+    """{(condition, m-monomial): normal form of its template coefficient, sum of weight * placeholder}."""
+    return {(name, mono): ex.poly_normal_form(ex.add(*(ex.mul(w, p) for p, w in weights)))
+            for name, split in conslaw._templates().items() for mono, weights in split.items()}
+
+
+def test_templates_are_linear_in_the_placeholders():
+    # every term of every template is exactly one placeholder, to the
+    # first power, times a weight in (u, ux) alone: a coefficient is the
+    # sum of weight * partial, and _coefficients builds it so
+    templates = conslaw._templates()
+    assert sum(len(split) for split in templates.values()) == 14
+    for split in templates.values():
+        for weights in split.values():
+            placeholders = [p for p, _ in weights]
+            assert placeholders and len(set(placeholders)) == len(placeholders)
+            for p, w in weights:
+                assert isinstance(p, ex.Partial)
+                assert not any(isinstance(n, (ex.Partial, ex.Param)) for n, _ in ex._nodes([w]))
+                assert ex.jet_vars(w) <= {ex.U, ex.UX}
+                nf = ex.poly_normal_form(w)
+                assert nf and all(s in ("u", "ux") for mono in nf for s, _ in mono)
+    for nf in _template_forms().values():
+        for mono in nf:
+            assert [k for s, k in mono if s[0] in "fg"] == [1]
+
+
+@pytest.mark.parametrize("f, g, per_function", [
+    ("u^3*ux^3 + exp(u*ux)", "sqrt(u^2+1)*ux^4 + u^4*ux", {"f": 5, "g": 9}),
+    ("ux", "u", None),  # Camassa-Holm: most partials are zero
+])
+def test_coefficients_take_14_diffs_and_no_sum_or_product(monkeypatch, f, g, per_function):
+    # the partials of f up to order 2 and of g up to order 3 (g itself
+    # never enters) are taken by diff, each once; outside those diffs
+    # neither add nor mul runs, and each coefficient is the Add of
+    # Mul((weight, partial)) over its template, zero partials left out
+    eq = EquationSpec.from_strings(f, g)
+    templates = conslaw._templates()
+    real_diff, depth, diffs, built = ex.diff, [0], [], []
+
+    def counting_diff(e, v):
+        depth[0] += 1
+        try:
+            diffs.append((e, real_diff(e, v)))
+        finally:
+            depth[0] -= 1
+        return diffs[-1][1]
+
+    def outside_diff(fn):
+        def counted(*args):
+            if not depth[0]:
+                built.append(fn.__name__)
+            return fn(*args)
+        return counted
+
+    for module in (ex, conslaw):
+        monkeypatch.setattr(module, "add", outside_diff(ex.add))
+        monkeypatch.setattr(module, "mul", outside_diff(ex.mul))
+    monkeypatch.setattr(ex, "diff", counting_diff)
+    coeffs = conslaw._coefficients(eq)
+    monkeypatch.undo()
+    assert len(diffs) == 14 and built == []
+    if per_function:
+        side = {id(eq.bound_f): "f", id(eq.bound_g): "g"}
+        for e, result in diffs:
+            side[id(result)] = side[id(e)]
+        assert {of: sum(side[id(r)] == of for _, r in diffs) for of in "fg"} == per_function
+    results = {id(r) for _, r in diffs} | {id(eq.bound_f)}
+    for (name, mono), c in coeffs.items():
+        terms = c.terms if isinstance(c, ex.Add) else () if c == ex.ZERO else (c,)
+        assert all(type(t) is ex.Mul and len(t.factors) == 2 for t in terms)
+        # the weights, in template order, of the partials that are not zero
+        weights = iter(w for _, w in templates[name][mono])
+        assert all(any(w is t.factors[0] for w in weights) for t in terms)
+        assert all(id(t.factors[1]) in results and t.factors[1] != ex.ZERO for t in terms)
+        if per_function:  # no partial of f up to order 2 or of g up to order 3 is zero
+            assert len(terms) == len(templates[name][mono])
+    # the m^4 coefficient is g_03, zero for Camassa-Holm
+    assert (coeffs["C", "m^4"] == ex.ZERO) == (per_function is None)
 
 
 def test_template_monomials():
@@ -180,12 +255,21 @@ def test_templates_match_sympy():
         fn, (i, j) = {"f": f, "g": g}[name[0]], (int(name[2]), int(name[3]))
         return sp.diff(fn, *([U[0]] * i + [U[1]] * j)) if i + j else fn
 
-    got = {key: sum(sp.Rational(c.numerator, c.denominator) * sp.Mul(*(symbol(s) ** k for s, k in mono))
-                    for mono, c in nf.items())
-           for key, nf in _template_forms().items()}
+    def as_sympy(nf):
+        return sum(sp.Rational(c.numerator, c.denominator) * sp.Mul(*(symbol(s) ** k for s, k in mono))
+                   for mono, c in nf.items())
+
+    got = {key: as_sympy(nf) for key, nf in _template_forms().items()}
     assert sorted(got) == sorted(want)
     for key in want:
         assert sp.expand(got[key] - want[key]) == 0, key
+    # each weight is the factor of its partial in sympy's coefficient
+    for name, split in conslaw._templates().items():
+        for mono, weights in split.items():
+            coefficient = sp.expand(want[name, mono])
+            for p, w in weights:
+                weight = as_sympy(ex.poly_normal_form(w))
+                assert sp.expand(coefficient.coeff(symbol(p.name)) - weight) == 0, (name, mono, p.name)
 
 
 # the reference equations and momentum-family members with and without the pole
@@ -368,7 +452,8 @@ def test_nodes_hold_only_their_fields():
         currents += classify(eq, POL).fluxes
         currents += [flux_momentum(eq), flux_h1(eq), flux_grad_energy(eq, 3.0, 0.5), flux_grad_energy(eq, 2.0, 3.7)]
     roots = [e for eq in CANDIDATE_EQUATIONS for e in (eq.bound_f, eq.bound_g)]
-    roots += [c for split in conslaw._templates().values() for c in split.values()]
+    roots += [e for split in conslaw._templates().values() for weights in split.values()
+              for pw in weights for e in pw]
     roots += [e for cur in currents if cur is not None for e in (cur.T, cur.Phi, cur.Q)]
     assert len(roots) > 2 * len(CANDIDATE_EQUATIONS) + 14
     for n, _ in ex._nodes(roots):
@@ -407,8 +492,8 @@ def test_known_equation_grid(name):
 
 def test_classify_builds_each_condition_once(monkeypatch):
     # euler_u builds the three templates on the first classify of a process
-    # and runs no more: every later classify only substitutes partials of
-    # f and g into them and samples the coefficients, each once
+    # and runs no more: every later classify only weights the partials of
+    # f and g by them and samples the coefficients, each once
     real_euler_u = conslaw.euler_u
     built, sampled = [], []
 

@@ -285,22 +285,33 @@ def test_scale_tracks_cancellation():
 
 def test_evaluate_never_raises():
     # fsum raises on inf - inf and on an intermediate overflow; the plain
-    # sum is NaN or inf there, and finite sums keep fsum's bits
-    e = parse("exp(u) - exp(2*u)")
-    assert math.isnan(evaluate(e, {"u": 800.0}))
-    value, scale = evaluate_with_scale(e, {"u": 800.0})
-    assert math.isnan(value) and scale == math.inf
-    big = parse("1e308*u + 1e308*ux - 1e308*m")
-    ones = {"u": 1.0, "ux": 1.0, "m": 1.0}
-    with pytest.raises(OverflowError):
-        math.fsum(compile_terms(big)(ones))
-    assert evaluate(big, ones) == evaluate_with_scale(big, ones)[0] == math.inf
-    cancelling = parse("1e16*u + ux - 1e16*m")
-    assert evaluate(cancelling, ones) == 1.0
-    at = {"u": np.array([800.0, 1.0]), "ux": np.array([1.0, 1.0]), "m": np.array([1.0, 1.0])}
-    with np.errstate(over="ignore"):  # 1e308*800
+    # sum is NaN or inf there, and finite sums keep fsum's bits.  An
+    # overflow warns nowhere, so nothing raises under "error" warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e = parse("exp(u) - exp(2*u)")
+        assert math.isnan(evaluate(e, {"u": 800.0}))
+        value, scale = evaluate_with_scale(e, {"u": 800.0})
+        assert math.isnan(value) and scale == math.inf
+        big = parse("1e308*u + 1e308*ux - 1e308*m")
+        ones = {"u": 1.0, "ux": 1.0, "m": 1.0}
+        with pytest.raises(OverflowError):
+            math.fsum(compile_terms(big)(ones))
+        assert evaluate(big, ones) == evaluate_with_scale(big, ones)[0] == math.inf
+        assert evaluate(parse("1e308*u + ux"), {"u": 800.0, "ux": 1.0}) == math.inf
+        cancelling = parse("1e16*u + ux - 1e16*m")
+        assert evaluate(cancelling, ones) == 1.0
+        at = {"u": np.array([800.0, 1.0]), "ux": np.array([1.0, 1.0]), "m": np.array([1.0, 1.0])}
         assert np.isnan(evaluate(e, at)[0]) and evaluate(big, at)[1] == math.inf
-    assert evaluate(cancelling, at)[1] == 1.0
+        assert evaluate(cancelling, at)[1] == 1.0
+        # a candidate where 1e308*u overflows (|u| > 1.79...) is rejected:
+        # the points are those of the same seeded stream where it is finite
+        policy = SamplingPolicy(seed=0)
+        got = expr.sample([parse("1e308*u + ux")], policy)
+        plain = expr.sample([parse("u + ux")], SamplingPolicy(seed=0, n_points=3 * policy.n_points))
+        kept = np.array([p for p in plain.points if math.isfinite(1e308 * float(p[0]))])
+        assert len(kept) < len(plain.points)
+        assert np.array_equal(got.points, kept[:policy.n_points]) and np.isfinite(got.values).all()
 
 
 @pytest.mark.parametrize("source", [
@@ -570,17 +581,6 @@ def test_partial_placeholders_never_evaluate_print_or_parse():
         is_zero(e)
     with pytest.raises(ParseError):
         parse("g_01")
-
-
-def test_bind_partials_substitutes_every_placeholder():
-    f = parse("u^3*ux + ux/u")
-    derivative = {(0, 0): f, (1, 0): diff(f, "u"), (0, 1): diff(f, "ux"), (1, 1): diff(diff(f, "u"), "ux")}
-    P = expr.Partial
-    template = add(P("f"), mul(var("u"), P("f", 1, 0)), mul(2, var("ux"), P("f", 1, 1)), P("f", 0, 1))
-    got = expr.bind_partials(template, lambda p: derivative[p.i, p.j])
-    want = parse("u^3*ux + ux/u + u*(3*u^2*ux - ux/u^2) + 2*ux*(3*u^2 - 1/u^2) + u^3 + 1/u")
-    assert is_zero(sub(got, want)).is_zero
-    assert expr.bind_partials(var("m"), lambda p: 1 / 0) == var("m")
 
 
 # ---------------------------------------------------------------------------
