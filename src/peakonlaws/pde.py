@@ -65,8 +65,8 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ValueError("domain length must be positive")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError(f"domain length must be positive and finite, got {self.length}")
         if self.n < 16 or self.n & (self.n - 1):
             raise ValueError("node count must be a power of two, at least 16")
 

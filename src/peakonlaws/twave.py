@@ -17,8 +17,13 @@ U, and bisection stays robust at the peak where d xi/dU diverges).  All
 nodes start from (0, peak) and halve hi until xi(peak*2^-k) > |xi|, so
 these leading halvings are shared: the quadrature is evaluated once on
 the dyadic points peak*2^-k and a sorted search places each node at its
-first step up, far down the tail included.
+first step up, far down the tail included.  The bisection then runs in
+place, in arrays allocated once per block of nodes: a step that made its
+own ~30 temporaries let glibc trim the top of a small heap and fault it
+back in, thousands of page faults per solitary initial datum.
 Peakons u = a*exp(-|x - c t|) travel with c = 1/a^2.
+
+scipy is imported only by quadrature_crosscheck, on its first call.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 __all__ = [
     "WaveProfile",
@@ -63,30 +67,62 @@ def _check_bc(b: float, c: float):
         raise ValueError(f"wave speed c must be positive and finite, got {c}")
 
 
-def _s_of(U, b, c):
-    return np.sqrt(np.maximum(1.0 - c * np.asarray(U) ** 2, 0.0))
+def _s_of(U, b, c, out=None):
+    """s = sqrt(1 - c U^2), clipped at 0; into out if given."""
+    if out is None:
+        out = np.empty(np.shape(U))
+    np.square(U, out=out)
+    np.multiply(c, out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.maximum(out, 0.0, out=out)
+    return np.sqrt(out, out=out)
 
 
-def _xi_of_U(U, b, c):
+def _xi_of_U(U, b, c, work=None):
     """|xi| as a function of U in (0, peak]; the closed-form quadrature.
 
     xi = (sqrt(2)/b)*arctanh(z) - 2*arctanh(t) with t = sqrt(B/A) and
     z = sqrt(2)t/b, written via logs with the exact factorizations
     1 - t^2 = (2-b^2)/A and 1 - z^2 = (2-b^2)*c*U^2/(A^2 b^2) so the tail
     (z -> 1) is evaluated without cancellation; xi(0) = +inf.
+
+    Every operation runs in place in four float arrays of U's shape:
+    those of work, if given, else fresh ones.  With work the result is
+    one of its arrays, valid until work is used again.
     """
     U = np.asarray(U, dtype=float)
-    s = _s_of(U, b, c)
-    A = 1.0 + s
-    B = np.maximum(b * b - 1.0 + s, 0.0)
-    t = np.sqrt(B / A)
-    z = np.sqrt(2.0) * t / b
+    s, A, z, den = work if work is not None else (np.empty(U.shape) for _ in range(4))
+    _s_of(U, b, c, out=s)
+    np.add(1.0, s, out=A)
+    t = np.add(b * b - 1.0, s, out=s)  # B, then t = sqrt(B/A)
+    np.maximum(t, 0.0, out=t)
+    np.divide(t, A, out=t)
+    np.sqrt(t, out=t)
+    np.multiply(np.sqrt(2.0), t, out=z)
+    np.divide(z, b, out=z)
+    # arctanh(t) = 0.5*log((1+t)^2 A / (2-b^2)), in t's array
+    ath_t = np.add(1.0, t, out=t)
+    np.square(ath_t, out=ath_t)
+    ath_t *= A
+    ath_t /= 2.0 - b * b
+    np.log(ath_t, out=ath_t)
+    ath_t *= 0.5
+    # arctanh(z) = 0.5*log((1+z)^2 A^2 b^2 / ((2-b^2) c U^2)), in z's array
+    np.multiply((2.0 - b * b) * c, U, out=den)
+    den *= U
+    ath_z = np.add(1.0, z, out=z)
+    np.square(ath_z, out=ath_z)
+    ath_z *= A
+    ath_z *= A
+    ath_z *= b
+    ath_z *= b
     with np.errstate(divide="ignore"):
-        ath_t = 0.5 * np.log((1.0 + t) ** 2 * A / (2.0 - b * b))
-        ath_z = 0.5 * np.log(
-            (1.0 + z) ** 2 * A * A * b * b / ((2.0 - b * b) * c * U * U)
-        )
-    return (np.sqrt(2.0) / b) * ath_z - 2.0 * ath_t
+        ath_z /= den
+        np.log(ath_z, out=ath_z)
+    ath_z *= 0.5
+    ath_z *= np.sqrt(2.0) / b
+    ath_t *= 2.0
+    return np.subtract(ath_z, ath_t, out=ath_z)
 
 
 def _uprime_branch(U, xi, b, c):
@@ -183,28 +219,49 @@ def _solitary_U(b: float, c: float, xi: np.ndarray) -> np.ndarray:
 
 
 def _bisect(target, lo, hi, left, b, c, out):
-    """Bisect U at |xi| = target in (lo, hi), `left` steps still to take, into out."""
-    live = np.arange(target.size)  # nodes still moving; t_live, lo, hi, left are theirs
-    t_live = target
-    settled = False  # after every 8th step: the nodes it left in place
+    """Bisect U at |xi| = target in (lo, hi), `left` steps still to take, into out.
+
+    lo, hi and left are overwritten.  They, a copy of target and the node
+    numbers keep the nodes still moving in their leading entries, and
+    every step runs in place in arrays allocated here once.
+    """
+    n = target.size
+    live = np.arange(n)
+    t_live = target.copy()
+    mid = np.empty(n)
+    work = np.empty((4, n))
+    too_close, same = (np.empty(n, dtype=bool) for _ in range(2))
+    settled = False  # after every 8th step: `same` marks the nodes it left in place
     next_out = 0
     for step in range(_STEPS):
         if step % 8 == 0 or step >= next_out:
-            done = settled | (left <= step)
-            out[live[done]] = 0.5 * (lo[done] + hi[done])
-            keep = ~done
-            live, t_live, lo, hi, left = (a[keep] for a in (live, t_live, lo, hi, left))
-            if not live.size:
-                break
+            done = left <= step
+            if settled:
+                done |= same
+            if done.any():
+                out[live[done]] = 0.5 * (lo[done] + hi[done])
+                keep = ~done
+                n = int(np.count_nonzero(keep))
+                if not n:
+                    break
+                for a in (live, t_live, lo, hi, left):
+                    a[:n] = a[keep]
+                live, t_live, lo, hi, left, mid, too_close, same = (
+                    a[:n] for a in (live, t_live, lo, hi, left, mid, too_close, same))
+                work = work[:, :n]
             settled = False
             next_out = left.min()
-        mid = 0.5 * (lo + hi)
-        too_close_to_peak = _xi_of_U(mid, b, c) > t_live
-        new_lo = np.where(too_close_to_peak, mid, lo)
-        new_hi = np.where(too_close_to_peak, hi, mid)
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        # xi(mid) > |xi|: mid is too close to the peak and becomes lo, else hi
+        np.greater(_xi_of_U(mid, b, c, work), t_live, out=too_close)
         if (step + 1) % 8 == 0:
-            settled = (new_lo == lo) & (new_hi == hi)
-        lo, hi = new_lo, new_hi
+            # the step leaves a node in place where mid equals the end it replaces
+            np.equal(mid, hi, out=same)
+            np.equal(mid, lo, out=same, where=too_close)
+            settled = True
+        np.copyto(lo, mid, where=too_close)
+        np.copyto(hi, mid, where=np.logical_not(too_close, out=too_close))
 
 
 def peakon(a: float, xi: np.ndarray | None = None) -> WaveProfile:
@@ -374,6 +431,8 @@ def quadrature_crosscheck(
     which avoids the square-root branch point at the peak) and compares
     pointwise on [xi_lo, xi_hi].
     """
+    from scipy.integrate import solve_ivp  # the package's only use of scipy
+
     _check_bc(b, c)
     umax = solitary_peak_height(b, c)
 

@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +268,37 @@ def test_simulate_singularity_exit(tmp_path, capsys):
     )
     code, _, _ = run_cli(capsys, "--out", str(tmp_path), "simulate", str(path))
     assert code == 4
+
+
+COLD_START = textwrap.dedent("""
+    import json, sys
+    from pathlib import Path
+    from peakonlaws import cli, twave
+
+    out = Path(sys.argv[1])
+    assert cli.main(["classify", "--f", "ux", "--g", "u"]) == 0
+    assert cli.main(["--out", str(out), "twave", "solitary", "--b", "0.5", "--c", "1"]) == 0
+    config = out / "solitary.json"
+    config.write_text(json.dumps({
+        "L": 20.0, "N": 256, "dt": 4e-5, "t_final": 2e-4,
+        "equation": {"f": "ux/u^3", "g": "1/u^2", "params": {}},
+        "initial": {"kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0}},
+        "series_dt": 4e-5,
+        "output": {"series_path": "series.csv"},
+    }))
+    assert cli.main(["--out", str(out), "simulate", str(config)]) == 0
+    assert len((out / "series.csv").read_text().splitlines()) == 7
+    assert "scipy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("scipy"))
+    # the one use of scipy loads it on its first call
+    assert twave.quadrature_crosscheck(0.5, 1.0) <= 1e-6
+    assert "scipy.integrate" in sys.modules
+""")
+
+
+def test_cold_start_loads_no_scipy(tmp_path):
+    # classify, twave and simulate run without scipy; only
+    # twave.quadrature_crosscheck imports it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -45,6 +45,9 @@ def test_grid_validation():
         Grid(40.0, 8)  # too small
     with pytest.raises(ValueError):
         Grid(-1.0, 64)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            Grid(bad, 64)
 
 
 def test_helmholtz_inversion_exact_below_nyquist():

@@ -1,3 +1,10 @@
+import os
+import platform
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -45,6 +52,34 @@ def test_parameter_validation():
             solitary_profile(0.5, 1.0, np.array([0.0, 1.0, bad]))
 
 
+def _plain_xi_of_U(U, b, c):
+    """The closed form of _xi_of_U as plain expressions, a fresh array per operation."""
+    s = np.sqrt(np.maximum(1.0 - c * U**2, 0.0))
+    A = 1.0 + s
+    t = np.sqrt(np.maximum(b * b - 1.0 + s, 0.0) / A)
+    z = np.sqrt(2.0) * t / b
+    with np.errstate(divide="ignore", over="ignore"):
+        ath_t = 0.5 * np.log((1.0 + t) ** 2 * A / (2.0 - b * b))
+        ath_z = 0.5 * np.log((1.0 + z) ** 2 * A * A * b * b / ((2.0 - b * b) * c * U * U))
+    return (np.sqrt(2.0) / b) * ath_z - 2.0 * ath_t
+
+
+@pytest.mark.parametrize("b, c", [(0.5, 1.0), (0.9, 2.0), (0.05, 3.0), (0.99, 0.2)])
+def test_xi_of_U_in_place_equals_plain_closed_form(b, c):
+    # the bisection evaluates the closed form in place, in its own work
+    # arrays; every operation and its order are those of the plain form
+    peak = solitary_peak_height(b, c)
+    rng = np.random.default_rng(5)
+    U = np.concatenate([[0.0, peak, np.nextafter(peak, 0.0)], rng.uniform(0.0, peak, 4000),
+                        peak * 0.5 ** np.arange(1, 111)])
+    expected = _plain_xi_of_U(U, b, c)
+    assert np.array_equal(_xi_of_U(U, b, c), expected)
+    work = np.full((4, U.size), np.nan)
+    assert np.array_equal(_xi_of_U(U, b, c, work), expected)
+    assert np.array_equal(_xi_of_U(U[::-1].copy(), b, c, work), expected[::-1])
+    assert float(_xi_of_U(U[7], b, c)) == expected[7]
+
+
 def test_profile_equals_plain_bisection(plain_bisection):
     # nodes leave the bisection at their fixed point; the result must be
     # that of 110 steps on every node, tail nodes included
@@ -85,6 +120,36 @@ def test_profile_in_blocks(plain_bisection, monkeypatch):
     for block in (1, 7, 1000, 4002):
         monkeypatch.setattr(twave, "_BLOCK", block)
         assert np.array_equal(solitary_profile(0.5, 1.0, xi).U, plain_bisection(0.5, 1.0, xi))
+
+
+REPEAT_FAULTS = textwrap.dedent("""
+    import resource, sys
+    import numpy as np
+    from peakonlaws import pde, twave
+
+    # the nodes of the image pairs in a solitary initial_data (L=20, N=1024)
+    length, n = 20.0, 1024
+    xi = np.arange(n) * (length / n) - length / 2.0
+    shifts = length * np.arange(1, 6)[:, None]
+    xi = np.abs(np.stack([xi + shifts, xi - shifts], axis=1))
+    twave._solitary_U(0.5, 1.0, xi)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    twave._solitary_U(0.5, 1.0, xi)
+    assert "scipy" not in sys.modules
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+""")
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts the page faults of glibc's heap")
+def test_profile_bisection_reuses_its_memory():
+    # a bisection that allocates at every step lets glibc trim the top of
+    # a small heap and fault it back in: thousands of minor faults per call
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", REPEAT_FAULTS], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
 
 
 def test_profile_symmetry_and_monotone_decay():
