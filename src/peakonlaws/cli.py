@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from pathlib import Path
@@ -268,8 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process (about 2 ms); parse_args keeps no state on it
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     code = args.func(args)
     if argv is None:  # invoked as a console script
         sys.exit(code)

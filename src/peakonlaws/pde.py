@@ -169,9 +169,10 @@ class SimConfig:
     """One simulation: grid, step, equation, initial data, outputs.
 
     initial: {"kind": "gaussian" | "cosine_offset" | "mollified_peakon" |
-    "solitary_wave", "params": {...}}.  min_u_floor applies only when f or
-    g is non-finite at u = 0 (evaluated there, at u_x = 0.37);
-    blowup_threshold stops the run on sup|u_x| (wave breaking).
+    "solitary_wave", "params": {...}}.  min_u_floor >= 0 applies only when
+    f or g is non-finite at u = 0 (evaluated there, at u_x = 0.37), and 0
+    turns the guard off; blowup_threshold > 0 stops the run on sup|u_x|
+    (wave breaking).
     """
 
     length: float
@@ -196,6 +197,12 @@ class SimConfig:
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.dt <= 0 or self.t_final <= 0:
             raise ValueError("dt and t_final must be positive")
+        # a threshold <= 0 ends every run at its first step as wave breaking,
+        # and a negative floor disarms the guard without a word
+        if self.blowup_threshold <= 0:
+            raise ValueError(f"blowup_threshold must be positive, got {self.blowup_threshold!r}")
+        if self.min_u_floor < 0:
+            raise ValueError(f"min_u_floor must be 0 (no guard) or positive, got {self.min_u_floor!r}")
         # a bad length or node count is a config error, not a failure in run
         _shared_grid(self.length, self.n)
         if not isinstance(self.dealias, bool):

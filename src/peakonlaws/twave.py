@@ -17,10 +17,18 @@ U, and bisection stays robust at the peak where d xi/dU diverges).  All
 nodes start from (0, peak) and halve hi until xi(peak*2^-k) > |xi|, so
 these leading halvings are shared: the quadrature is evaluated once on
 the dyadic points peak*2^-k and a sorted search places each node at its
-first step up, far down the tail included.  The bisection then runs in
-place, in arrays allocated once per block of nodes: a step that made its
-own ~30 temporaries let glibc trim the top of a small heap and fault it
-back in, thousands of page faults per solitary initial datum.
+first step up, far down the tail included.  From there a Newton estimate
+of the root, in y = arctanh(sqrt(2) t / b) where |xi| is nearly linear,
+decides every step whose mid lies well outside the rounding error of the
+quadrature, and the quadrature is evaluated only on the mids near the
+root (17 per node for the transport initial data, not 56); a
+certificate sends a node whose estimate misled it back to plain
+bisection, so every node gets the bits of plain bisection.  The
+bisection runs in place, in arrays allocated once per block of nodes: a
+step that made its own ~30 temporaries let glibc trim the top of a small
+heap and fault it back in, thousands of page faults per solitary initial
+datum.  It selects without masks, too: a masked copy that follows a
+data-dependent pattern costs a branch misprediction per element.
 Peakons u = a*exp(-|x - c t|) travel with c = 1/a^2.
 
 scipy is imported only by quadrature_crosscheck, on its first call.
@@ -52,6 +60,13 @@ __all__ = [
 _STEPS = 110
 # nodes bisected at a time
 _BLOCK = 16384
+# the certificate needs the bisection to end in a bracket much narrower
+# than rho*U: from a first-step-up bracket [U, 2U], 48 steps end in one
+# narrower than U*2^-47 (each halves it, up to an ulp); _walk takes no
+# step for a node with fewer steps left (U < peak*2^-61)
+_PREDICT_LEFT = 48
+# Newton steps of the estimate
+_NEWTON = 6
 
 
 def solitary_peak_height(b: float, c: float) -> float:
@@ -189,8 +204,13 @@ def _solitary_U(b: float, c: float, xi: np.ndarray) -> np.ndarray:
     * every node starts with the same halvings of hi, taken while
       |xi| >= xi(peak*2^-k); one evaluation of the quadrature on those
       dyadic mids places every node at its first step up;
+    * a Newton estimate r of the root (_estimate) decides, without
+      evaluating the quadrature, every step whose mid lies farther than
+      4*_rounding_bound(b)*r from r (_walk); the quadrature is evaluated
+      only on the mids near r, and a certificate (_predicted_sides_hold)
+      sends a node whose estimate was wrong back to its first step up;
     * a step depends only on a node's (lo, hi) and |xi|, so a node whose
-      step leaves (lo, hi) unchanged sits at its fixed point and leaves
+      lo and hi are adjacent floats sits at its fixed point and leaves
       the loop (checked every few steps), as does a node whose steps are
       spent.  For the same reason the nodes are bisected _BLOCK at a
       time, which bounds the working memory and not the result.
@@ -208,60 +228,213 @@ def _solitary_U(b: float, c: float, xi: np.ndarray) -> np.ndarray:
     # max makes that a sorted search without assuming xi(U) monotone
     # there, and a node that never steps up gets k = _STEPS
     rungs = np.maximum.accumulate(_xi_of_U(ladder[1:-1], b, c))
+    rho = _rounding_bound(b)
     U = np.empty_like(target)
     for start in range(0, target.size, _BLOCK):
         block = target[start:start + _BLOCK]
+        out = U[start:start + _BLOCK]
         first_up = np.searchsorted(rungs, block, side="right")
-        _bisect(block, ladder[first_up + 1], ladder[first_up], _STEPS - 1 - first_up, b, c,
-                out=U[start:start + _BLOCK])
+        lo, hi = ladder[first_up + 1], ladder[first_up]
+        left = _STEPS - 1 - first_up
+        # the certificate passes where the estimate is within about rho of
+        # the result; a converged estimate is within a few ulps of the root
+        _walk(lo, hi, left, _estimate(block, b, c), 4.0 * rho)
+        _bisect(block, lo, hi, left, b, c, out)
+        redo = np.flatnonzero(~_predicted_sides_hold(
+            out, ladder[first_up + 1], ladder[first_up], lo, hi, rho))
+        if redo.size:
+            first_up = first_up[redo]
+            again = np.empty(redo.size)
+            _bisect(block[redo], ladder[first_up + 1], ladder[first_up], _STEPS - 1 - first_up,
+                    b, c, again)
+            out[redo] = again
     U[target == 0.0] = umax
     return U.reshape(xi.shape)
+
+
+def _rounding_bound(b):
+    """rho, a bound on the error of the computed closed form, relative in U.
+
+    _xi_of_U(U) lies between xi(U(1+rho)) and xi(U(1-rho)) for U in
+    [peak*2^-62, peak], the brackets of the nodes _walk takes steps for.
+    A first-order count of the roundings gives about 0.3/b^2 ulps (B =
+    b^2-1+s carries an absolute error of an ulp or so, across a range
+    of width b^2 in s) plus 0.75 ulps per halving of U below the peak
+    (the logs of the tail).  Against a 120-digit evaluation (1800 points
+    for each of 12 values of b from 0.001 to 0.9999) the largest error
+    seen is 0.4/b^2 ulps for b <= 0.1 and 66 ulps above;
+    tests/test_twave.py checks the bound.  256 + 4/b^2 ulps is at least
+    5 times either.
+    """
+    return (256.0 + 4.0 / (b * b)) * 2.0**-52
+
+
+def _estimate(target, b, c):
+    """Newton estimate of the root U of xi(U) = target, per node.
+
+    In y = arctanh(z), with beta = b/sqrt(2) and t = beta*tanh(y),
+
+        xi = y/beta - 2*arctanh(t),   U = peak / (cosh(y) * (1 - t^2)),
+
+    and xi is increasing and convex in y, its slope rising from
+    1/beta - 2*beta at y = 0 to 1/beta.  So target/(1/beta - 2*beta) and
+    beta*(target + 2*arctanh(beta)) both lie at or beyond the root, and
+    Newton from the smaller descends to it monotonically, and converges
+    quadratically: after a step of 2^-26 or less, y is off by about an
+    ulp.  Newton stops when every step is that small, after _NEWTON steps
+    at most; a node whose last step is larger gets NaN, and is bisected as
+    if it had no estimate.
+    """
+    beta = b / math.sqrt(2.0)
+    y = np.divide(target, 1.0 / beta - 2.0 * beta)
+    f, th, t = (np.empty(target.shape) for _ in range(3))
+    np.multiply(target, beta, out=f)
+    f += 2.0 * beta * math.atanh(beta)
+    np.minimum(y, f, out=y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_NEWTON):
+            np.tanh(y, out=th)
+            np.multiply(th, beta, out=t)
+            np.arctanh(t, out=f)
+            # dxi/dy = 1/beta - 2*beta*(1 - tanh(y)^2)/(1 - t^2), in th
+            np.square(th, out=th)
+            np.subtract(1.0, th, out=th)
+            np.square(t, out=t)
+            np.subtract(1.0, t, out=t)
+            np.divide(th, t, out=th)
+            th *= -2.0 * beta
+            th += 1.0 / beta
+            # xi(y) - target, in f, then the Newton step
+            f *= -2.0
+            f -= target
+            np.multiply(y, 1.0 / beta, out=t)
+            f += t
+            np.divide(f, th, out=f)
+            y -= f
+            np.abs(f, out=f)
+            if np.all(f <= 2.0**-26):
+                break
+        np.tanh(y, out=th)
+        th *= beta
+        np.square(th, out=th)
+        np.subtract(1.0, th, out=th)
+        np.cosh(y, out=t)
+        t *= th
+        np.divide(solitary_peak_height(b, c), t, out=t)
+    t[~(f <= 2.0**-26)] = np.nan
+    return t
+
+
+def _walk(lo, hi, left, r, margin):
+    """The bisection steps that the estimate r decides, in place on lo, hi and left.
+
+    A step goes up (mid becomes lo) where mid < r*(1 - margin) and down
+    where mid > r*(1 + margin), the sides bisection takes if r is within
+    margin of the root.  A node whose mid falls between stops there: its
+    bracket and so its mid no longer move.  A node with a NaN estimate or
+    fewer than _PREDICT_LEFT steps left takes no step.
+    After the steps below every bracket around r is narrower than
+    margin*r.  With s in {0, 1} and 0 <= lo <= mid <= hi, the updates
+    max(lo, s*mid) and min(hi, mid + s*hi) select exactly.
+    """
+    steps = math.ceil(-math.log2(margin)) + 1
+    r_up = r * (1.0 - margin)
+    r_down = r * (1.0 + margin)
+    no_step = np.isnan(r) | (left < _PREDICT_LEFT)
+    r_up[no_step] = np.nan
+    r_down[no_step] = np.inf
+    width = hi - lo
+    mid, s = np.empty(lo.shape), np.empty(lo.shape)
+    for _ in range(steps):
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        np.less(mid, r_up, out=s)
+        s *= mid
+        np.maximum(lo, s, out=lo)
+        np.less_equal(mid, r_down, out=s)
+        s *= hi
+        s += mid
+        np.minimum(hi, s, out=hi)
+    # each step halves the width up to the rounding of mid, 2^-52 of the
+    # first width at most; so after j <= 43 steps (margin >= 2^-42) the
+    # log2 of the first width over the width is j within 0.01
+    width /= hi - lo
+    left -= np.rint(np.log2(width)).astype(left.dtype)
+
+
+def _predicted_sides_hold(U, lo0, hi0, lo, hi, rho):
+    """Whether every step _walk took is the one plain bisection takes there.
+
+    lo0, hi0 are a node's first-step-up bracket, lo, hi the bracket _walk
+    left, and U the result of bisecting on from (lo, hi): the midpoint of
+    a final bracket narrower than U*2^-47 (_PREDICT_LEFT).  If lo > lo0
+    and lo <= U*(1 - 3*rho), the lower end of that final bracket lies
+    above lo, so it is a mid where the evaluated quadrature exceeded |xi|,
+    and by the bound rho (_rounding_bound) the root exceeds
+    U*(1 - rho - 2^-47).  Every mid where _walk stepped up lies at or
+    below lo, so xi(mid*(1 + rho)) > |xi| there and bisection steps up as
+    well.  Steps down are checked alike, by hi >= U*(1 + 3*rho).  A wrong
+    estimate leaves the root outside (lo, hi); U then ends next to lo or
+    hi, and the check fails.
+    """
+    up_ok = (lo == lo0) | (lo <= U * (1.0 - 3.0 * rho))
+    down_ok = (hi == hi0) | (hi >= U * (1.0 + 3.0 * rho))
+    return up_ok & down_ok
 
 
 def _bisect(target, lo, hi, left, b, c, out):
     """Bisect U at |xi| = target in (lo, hi), `left` steps still to take, into out.
 
-    lo, hi and left are overwritten.  They, a copy of target and the node
-    numbers keep the nodes still moving in their leading entries, and
-    every step runs in place in arrays allocated here once.
+    lo, hi and left are read, not changed.  The nodes still moving are
+    kept in the leading entries of arrays allocated here once, in order
+    of their budget, so that the nodes whose steps are spent are a
+    leading slice.  Every step runs in place
+    and without a mask: a masked copy or a boolean-mask gather that
+    follows a data-dependent pattern is slow.
     """
-    n = target.size
-    live = np.arange(n)
-    t_live = target.copy()
-    mid = np.empty(n)
+    live = np.argsort(left, kind="stable")
+    t_live, lo, hi, left = target[live], lo[live], hi[live], left[live]
+    n = live.size
+    mid, s, tmp = (np.empty(n) for _ in range(3))
     work = np.empty((4, n))
-    too_close, same = (np.empty(n, dtype=bool) for _ in range(2))
-    settled = False  # after every 8th step: `same` marks the nodes it left in place
-    next_out = 0
+    same, at_hi = (np.empty(n, dtype=bool) for _ in range(2))
     for step in range(_STEPS):
-        if step % 8 == 0 or step >= next_out:
-            done = left <= step
-            if settled:
-                done |= same
-            if done.any():
-                out[live[done]] = 0.5 * (lo[done] + hi[done])
-                keep = ~done
-                n = int(np.count_nonzero(keep))
-                if not n:
-                    break
+        spent = int(np.searchsorted(left, step, side="right"))
+        if spent:
+            out[live[:spent]] = 0.5 * (lo[:spent] + hi[:spent])
+            live, t_live, lo, hi, left, mid, s, tmp, same, at_hi = (
+                a[spent:] for a in (live, t_live, lo, hi, left, mid, s, tmp, same, at_hi))
+            work = work[:, spent:]
+        if step and step % 8 == 0:
+            # `same` marks the nodes at their fixed point
+            gone = np.flatnonzero(same)
+            if gone.size:
+                out[live[gone]] = 0.5 * (lo[gone] + hi[gone])
+                stay = np.flatnonzero(np.logical_not(same, out=same))
+                n = stay.size
                 for a in (live, t_live, lo, hi, left):
-                    a[:n] = a[keep]
-                live, t_live, lo, hi, left, mid, too_close, same = (
-                    a[:n] for a in (live, t_live, lo, hi, left, mid, too_close, same))
+                    a[:n] = a[stay]
+                live, t_live, lo, hi, left, mid, s, tmp, same, at_hi = (
+                    a[:n] for a in (live, t_live, lo, hi, left, mid, s, tmp, same, at_hi))
                 work = work[:, :n]
-            settled = False
-            next_out = left.min()
+        if not live.size:
+            break
         np.add(lo, hi, out=mid)
         mid *= 0.5
-        # xi(mid) > |xi|: mid is too close to the peak and becomes lo, else hi
-        np.greater(_xi_of_U(mid, b, c, work), t_live, out=too_close)
         if (step + 1) % 8 == 0:
-            # the step leaves a node in place where mid equals the end it replaces
-            np.equal(mid, hi, out=same)
-            np.equal(mid, lo, out=same, where=too_close)
-            settled = True
-        np.copyto(lo, mid, where=too_close)
-        np.copyto(hi, mid, where=np.logical_not(too_close, out=too_close))
+            # mid equals an end only where lo and hi are adjacent floats;
+            # every later step leaves 0.5*(lo + hi) equal to this mid
+            np.equal(mid, lo, out=same)
+            np.equal(mid, hi, out=at_hi)
+            same |= at_hi
+        # xi(mid) > |xi|: mid lies below the root and becomes lo, else hi;
+        # with s in {0, 1} and 0 <= lo <= mid <= hi both updates select exactly
+        np.greater(_xi_of_U(mid, b, c, work), t_live, out=s)
+        np.multiply(mid, s, out=tmp)
+        np.maximum(lo, tmp, out=lo)
+        np.multiply(hi, s, out=tmp)
+        tmp += mid
+        np.minimum(hi, tmp, out=hi)
 
 
 def peakon(a: float, xi: np.ndarray | None = None) -> WaveProfile:

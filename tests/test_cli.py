@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from peakonlaws import cli
 from peakonlaws.cli import main
 
 
@@ -49,6 +50,26 @@ def test_bad_seed_is_an_error(capsys):
         code, out, err = run_cli(capsys, "--seed", "-1", *command)
         assert code == 1 and out == ""
         assert err.startswith("error: seed must be an integer >= 0"), err
+
+
+def test_main_parses_each_call_afresh(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; a flag of one call, given
+    # before or after the subcommand, must not carry over to the next
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    seeds = []
+    for i, argv in enumerate((["classify", "--f", "ux", "--g", "u", "--seed", "7"],
+                              ["classify", "--f", "ux", "--g", "u"],
+                              ["--seed", "9", "classify", "--f", "ux", "--g", "u"],
+                              ["classify", "--f", "ux", "--g", "u"])):
+        out = tmp_path / str(i)
+        assert main([*argv, "--out", str(out)]) == 0
+        seeds.append(json.loads((out / "run_manifest.json").read_text())["seed"])
+    capsys.readouterr()
+    assert seeds == [7, 42, 9, 42]
+    assert built == [1]
 
 
 def test_classify_parse_error_with_caret(capsys):

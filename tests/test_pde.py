@@ -417,6 +417,13 @@ def test_read_config_validation(tmp_path):
                        ("output", {"snapshot_times": [True]})):
         with pytest.raises(ValueError, match="invalid simulation config"):
             read_config(json.dumps(dict(doc, **{key: value})))
+    # a blow-up threshold <= 0 reports wave breaking on any run, and a
+    # negative floor disarms the singularity guard
+    for key, value in (("blowup_threshold", 0.0), ("blowup_threshold", -1.0),
+                       ("min_u_floor", -1e-3)):
+        with pytest.raises(ValueError, match=f"invalid simulation config: {key} must be"):
+            read_config(json.dumps(dict(doc, **{key: value})))
+    assert read_config(json.dumps(dict(doc, min_u_floor=0.0))).min_u_floor == 0.0
     assert read_config(json.dumps(dict(doc, L=40))).length == 40.0
     assert read_config(json.dumps(dict(doc, series_dt=None))).series_dt is None
     # dealias takes a JSON boolean only: bool("false") would be True

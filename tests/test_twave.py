@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from peakonlaws import twave
+from peakonlaws import pde, twave
 from peakonlaws.conslaw import EquationSpec
 from peakonlaws.pde import Grid, SimConfig, run
 from peakonlaws.twave import (
@@ -120,6 +120,87 @@ def test_profile_in_blocks(plain_bisection, monkeypatch):
     for block in (1, 7, 1000, 4002):
         monkeypatch.setattr(twave, "_BLOCK", block)
         assert np.array_equal(solitary_profile(0.5, 1.0, xi).U, plain_bisection(0.5, 1.0, xi))
+
+
+def _transport_nodes(center, length=20.0, n=1024, pairs=5):
+    """The nodes of a solitary initial_data on the transport grid: xi and its image pairs."""
+    xi = np.mod(np.arange(n) * (length / n) - center + length / 2.0, length) - length / 2.0
+    shifts = length * np.arange(1, pairs + 1)[:, None]
+    return np.concatenate([xi, np.abs(np.stack([xi + shifts, xi - shifts], axis=1)).ravel()])
+
+
+def test_profile_equals_plain_bisection_on_transport_nodes(plain_bisection):
+    # the estimate decides most steps without evaluating the quadrature;
+    # the bits must still be those of 110 plain steps
+    for center in (10.0, 2.35, 13.71, 19.99):
+        xi = _transport_nodes(center)
+        assert np.array_equal(twave._solitary_U(0.5, 1.0, xi), plain_bisection(0.5, 1.0, xi))
+
+
+def test_profile_equals_plain_bisection_over_shapes(plain_bisection):
+    rng = np.random.default_rng(20261017)
+    for _ in range(12):
+        b, c = float(rng.uniform(0.02, 0.98)), float(rng.uniform(0.2, 5.0))
+        xi = np.concatenate([np.linspace(-30.0, 30.0, 241), rng.uniform(0.0, 150.0 / b, 200)])
+        assert np.array_equal(twave._solitary_U(b, c, xi), plain_bisection(b, c, xi)), (b, c)
+
+
+@pytest.mark.parametrize("error, redo", [(np.nan, False), (1e-14, False), (-1e-14, False),
+                                         (1e-13, None), (1e-12, True), (-1e-9, True),
+                                         (1e-3, True), (-0.3, True)])
+def test_profile_with_a_wrong_estimate_equals_plain_bisection(plain_bisection, monkeypatch, error, redo):
+    # an estimate off by more than the margin takes steps to the wrong
+    # side; the certificate must send such a node back to its first step
+    # up.  Within about rho (6e-14 here) of the root no node is sent back.
+    estimate = twave._estimate
+    monkeypatch.setattr(twave, "_estimate", lambda target, b, c: estimate(target, b, c) * (1.0 + error))
+    calls = []
+    bisect = twave._bisect
+    monkeypatch.setattr(twave, "_bisect", lambda *args: calls.append(args[0].size) or bisect(*args))
+    for b, c, xi in ((0.5, 1.0, _transport_nodes(7.3)), (0.9, 2.0, np.linspace(-60.0, 60.0, 1201))):
+        calls.clear()
+        assert np.array_equal(twave._solitary_U(b, c, xi), plain_bisection(b, c, xi))
+        if redo is not None:
+            assert len(calls) == (2 if redo else 1)
+
+
+def test_profile_evaluates_the_quadrature_at_most_25_times_per_node(monkeypatch):
+    # the transport config's solitary initial data: 55.7 evaluations per
+    # node when every step evaluates the quadrature
+    evaluated, nodes = [], []
+    xi_of_U, invert = twave._xi_of_U, pde._solitary_U
+    monkeypatch.setattr(twave, "_xi_of_U", lambda U, *args: evaluated.append(np.size(U)) or xi_of_U(U, *args))
+    monkeypatch.setattr(pde, "_solitary_U", lambda b, c, xi: nodes.append(np.size(xi)) or invert(b, c, xi))
+    cfg = SimConfig(20.0, 1024, 4e-5, 1.0, EquationSpec.from_strings("ux/u^3", "1/u^2"),
+                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0}})
+    pde.initial_data(cfg)
+    assert sum(nodes) == 1024 + 63 + 10240
+    assert sum(evaluated) / sum(nodes) <= 25.0
+
+
+def _mp_xi_of_U(mp, U, b, c):
+    s = mp.sqrt(1 - c * U * U)
+    t = mp.sqrt((b * b - 1 + s) / (1 + s))
+    return mp.sqrt(2) / b * mp.atanh(mp.sqrt(2) * t / b) - 2 * mp.atanh(t)
+
+
+@pytest.mark.parametrize("b", [0.01, 0.05, 0.3, 0.5, 0.9, 0.9999])
+def test_xi_of_U_within_its_rounding_bound(b):
+    # the certificate rests on xi(U(1+rho)) <= _xi_of_U(U) <= xi(U(1-rho))
+    # over the brackets the estimate takes steps in
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(int(b * 1e4))
+    c = float(rng.uniform(0.2, 5.0))
+    peak = solitary_peak_height(b, c)
+    rho = twave._rounding_bound(b)
+    U = peak * np.concatenate([2.0 ** -rng.uniform(0.0, 62.0, 150), 1.0 - 2.0 ** -rng.uniform(1.0, 52.0, 50)])
+    # 1 - z^2 falls to ~c*U^2/b^2 in the tail: 120 digits keep 80 of them at U = peak*2^-62
+    with mp.workdps(120):
+        bb, cc, lower, upper = mp.mpf(b), mp.mpf(c), 1 - mp.mpf(rho), 1 + mp.mpf(rho)
+        for u, x in zip(U, _xi_of_U(U, b, c)):
+            assert x <= _mp_xi_of_U(mp, mp.mpf(u) * lower, bb, cc), u
+            if u * (1.0 + rho) < peak:
+                assert x >= _mp_xi_of_U(mp, mp.mpf(u) * upper, bb, cc), u
 
 
 REPEAT_FAULTS = textwrap.dedent("""
