@@ -19,22 +19,31 @@ and g, which depend on (u, ux) only, so each is a polynomial in
 (m, mx, mxx) whose coefficients depend on (u, ux) only, and it vanishes
 iff every coefficient does.  euler_u builds each condition once per
 process over placeholder partials of f and g (expr.Partial), and the
-normal form splits it into 2 (A, B) or 10 (C) templates.  Per equation
-each coefficient is a sum of template weight(u, ux) * partial of f or g.
+normal form splits it into 2 (A, B) or 10 (C) templates; their
+polynomial weights are compiled once per process too.  Per equation
+each coefficient is a sum of template weight(u, ux) * partial of f or g,
+and no expression is built for it: one truncated-Taylor pass over f and
+g (expr.Program.taylor) gives the 15 partials at the sample points, and
+the structurally zero ones are left out.
 
 All verdicts are randomized-numeric: a coefficient is declared zero only
-when every sampled (u, ux) point agrees (expr.vote), unless its normal
-form is empty, an exact zero.  The coefficients of an equation share one
-sample.  A failed verdict names the m-monomial whose coefficient failed.
-A gradient-energy candidate (mu, nu) is judged by the same rule without
+when every sampled (u, ux) point agrees (expr.vote), unless it is an
+exact zero: every partial in it is structurally zero, or f and g are
+polynomial there and the sum of its weights' normal forms times the
+partials' normal forms (derived from those of f and g as dicts) is
+empty.  The coefficients of an equation share one sample.  A failed
+verdict names the m-monomial whose coefficient failed.  A
+gradient-energy candidate (mu, nu) is judged by the same rule without
 building its residual: exactly from the coefficients' normal forms, else
 at the shared points.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -194,25 +203,51 @@ def _templates() -> dict:
     return out
 
 
-def _coefficients(eq: EquationSpec) -> dict:
-    """{(condition, m-monomial): coefficient in (u, ux)} of eq, as Add over Mul((weight, partial)).
+@cache
+def _weights() -> tuple:
+    """The template weights, compiled once per process.
 
-    Zero partials are left out.  No like terms are collected across partials, so the
-    trees are not canonical; only poly_normal_forms, Program/sample and evaluate read them.
+    (program, forms, layout): one Program over the distinct weights, their
+    exact normal forms, and {(condition, m-monomial): ((weight index,
+    (function, i, j)), ...)} in template order.
     """
-    partials = {ex.Partial("f"): eq.bound_f, ex.Partial("g"): eq.bound_g}
+    weights, index, layout = [], {}, {}
+    for name, split in _templates().items():
+        for mono, pairs in split.items():
+            for _, w in pairs:
+                if w not in index:
+                    index[w] = len(weights)
+                    weights.append(w)
+            layout[name, mono] = tuple((index[w], (p.of, p.i, p.j)) for p, w in pairs)
+    return ex.Program(weights), ex.poly_normal_forms(weights), layout
 
-    def partial(p: ex.Partial) -> Expr:
-        if p not in partials:  # d/du of the partial one order lower in u, else d/dux
-            lower, v = (ex.Partial(p.of, p.i - 1, p.j), ex.U) if p.i else (ex.Partial(p.of, 0, p.j - 1), ex.UX)
-            partials[p] = ex.diff(partial(lower), v)
-        return partials[p]
+
+def _partial_forms(forms: list, supports: list) -> dict:
+    """{(i, j): exact normal form of d^i/du^i d^j/dux^j} of a sum of terms, for the nonzero partials.
+
+    forms and supports are the terms' normal forms (None where not
+    polynomial) and their Taylor supports (expr.Program.supports).
+
+    A partial is structurally zero when no term's Taylor support holds it,
+    and is left out.  It is exact (else None) when every term that holds
+    it is polynomial; the derivatives are taken of the dicts.
+    """
+    poly = {}
+    for nf in forms:
+        if nf is not None:
+            poly = ex._padd(poly, nf)
+    derived = {(0, 0): poly}
+
+    def form(i: int, j: int) -> dict:
+        if (i, j) not in derived:
+            derived[i, j] = ex._pdiff(form(i - 1, j), "u") if i else ex._pdiff(form(0, j - 1), "ux")
+        return derived[i, j]
 
     out = {}
-    for name, split in _templates().items():
-        for mono, weights in split.items():
-            terms = tuple(ex.Mul((w, partial(p))) for p, w in weights if partial(p) != ex.ZERO)
-            out[name, mono] = ex.Add(terms) if len(terms) > 1 else terms[0] if terms else ex.ZERO
+    for k, ij in enumerate(ex.JET):
+        held = [nf for nf, support in zip(forms, supports) if k in support]
+        if held:
+            out[ij] = form(*ij) if all(nf is not None for nf in held) else None
     return out
 
 
@@ -220,32 +255,40 @@ def _coefficients(eq: EquationSpec) -> dict:
 class _SplitConditions:
     """The m-monomial coefficients of A, B and C, zero-tested on one shared sample.
 
-    coeffs maps (condition, m-monomial) to the coefficient expression in
-    (u, ux), and forms to its normal form, all taken in one call.  A
-    coefficient whose normal form is empty is an exact zero; the others
-    are sampled together, once, and each votes on its own row of
-    samples.values and samples.scales (its largest |weight * partial|).
+    forms maps (condition, m-monomial) to the coefficient's exact normal
+    form: {} for an exact zero, None when it is not polynomial.  The
+    coefficients that are not exact zeros are sampled together, once, and
+    each votes on its own row of samples.values and samples.scales (its
+    largest |weight * partial|).
+    An equation's split comes from _split_conditions; tested splits
+    coefficient expressions given whole, as the synthetic conditions of
+    the tests.
     """
 
-    coeffs: dict
-    forms: dict  # (condition, m-monomial) -> normal form of the coefficient, or None
+    forms: dict
     samples: ex.Samples | None
     rows: dict  # (condition, m-monomial) -> row of samples, for the sampled ones
     verdicts: dict
 
     @staticmethod
-    def tested(coeffs: dict, policy: SamplingPolicy) -> "_SplitConditions":
-        forms = dict(zip(coeffs, ex.poly_normal_forms(list(coeffs.values()))))
-        pending = [k for k in coeffs if forms[k] != {}]
-        samples = ex.sample([coeffs[k] for k in pending], policy) if pending else None
-        verdicts = {k: ZeroVerdict("zero", 0.0, None, exact=True) for k in coeffs}
+    def voted(forms: dict, sample, policy: SamplingPolicy) -> "_SplitConditions":
+        """Zero tests of the coefficients forms: exact where {}, else sample(pending keys) votes."""
+        pending = [k for k, nf in forms.items() if nf != {}]
+        samples = sample(pending) if pending else None
+        verdicts = {k: ZeroVerdict("zero", 0.0, None, exact=True) for k in forms}
         for row, k in enumerate(pending):
             v = ex.vote(samples, samples.values[row], samples.scales[row], policy.rel_tol)
             verdicts[k] = _named(v, k[1])
-        return _SplitConditions(coeffs, forms, samples, {k: row for row, k in enumerate(pending)}, verdicts)
+        return _SplitConditions(forms, samples, {k: row for row, k in enumerate(pending)}, verdicts)
+
+    @staticmethod
+    def tested(coeffs: dict, policy: SamplingPolicy) -> "_SplitConditions":
+        """The split of coefficient expressions {(condition, m-monomial): expression in (u, ux)}."""
+        forms = dict(zip(coeffs, ex.poly_normal_forms(list(coeffs.values()))))
+        return _SplitConditions.voted(forms, lambda pending: ex.sample([coeffs[k] for k in pending], policy), policy)
 
     def monomials(self, name: str) -> list:
-        return [mono for cond, mono in self.coeffs if cond == name]
+        return [mono for cond, mono in self.forms if cond == name]
 
     def verdict(self, name: str, monomials=None) -> ZeroVerdict:
         """Zero test of a condition: all of its coefficients (or those of monomials)."""
@@ -257,7 +300,7 @@ class _SplitConditions:
         """Values and scales of the coefficients keys at the shared points.
 
         A coefficient that is not sampled (an exact zero, or absent from
-        coeffs) reads 0 with scale 1.
+        forms) reads 0 with scale 1.
         """
         n = self.samples.values.shape[1]
         rows = [self.rows.get(k) for k in keys]
@@ -288,7 +331,55 @@ def _all_zero(verdicts: list) -> ZeroVerdict:
 
 
 def _split_conditions(eq: EquationSpec, policy: SamplingPolicy) -> _SplitConditions:
-    return _SplitConditions.tested(_coefficients(eq), policy)
+    """The split conditions of eq, from one truncated-Taylor pass over f and g per sampled block.
+
+    A coefficient is the sum of weight * partial over the partials of its
+    template that are not structurally zero; with none left it is an
+    exact zero.  Where every partial in it is polynomial its normal form
+    is the sum of the weights' forms times the partials' forms, derived
+    from the normal forms of f's and g's terms.  The partials' values at
+    the sampled points are the Taylor coefficients times i! j!.
+    """
+    weights, weight_forms, layout = _weights()
+    fg = ex.Program([eq.bound_f, eq.bound_g])
+    terms = [e.terms if isinstance(e, ex.Add) else (e,) for e in (eq.bound_f, eq.bound_g)]
+    term_forms = iter(ex.poly_normal_forms([t for ts in terms for t in ts]))
+    partials = {}  # (function, i, j) -> exact form or None, for the nonzero partials
+    for of, ts, supports in zip("fg", terms, fg.supports):
+        for (i, j), nf in _partial_forms([next(term_forms) for _ in ts], supports).items():
+            partials[of, i, j] = nf
+    forms, live = {}, {}
+    for key, pairs in layout.items():
+        live[key] = [(w, p) for w, p in pairs if p in partials]
+        if not live[key]:
+            forms[key] = {}
+        elif all(partials[p] is not None for _, p in live[key]):
+            total = {}
+            for w, p in live[key]:
+                total = ex._padd(total, ex._pmul(weight_forms[w], partials[p]))
+            forms[key] = total
+        else:
+            forms[key] = None
+
+    def sample(pending: list) -> ex.Samples:
+        pairs = [pair for k in pending for pair in live[k]]
+        w_rows = [w for w, _ in pairs]
+        jet_of = np.array(["fg".index(of) for _, (of, _, _) in pairs])
+        jet_row = np.array([ex.JET.index((i, j)) for _, (_, i, j) in pairs])
+        factorial = np.array([math.factorial(i) * math.factorial(j) for _, (_, i, j) in pairs], dtype=float)
+        bounds = np.cumsum([len(live[k]) for k in pending])[:-1]
+
+        def block(env: dict, count: int) -> list:
+            jets = np.array(fg.taylor(env))
+            w = np.empty((len(weight_forms), count))
+            for row, ts in zip(w, weights(env)):
+                row[:] = functools.reduce(operator.add, ts)
+            values = w[w_rows] * (jets[jet_of, jet_row] * factorial[:, None])
+            return np.split(values, bounds)
+
+        return ex.sample(block, policy, ("u", "ux"))
+
+    return _SplitConditions.voted(forms, sample, policy)
 
 
 def check_momentum(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Verdict:
@@ -799,6 +890,26 @@ class ConservationReport:
         return json.dumps(self.to_json(), indent=indent)
 
 
+def _wh2_mu(sols: GradEnergySolutions) -> float | None:
+    """A mu != 2 with (mu, 0) in the solution set, or None.
+
+    A point (mu, 0) gives its mu.  A line with d_nu != 0 meets nu = 0 at
+    mu* = mu0 - nu0 * d_mu / d_nu; a line on nu = 0, or the plane, holds
+    every mu, and gives the representative mu = 3.
+    """
+    if sols.kind == "plane":
+        return 3.0
+    if sols.kind == "point" and abs(sols.nu) < 1e-6 and abs(sols.mu - 2.0) > 1e-6:
+        return sols.mu
+    if sols.kind == "line":
+        dmu, dnu = sols.direction
+        if abs(dnu) < 1e-9:
+            return 3.0 if abs(sols.nu) < 1e-6 else None
+        mu = sols.mu - sols.nu * dmu / dnu
+        return mu if abs(mu - 2.0) > 1e-6 else None
+    return None
+
+
 def _wh2_verdict(sols: GradEnergySolutions, va: ZeroVerdict, vc: ZeroVerdict) -> Verdict:
     """Conserved weighted-H2 norm: some (mu != 2, nu = 0) solves the condition.
 
@@ -809,11 +920,7 @@ def _wh2_verdict(sols: GradEnergySolutions, va: ZeroVerdict, vc: ZeroVerdict) ->
     if va.status == "zero":
         return Verdict.from_zero(vc)
     # A nonzero: at nu=0 the residual (mu-2)*A + C admits at most one mu
-    if sols.kind == "line" and abs(sols.direction[1]) < 1e-9:
-        # line of solutions with nu fixed; nu must be 0 to qualify
-        if abs(sols.nu) < 1e-6:
-            return Verdict(True, sols.residual_max)
-    if sols.kind == "point" and abs(sols.nu) < 1e-6 and abs(sols.mu - 2.0) > 1e-6:
+    if _wh2_mu(sols) is not None:
         return Verdict(True, sols.residual_max)
     return Verdict(False, max(va.residual_max, sols.residual_max))
 
@@ -825,7 +932,9 @@ def classify(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Conserva
     verdict.  The L2 norm of m corresponds to (mu, nu) = (2, 0) in the
     gradient energy, the weighted H2 norm to some (mu != 2, nu = 0); those
     verdicts are derived from the solution set plus a direct residual test
-    and reported indeterminate on any disagreement.
+    and reported indeterminate on any disagreement.  The weighted-H2
+    current is built at the mu where the solution set meets nu = 0 (a
+    point's mu, a tilted line's crossing, mu = 3 on a line along nu = 0).
     """
     policy = policy or SamplingPolicy()
     split = _split_conditions(eq, policy)
@@ -855,8 +964,9 @@ def classify(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Conserva
         cur = flux_grad_energy(eq, 2.0, 0.0)
         if cur is not None:
             fluxes.append(cur)
-    if wh2.conserved and sols.kind in ("line", "plane"):
-        cur = flux_grad_energy(eq, 3.0, 0.0)  # representative mu != 2
+    wh2_mu = _wh2_mu(sols) if wh2.conserved else None
+    if wh2_mu is not None:
+        cur = flux_grad_energy(eq, wh2_mu, 0.0)
         if cur is not None:
             fluxes.append(cur)
 

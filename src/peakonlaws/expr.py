@@ -16,9 +16,13 @@ top-level terms on floats or numpy arrays alike, NaN wherever a power or
 function leaves its domain.  compile_terms is its view for one expression;
 evaluate and evaluate_with_scale sum those terms with fsum.  The solver
 runs f and g as one program, and the sampler the expressions of one call
-as one program.  There is one sampler: sample draws seeded jet points
-shared by a sequence of expressions and judges the candidates a block at
-a time; sample_points is its view for one expression.
+as one program.  Program.taylor runs the same straight-line code on
+truncated bivariate Taylor jets in (u, ux) of degree 3, and gives every
+partial derivative up to order 3 of each expression at once, with the
+structurally zero ones exactly 0.  There is one sampler: sample draws
+seeded jet points shared by a sequence of expressions (or rows of a
+block evaluator) and judges the candidates a block at a time;
+sample_points is its view for one expression.
 
 Trees share subtrees freely, so the kernel works once per distinct node.
 Each node computes its hash once, when it is built, and == compares the
@@ -54,6 +58,9 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import taylor
+from .taylor import JET
+
 __all__ = [
     "ExprError",
     "ParseError",
@@ -80,6 +87,7 @@ __all__ = [
     "parse",
     "to_source",
     "Program",
+    "JET",
     "compile_terms",
     "evaluate",
     "evaluate_with_scale",
@@ -660,15 +668,13 @@ class Program:
                 raise ExprError(f"cannot evaluate {type(n).__name__}")
             slot_of[id(n)] = out
         self._outputs = [[slot_of[id(t)] for t in ts] for ts in tops]
+        self._jets = None  # the Taylor interpretation, made on the first taylor call
 
     def __call__(self, env: Mapping) -> list:
         """The top-level term values of each expression at env."""
         vals = self._init.copy()
         for s, name, kind in self._loads:
-            try:
-                vals[s] = np.asarray(env[name])
-            except KeyError:
-                raise ExprError(f"no value for {kind} {name!r}") from None
+            vals[s] = _env_value(env, name, kind)
         if self._guarded:
             with np.errstate(all="ignore"):
                 self._run(vals)
@@ -679,6 +685,77 @@ class Program:
     def _run(self, vals: list):
         for function, out, a, b in self._code:
             vals[out] = function(vals[a]) if b is None else function(vals[a], vals[b])
+
+    @property
+    def supports(self) -> list:
+        """Per expression, per top-level term: the JET indices of its structurally nonzero Taylor coefficients."""
+        return self._taylor_code()[1]
+
+    def taylor(self, env: Mapping) -> list:
+        """The truncated Taylor jets in (u, ux) of each expression at env: one (10, n) array each.
+
+        Row k holds d^i/du^i d^j/dux^j / (i! j!) of the expression at the
+        points of env, (i, j) = JET[k].  The same straight-line code runs on
+        jets (see _taylor_code): + and * by truncated Taylor arithmetic,
+        powers and functions by their derivatives at the value.  A row that
+        is structurally zero (as d/dux of exp(u)) is exactly 0.
+        """
+        code, supports = self._taylor_code()
+        vals = [None if v is None else taylor.const_jet(v) for v in self._init]
+        for s, name, kind in self._loads:
+            vals[s] = taylor.var_jet(_env_value(env, name, kind), name)
+        with np.errstate(all="ignore"):
+            for rule, out, a, b in code:
+                vals[out] = rule(vals[a], None if b is None else vals[b])
+        width = max([1] + [vals[s].shape[1] for outs in self._outputs for s in outs])
+        jets = []
+        for outs, sups in zip(self._outputs, supports):
+            total = np.zeros((len(JET), width))
+            for s, support in zip(outs, sups):
+                total[list(support)] += vals[s]
+            jets.append(total)
+        return jets
+
+    def _taylor_code(self) -> tuple:
+        """The code as Taylor rules, with the support of every slot; made once per Program.
+
+        A slot holds the rows of its structurally nonzero coefficients only,
+        in JET order; its support lists them.  A constant's support is its
+        value, or nothing for 0; u and ux add their first-order row.
+        """
+        if self._jets is not None:
+            return self._jets
+        support = [None if v is None else ((0,) if v else ()) for v in self._init]
+        for s, name, _ in self._loads:
+            support[s] = taylor.VAR_SUPPORT.get(name, (0,))
+        fn_of = {f: name for name, f in _FN_UFUNCS.items()}
+        code = []
+        for function, out, a, b in self._code:
+            if function in (operator.add, operator.mul):
+                rule, support[out] = (taylor.add if function is operator.add else taylor.mul)(support[a], support[b])
+            elif function is operator.truediv:  # only b / b, the mask of a negative power
+                rule, support[out] = taylor.unit(support[a])
+            else:
+                if function in (operator.pow, np.power):
+                    p = float(self._init[b])
+                    # a non-negative integer power p has no derivative above order p
+                    order = min(3, int(p)) if function is operator.pow and p >= 0 else 3
+                    derivatives = taylor.pow_derivatives(p, function, order)
+                else:
+                    rules = taylor.FN_DERIVATIVES[fn_of[function]]
+                    order, derivatives = 3, lambda a0, f=function, rules=rules: rules(a0, f(a0))
+                rule, support[out] = taylor.compose(support[a], order, derivatives)
+            code.append((rule, out, a, b))
+        supports = [[support[s] for s in outs] for outs in self._outputs]
+        self._jets = (code, supports)
+        return self._jets
+
+
+def _env_value(env: Mapping, name: str, kind: str) -> np.ndarray:
+    try:
+        return np.asarray(env[name])
+    except KeyError:
+        raise ExprError(f"no value for {kind} {name!r}") from None
 
 
 def compile_terms(e: Expr) -> Callable[[Mapping], list]:
@@ -911,6 +988,16 @@ def _pmul(p: _PolyT, q: _PolyT) -> _PolyT:
     return out
 
 
+def _pdiff(p: _PolyT, symbol: str) -> _PolyT:
+    """d/d(symbol) of p; distinct monomials stay distinct."""
+    out: _PolyT = {}
+    for mono, c in p.items():
+        k = dict(mono).get(symbol, 0)
+        if k:
+            out[tuple((s, e - (s == symbol)) for s, e in mono if (s, e) != (symbol, 1))] = c * k
+    return out
+
+
 def _padd(p: _PolyT, q: _PolyT) -> _PolyT:
     out = dict(p)
     for m, c in q.items():
@@ -1080,61 +1167,75 @@ def _near_poles(env: Mapping[str, np.ndarray], delta: float, count: int) -> np.n
     return near
 
 
+_SIGNS = np.array([-1.0, 1.0])
+
+
 class Samples(NamedTuple):
     """Admissible jet points shared by several expressions, in draw order."""
 
     names: list  # coordinate names: jet variables, then parameters
     points: np.ndarray  # (n_points, len(names))
-    values: np.ndarray  # (len(exprs), n_points): fsum of the top-level terms
-    scales: np.ndarray  # (len(exprs), n_points): max(1, |largest term|)
+    values: np.ndarray  # (rows, n_points): fsum of each row's terms (an expression's top-level terms)
+    scales: np.ndarray  # (rows, n_points): max(1, |largest term|)
 
 
-def sample(exprs: Sequence[Expr], policy: SamplingPolicy) -> Samples:
+def sample(exprs, policy: SamplingPolicy, names: Sequence[str] = ()) -> Samples:
     """Draw the first n_points admissible points for every symbol of exprs.
 
     Candidates come one at a time from the seeded stream (uniform values,
     then random signs), so the points depend only on the seed and the
     symbols.  They are judged a block at a time: a candidate is admissible
-    off the singular loci (see SamplingPolicy) where every expression
-    evaluates finitely.  At most max_tries * n_points candidates are drawn.
-    The expressions are compiled as one Program, once per call, and each
-    block of candidates is evaluated by one call of it.
+    off the singular loci (see SamplingPolicy) where every term of every
+    row evaluates finitely.  At most max_tries * n_points candidates are
+    drawn.  exprs is either a sequence of expressions, compiled as one
+    Program once per call, each a row of its top-level terms; or a block
+    evaluator, a callable (env, count) -> one (terms, count) array per
+    row, over the coordinates names.  Either is called once per block.
     """
-    program = Program(exprs)
-    names = []
-    for kind in ("variable", "parameter"):
-        names += sorted(name for _, name, k in program._loads if k == kind)
+    if callable(exprs):
+        block, names = exprs, list(names)
+    else:
+        program = Program(exprs)
+        names = []
+        for kind in ("variable", "parameter"):
+            names += sorted(name for _, name, k in program._loads if k == kind)
+
+        def block(env, count):
+            return [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in program(env)]
+
     rng = np.random.default_rng(policy.seed)
     n, dim, budget = policy.n_points, len(names), policy.max_tries * policy.n_points
-    points, terms, tries = [], [[] for _ in exprs], 0
-    while len(points) < n:
+    chosen, terms, found, tries = [], None, 0, 0
+    while found < n:
         if tries >= budget:
             raise SingularSamplingError(
                 "could not find admissible sample points "
-                f"({len(points)} of {n} after {tries} tries)"
+                f"({found} of {n} after {tries} tries)"
             )
-        count = min(n - len(points), budget - tries)
+        count = min(n - found, budget - tries)
         tries += count
-        # operands evaluate left to right: uniform, then choice, per candidate
+        # operands evaluate left to right: uniform, then the signs, per candidate;
+        # _SIGNS[integers(0, 2)] draws what choice([-1.0, 1.0]) draws, with less overhead
         pts = np.array([
-            rng.uniform(policy.low, policy.high, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+            rng.uniform(policy.low, policy.high, size=dim) * _SIGNS[rng.integers(0, 2, size=dim)]
             for _ in range(count)
         ]).reshape(count, dim)
         env = dict(zip(names, pts.T))
         with np.errstate(all="ignore"):  # an overflow is inf, and rejects the candidate
-            out = program(env)
-        vals = [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in out]
+            rows = block(env, count)
         admissible = ~_near_poles(env, policy.delta, count)
-        for v in vals:
+        for v in rows:
             admissible &= np.isfinite(v).all(axis=0)
-        for j in np.flatnonzero(admissible)[: n - len(points)]:
-            points.append(pts[j])
-            for cols, v in zip(terms, vals):
-                cols.append(v[:, j])
-    rows = [np.array(cols) for cols in terms]  # (n_points, terms) per expression
-    values = np.array([[_fsum(row) for row in r] for r in rows])
-    scales = np.array([np.maximum(1.0, np.abs(r).max(axis=1)) for r in rows])
-    return Samples(names, np.array(points).reshape(n, dim), values, scales)
+        take = np.flatnonzero(admissible)[: n - found]
+        found += len(take)
+        chosen.append(pts[take])
+        terms = terms or [[] for _ in rows]
+        for cols, v in zip(terms, rows):
+            cols.append(v[:, take])
+    rows = [np.concatenate(cols, axis=1) for cols in terms]  # (terms, n_points) per row
+    values = np.array([[_fsum(col) for col in r.T.tolist()] for r in rows])
+    scales = np.array([np.maximum(1.0, np.abs(r).max(axis=0)) for r in rows])
+    return Samples(names, np.concatenate(chosen).reshape(n, dim), values, scales)
 
 
 def sample_points(e: Expr, policy: SamplingPolicy) -> list[dict]:

@@ -237,6 +237,37 @@ def full_conditions():
     return _full_conditions
 
 
+def _plain_coefficients(eq) -> dict:
+    """{(condition, m-monomial): coefficient in (u, ux)} of eq, each built as an expression tree.
+
+    The sum over its template of weight * partial, each partial of f and g
+    taken by diff (d/du of the partial one order lower in u, else d/dux),
+    zero partials left out: Add over Mul((weight, partial)), not canonical.
+    """
+    from peakonlaws import conslaw
+
+    partials = {ex.Partial("f"): eq.bound_f, ex.Partial("g"): eq.bound_g}
+
+    def partial(p: ex.Partial) -> ex.Expr:
+        if p not in partials:
+            lower, v = (ex.Partial(p.of, p.i - 1, p.j), ex.U) if p.i else (ex.Partial(p.of, 0, p.j - 1), ex.UX)
+            partials[p] = ex.diff(partial(lower), v)
+        return partials[p]
+
+    out = {}
+    for name, split in conslaw._templates().items():
+        for mono, weights in split.items():
+            terms = tuple(ex.Mul((w, partial(p))) for p, w in weights if partial(p) != ex.ZERO)
+            out[name, mono] = ex.Add(terms) if len(terms) > 1 else terms[0] if terms else ex.ZERO
+    return out
+
+
+@pytest.fixture
+def plain_coefficients():
+    """Reference for conslaw._split_conditions: the coefficients as trees of diff partials."""
+    return _plain_coefficients
+
+
 def _plain_candidate_verdict(coeffs: dict, mu: float, nu: float, policy) -> ex.ZeroVerdict:
     """is_zero of the 1 and m rows of the residual (mu-2)*A + nu*B + C, each built as an expression.
 

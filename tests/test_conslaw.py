@@ -127,7 +127,7 @@ def _template_forms() -> dict:
 def test_templates_are_linear_in_the_placeholders():
     # every term of every template is exactly one placeholder, to the
     # first power, times a weight in (u, ux) alone: a coefficient is the
-    # sum of weight * partial, and _coefficients builds it so
+    # sum of weight * partial, and _split_conditions sums it so
     templates = conslaw._templates()
     assert sum(len(split) for split in templates.values()) == 14
     for split in templates.values():
@@ -145,58 +145,74 @@ def test_templates_are_linear_in_the_placeholders():
             assert [k for s, k in mono if s[0] in "fg"] == [1]
 
 
-@pytest.mark.parametrize("f, g, per_function", [
-    ("u^3*ux^3 + exp(u*ux)", "sqrt(u^2+1)*ux^4 + u^4*ux", {"f": 5, "g": 9}),
-    ("ux", "u", None),  # Camassa-Holm: most partials are zero
+@pytest.mark.parametrize("f, g, generic", [
+    ("u^3*ux^3 + exp(u*ux)", "sqrt(u^2+1)*ux^4 + u^4*ux", True),
+    ("ux", "u", False),  # Camassa-Holm: most partials are zero
 ])
-def test_coefficients_take_14_diffs_and_no_sum_or_product(monkeypatch, f, g, per_function):
-    # the partials of f up to order 2 and of g up to order 3 (g itself
-    # never enters) are taken by diff, each once; outside those diffs
-    # neither add nor mul runs, and each coefficient is the Add of
-    # Mul((weight, partial)) over its template, zero partials left out
+def test_split_takes_no_diff_and_builds_no_tree(monkeypatch, f, g, generic):
+    # a warm split takes no diff and builds no expression node: one
+    # Program, over f and g, one poly_normal_forms call, over their
+    # top-level terms, and one Taylor pass per sampled block give every
+    # coefficient, as the sum of weight * partial over its template's
+    # partials that are not zero (f up to order 2, g up to order 3)
     eq = EquationSpec.from_strings(f, g)
-    templates = conslaw._templates()
-    real_diff, depth, diffs, built = ex.diff, [0], [], []
+    conslaw._split_conditions(eq, POL)  # the templates and weights exist from here on
+    real_program, real_sample, real_forms, real_taylor = ex.Program, ex.sample, ex.poly_normal_forms, ex.Program.taylor
+    count = {"diff": 0, "node": 0, "taylor": 0, "block": 0}
+    programs, forms, blocks = [], [], []
+    real_post_init = ex.Expr.__post_init__
 
-    def counting_diff(e, v):
-        depth[0] += 1
-        try:
-            diffs.append((e, real_diff(e, v)))
-        finally:
-            depth[0] -= 1
-        return diffs[-1][1]
+    class CountingProgram(real_program):
+        def __init__(self, exprs):
+            programs.append(list(exprs))
+            super().__init__(exprs)
 
-    def outside_diff(fn):
-        def counted(*args):
-            if not depth[0]:
-                built.append(fn.__name__)
-            return fn(*args)
+    def counting_taylor(program, env):
+        count["taylor"] += 1
+        return real_taylor(program, env)
+
+    def counting_sample(exprs, policy, names=()):
+        def block(env, n):
+            count["block"] += 1
+            blocks.append(exprs(env, n))
+            return blocks[-1]
+        return real_sample(block if callable(exprs) else exprs, policy, names)
+
+    def counting(key, fn):
+        def counted(*args, **kwargs):
+            count[key] += 1
+            return fn(*args, **kwargs)
         return counted
 
-    for module in (ex, conslaw):
-        monkeypatch.setattr(module, "add", outside_diff(ex.add))
-        monkeypatch.setattr(module, "mul", outside_diff(ex.mul))
-    monkeypatch.setattr(ex, "diff", counting_diff)
-    coeffs = conslaw._coefficients(eq)
+    monkeypatch.setattr(ex, "Program", CountingProgram)
+    monkeypatch.setattr(real_program, "taylor", counting_taylor)
+    monkeypatch.setattr(ex, "sample", counting_sample)
+    monkeypatch.setattr(ex, "poly_normal_forms", lambda exprs: forms.append(list(exprs)) or real_forms(exprs))
+    monkeypatch.setattr(ex, "diff", counting("diff", ex.diff))
+    monkeypatch.setattr(ex.Expr, "__post_init__", counting("node", real_post_init))
+    split = conslaw._split_conditions(eq, POL)
     monkeypatch.undo()
-    assert len(diffs) == 14 and built == []
-    if per_function:
-        side = {id(eq.bound_f): "f", id(eq.bound_g): "g"}
-        for e, result in diffs:
-            side[id(result)] = side[id(e)]
-        assert {of: sum(side[id(r)] == of for _, r in diffs) for of in "fg"} == per_function
-    results = {id(r) for _, r in diffs} | {id(eq.bound_f)}
-    for (name, mono), c in coeffs.items():
-        terms = c.terms if isinstance(c, ex.Add) else () if c == ex.ZERO else (c,)
-        assert all(type(t) is ex.Mul and len(t.factors) == 2 for t in terms)
-        # the weights, in template order, of the partials that are not zero
-        weights = iter(w for _, w in templates[name][mono])
-        assert all(any(w is t.factors[0] for w in weights) for t in terms)
-        assert all(id(t.factors[1]) in results and t.factors[1] != ex.ZERO for t in terms)
-        if per_function:  # no partial of f up to order 2 or of g up to order 3 is zero
-            assert len(terms) == len(templates[name][mono])
+    assert count["diff"] == 0 and count["node"] == 0
+    assert len(programs) == 1 and [id(e) for e in programs[0]] == [id(eq.bound_f), id(eq.bound_g)]
+    terms = [t for e in (eq.bound_f, eq.bound_g) for t in (e.terms if isinstance(e, ex.Add) else (e,))]
+    assert len(forms) == 1 and [id(e) for e in forms[0]] == [id(t) for t in terms]
+    assert count["taylor"] == count["block"] >= 1
+    sampled = [k for k, nf in split.forms.items() if nf != {}]
+    assert len(blocks[0]) == len(sampled)
+    if generic:  # no partial of f up to order 2 or of g up to order 3 is zero
+        assert sampled == list(split.forms)
+        assert [len(t) for t in blocks[0]] == [len(conslaw._templates()[name][mono]) for name, mono in sampled]
     # the m^4 coefficient is g_03, zero for Camassa-Holm
-    assert (coeffs["C", "m^4"] == ex.ZERO) == (per_function is None)
+    assert (split.forms["C", "m^4"] == {}) == (not generic)
+    # a warm classify, its currents included, takes no diff either
+    count.update(diff=0, taylor=0, block=0)
+    monkeypatch.setattr(ex, "diff", counting("diff", ex.diff))
+    monkeypatch.setattr(real_program, "taylor", counting_taylor)
+    monkeypatch.setattr(ex, "sample", counting_sample)
+    rep = classify(eq, POL)
+    monkeypatch.undo()
+    assert count["diff"] == 0 and count["taylor"] == count["block"] >= 1
+    assert len(rep.fluxes) == (0 if generic else 2)
 
 
 def test_template_monomials():
@@ -282,41 +298,44 @@ SPLIT_EQUATIONS = CANDIDATE_EQUATIONS + [
 @pytest.mark.parametrize("index", range(len(SPLIT_EQUATIONS)))
 def test_split_sums_to_the_full_conditions(index, full_conditions):
     # sum_k c_k(u, ux) * m-monomial_k equals A, B and C built whole, to
-    # rounding, at seeded jet points off the loci u = 0, ux = 0 and
-    # u^2 = ux^2 where A, B and C are finite
+    # rounding, at the split's sample points in (u, ux), with seeded
+    # (m, mx, mxx) there; a coefficient that is an exact zero reads 0
     eq = SPLIT_EQUATIONS[index]
     full = dict(zip("ABC", full_conditions(eq)))
-    coeffs = conslaw._coefficients(eq)
-    assert all(ex.jet_vars(c) <= {ex.U, ex.UX} for c in coeffs.values())
+    split = conslaw._split_conditions(eq, POL)
+    assert split.samples.names == ["u", "ux"]
+    keys = list(split.forms)
+    values, scales = split.at_points(keys)
     rng = np.random.default_rng(1000 + index)
     checked = 0
-    while checked < 12:
-        u, ux = rng.uniform(0.2, 2.0, 2) * rng.choice([-1.0, 1.0], 2)
-        if min(abs(u), abs(ux), abs(u * u - ux * ux)) < 0.1:
-            continue
+    for j, (u, ux) in enumerate(split.samples.points):
         point = {"u": u, "ux": ux, **dict(zip(("m", "mx", "mxx"), rng.uniform(-2.0, 2.0, 3)))}
         if not all(math.isfinite(ex.evaluate(cond, point)) for cond in full.values()):
-            continue  # outside the domain of f or g, as y^(1/2) at u^2 < ux^2
+            continue
         for name, cond in full.items():
-            # every top-level term of every coefficient, times its monomial
-            terms = [float(t) * ex.evaluate(ex.parse(mono), point)
-                     for (n, mono), c in coeffs.items() if n == name for t in ex.compile_terms(c)(point)]
+            # every coefficient times its monomial, against the built condition's terms
+            monomials = [(k, ex.evaluate(ex.parse(k[1]), point)) for k in keys if k[0] == name]
+            terms = [values[keys.index(k)][j] * mono for k, mono in monomials]
             want_terms = [float(t) for t in ex.compile_terms(cond)(point)]
-            scale = max([1.0] + [abs(t) for t in terms + want_terms])
+            scale = max([1.0] + [scales[keys.index(k)][j] * abs(mono) for k, mono in monomials]
+                        + [abs(t) for t in want_terms])
             assert abs(math.fsum(terms) - math.fsum(want_terms)) <= 1e-12 * scale, (name, point)
         checked += 1
+    assert checked >= 12
 
 
-def test_failed_verdict_names_its_monomial():
+def test_failed_verdict_names_its_monomial(plain_coefficients):
     # Novikov: momentum fails; DP: H1 fails; CH: L2(m) fails
     for eq, field, cond in ((NOVIKOV, "momentum", "B"), (DP, "h1", "A"), (CH, "l2m", "C")):
         v = getattr(classify(eq, POL), field)
         assert v.conserved is False
         assert set(v.witness) == {"u", "ux", "value", "scale", "monomial"}
         assert v.witness["monomial"] in conslaw._templates()[cond]
-        # the witness is a point where that coefficient is not zero
-        c = conslaw._coefficients(eq)[cond, v.witness["monomial"]]
-        assert ex.evaluate(c, v.witness) == v.witness["value"] != 0.0
+        # the witness is a point where that coefficient, built as a tree of
+        # diff partials, is not zero, and has the witness's value to rounding
+        c = plain_coefficients(eq)[cond, v.witness["monomial"]]
+        assert v.witness["value"] != 0.0
+        assert ex.evaluate(c, v.witness) == pytest.approx(v.witness["value"], rel=1e-12)
     rep = classify(CH, POL)
     assert rep.momentum.witness is None and rep.h1.witness is None
 
@@ -326,39 +345,40 @@ def _record_candidates(monkeypatch) -> list:
     real = conslaw._candidate_verdict
 
     def recording(split, mu, nu, rel_tol):
-        tried.append((split.coeffs, mu, nu, real(split, mu, nu, rel_tol)))
+        tried.append((split, mu, nu, real(split, mu, nu, rel_tol)))
         return tried[-1][-1]
 
     monkeypatch.setattr(conslaw, "_candidate_verdict", recording)
     return tried
 
 
-def test_grad_candidates_match_the_built_residual(monkeypatch, plain_candidate_verdict):
+def test_grad_candidates_match_the_built_residual(monkeypatch, plain_coefficients, plain_candidate_verdict):
     # each candidate (mu, nu) gets the status, and the exact or sampled
-    # path, that is_zero of its residual rows built as expressions gives.
-    # classify tries candidates only where the m-monomials of C alone
-    # vanish (the L2(m) family), so every equation is also probed at
-    # three fixed points, which most fail
+    # path, that is_zero of its residual rows built as expressions from
+    # the diff-tree coefficients gives.  classify tries candidates only
+    # where the m-monomials of C alone vanish (the L2(m) family), so every
+    # equation is also probed at three fixed points, which most fail
     tried = _record_candidates(monkeypatch)
+    of = []
     for eq in CANDIDATE_EQUATIONS:
         classify(eq, POL)
-    from_classify = len(tried)
+        of += [eq] * (len(tried) - len(of))
     for eq in CANDIDATE_EQUATIONS:
         split = conslaw._split_conditions(eq, POL)
         for mu, nu in ((2.0, 0.0), (3.0, 0.0), (2.0, 1.5)):
             conslaw._candidate_verdict(split, mu, nu, POL.rel_tol)
+            of.append(eq)
     assert len(tried) > len(CANDIDATE_EQUATIONS)
-    for index, (coeffs, mu, nu, got) in enumerate(tried):
-        want = plain_candidate_verdict(coeffs, mu, nu, POL)
-        assert (got.status, got.exact) == (want.status, want.exact), (mu, nu, got, want)
+    for index, ((_, mu, nu, got), eq) in enumerate(zip(tried, of, strict=True)):
+        want = plain_candidate_verdict(plain_coefficients(eq), mu, nu, POL)
+        assert got.status == want.status, (mu, nu, got, want)
+        # exact where the trees are: the dict path also proves the zeros that
+        # float-folded trees leave with a residue of rounding size
+        assert got.exact >= want.exact, (mu, nu, got, want)
         if got.status == "zero":
             # (mu-2)*a + nu*b + c of the coefficient sums, against the sum of
-            # the built row's terms: equal where classify tries (mu, nu),
-            # to rounding at the probes
-            if index < from_classify:
-                assert got.residual_max == want.residual_max
-            else:
-                assert got.residual_max == pytest.approx(want.residual_max, abs=1e-14)
+            # the built row's terms: equal to rounding
+            assert got.residual_max == pytest.approx(want.residual_max, abs=1e-14), (index, mu, nu)
     seen = {(v.status, v.exact) for *_, v in tried}
     assert {("zero", True), ("zero", False), ("nonzero", False)} <= seen
 
@@ -378,6 +398,53 @@ def test_grad_energy_point_off_the_nu_axis(A, B):
     assert sols.mu == pytest.approx(0.5, abs=1e-9) and sols.nu == pytest.approx(0.5, abs=1e-9)
 
 
+def test_weighted_h2_on_a_tilted_line():
+    # mu + 3*nu = 5: a line through (2.3, 0.9), direction (0.949, -0.316),
+    # that meets nu = 0 at mu* = mu0 - nu0*d_mu/d_nu = 5, where the
+    # weighted H2 norm is conserved
+    split = _conditions("ux/u^3", "3*ux/u^3", "-3*ux/u^3")
+    sols = conslaw._solve_grad_energy(split, POL)
+    assert sols.kind == "line" and abs(sols.direction[1]) > 0.1
+    assert conslaw._wh2_mu(sols) == pytest.approx(5.0, abs=1e-9)
+    assert conslaw._candidate_verdict(split, conslaw._wh2_mu(sols), 0.0, POL.rel_tol).status == "zero"
+    assert conslaw._wh2_verdict(sols, split.verdict("A"), split.verdict("C")).conserved is True
+    # mu + 3*nu = 2 meets nu = 0 at mu = 2 only: the L2(m) norm, not a weighted H2 norm
+    split = _conditions("ux/u^3", "3*ux/u^3", "0")
+    sols = conslaw._solve_grad_energy(split, POL)
+    assert sols.kind == "line" and conslaw._wh2_mu(sols) is None
+    assert conslaw._wh2_verdict(sols, split.verdict("A"), split.verdict("C")).conserved is False
+
+
+@pytest.mark.parametrize("A, B, C, mu", [
+    ("u*ux", "ux^3", "-1.5*u*ux", 3.5),  # the point (3.5, 0)
+    ("u*ux", "ux^3", "1.5*u*ux-0.5*ux^3", None),  # the point (0.5, 0.5), off the nu = 0 axis
+    ("u*ux", "ux^3", "0", None),  # the point (2, 0): the L2(m) norm
+])
+def test_weighted_h2_at_a_point(A, B, C, mu):
+    split = _conditions(A, B, C)
+    sols = conslaw._solve_grad_energy(split, POL)
+    assert sols.kind == "point"
+    assert conslaw._wh2_mu(sols) == (None if mu is None else pytest.approx(mu, abs=1e-9))
+    assert conslaw._wh2_verdict(sols, split.verdict("A"), split.verdict("C")).conserved is (mu is not None)
+
+
+@pytest.mark.parametrize("sols, mu", [
+    (conslaw.GradEnergySolutions("line", 2.0, 0.0, (1.0, 0.0)), 3.0),  # on nu = 0: the representative mu = 3
+    (conslaw.GradEnergySolutions("line", 2.3, 0.9, (0.9486832980505138, -0.31622776601683794)), 5.0),
+    (conslaw.GradEnergySolutions("point", 5.0, 0.0), 5.0),
+])
+def test_classify_builds_the_weighted_h2_current_at_its_mu(monkeypatch, sols, mu):
+    # the singular equation conserves the gradient energy on all of nu = 0;
+    # given a tilted line or a point of that set, classify builds the
+    # weighted H2 current where the set meets nu = 0, and it verifies
+    monkeypatch.setattr(conslaw, "_solve_grad_energy", lambda split, policy: sols)
+    rep = classify(SINGULAR, POL)
+    assert rep.weighted_h2.conserved is True
+    (cur,) = [c for c in rep.fluxes if c.name.startswith("grad_energy")]
+    assert cur.name == f"grad_energy(mu={mu:g},nu=0)"
+    assert characteristic_check(cur, SINGULAR, POL).conserved is True
+
+
 def test_grad_energy_scale_covers_cancelling_coefficients():
     # B = 3*A with terms of size 1e12 and C = 0: the solutions are the line
     # mu - 2 + 3*nu = 0, where (mu-2)*a + nu*b cancels to rounding size,
@@ -389,10 +456,12 @@ def test_grad_energy_scale_covers_cancelling_coefficients():
 
 def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
     # one sample of the coefficients serves their zero tests, the fit and
-    # every candidate: no is_zero, one Program, over the sampled
-    # coefficients, and one poly_normal_forms call, over all of them.
-    # Candidates are tried only where the m-monomials of C alone vanish:
-    # on members f = -ux*h'(u)/2, g = h(u) of the L2(m) family
+    # every candidate: no is_zero, one sample call, with a row for each
+    # coefficient that is not an exact zero, one Program, over f and g,
+    # and one poly_normal_forms call, over their top-level terms; the
+    # candidates expand and compile nothing.  Candidates are tried only
+    # where the m-monomials of C alone vanish: on members f = -ux*h'(u)/2,
+    # g = h(u) of the L2(m) family
     for eq in (L2FAM, SINGULAR, CANDIDATE_EQUATIONS[-1], EquationSpec.from_strings("-0.5*ux*exp(u)", "exp(u)"),
                EquationSpec.from_strings("-0.5*ux*u/sqrt(u^2+1)", "sqrt(u^2+1)")):
         sampled, programs, forms = [], [], []
@@ -403,9 +472,10 @@ def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
                 programs.append(list(exprs))
                 super().__init__(exprs)
 
-        def counting_sample(exprs, policy):
-            sampled.append(list(exprs))
-            return real_sample(exprs, policy)
+        def counting_sample(exprs, policy, names=()):
+            samples = real_sample(exprs, policy, names)
+            sampled.append(samples)
+            return samples
 
         def counting_forms(exprs):
             forms.append(list(exprs))
@@ -414,34 +484,35 @@ def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
         def no_is_zero(e, policy=None):
             raise AssertionError("is_zero called")
 
-        coeffs = conslaw._coefficients(eq)
-        inexact = [c for c, nf in zip(coeffs.values(), real_forms(list(coeffs.values()))) if nf != {}]
+        terms = [t for e in (eq.bound_f, eq.bound_g) for t in (e.terms if isinstance(e, ex.Add) else (e,))]
         tried = _record_candidates(monkeypatch)
         monkeypatch.setattr(ex, "sample", counting_sample)
         monkeypatch.setattr(ex, "Program", CountingProgram)
         monkeypatch.setattr(ex, "poly_normal_forms", counting_forms)
         monkeypatch.setattr(conslaw, "is_zero", no_is_zero)
-        conslaw._solve_grad_energy(conslaw._SplitConditions.tested(coeffs, POL), POL)
+        split = conslaw._split_conditions(eq, POL)
+        made = len(programs), len(forms)
+        conslaw._solve_grad_energy(split, POL)
         monkeypatch.undo()
         assert tried
-        for calls, want in ((sampled, inexact), (programs, inexact), (forms, list(coeffs.values()))):
-            assert len(calls) == 1 and len(calls[0]) == len(want)
-            assert all(e is c for e, c in zip(calls[0], want))
-    # classify expands its coefficients in one poly_normal_forms call, over
-    # exactly those coefficients, and the candidates reuse the forms; the
-    # flux builders expand expressions of their own
+        assert (len(programs), len(forms)) == made == (1, 1)
+        assert [id(e) for e in programs[0]] == [id(eq.bound_f), id(eq.bound_g)]
+        assert [id(e) for e in forms[0]] == [id(t) for t in terms]
+        assert len(sampled) == 1 and sampled[0] is split.samples
+        assert len(split.samples.values) == sum(nf != {} for nf in split.forms.values()) == len(split.rows)
+    # classify splits once, and the candidates reuse the split's forms;
+    # the flux builders expand expressions of their own
     for eq in (L2FAM, CANDIDATE_EQUATIONS[10]):
         forms, splits = [], []
         real_forms = ex.poly_normal_forms
+        terms = [t for e in (eq.bound_f, eq.bound_g) for t in (e.terms if isinstance(e, ex.Add) else (e,))]
         monkeypatch.setattr(ex, "poly_normal_forms", lambda exprs: forms.append(list(exprs)) or real_forms(exprs))
         monkeypatch.setattr(conslaw, "_split_conditions", _keep(conslaw._split_conditions, splits))
         classify(eq, POL)
         monkeypatch.undo()
         assert len(splits) == 1
-        coeffs = list(splits[0].coeffs.values())
-        of_coeffs = [f for f in forms if any(e is c for e in f for c in coeffs)]
-        assert len(of_coeffs) == 1 and len(of_coeffs[0]) == len(coeffs)
-        assert all(e is c for e, c in zip(of_coeffs[0], coeffs))
+        of_terms = [f for f in forms if any(e is t for e in f for t in terms)]
+        assert len(of_terms) == 1 and [id(e) for e in of_terms[0]] == [id(t) for t in terms]
 
 
 def test_nodes_hold_only_their_fields():
@@ -493,7 +564,7 @@ def test_known_equation_grid(name):
 def test_classify_builds_each_condition_once(monkeypatch):
     # euler_u builds the three templates on the first classify of a process
     # and runs no more: every later classify only weights the partials of
-    # f and g by them and samples the coefficients, each once
+    # f and g by them and samples the coefficients, once
     real_euler_u = conslaw.euler_u
     built, sampled = [], []
 
@@ -503,11 +574,13 @@ def test_classify_builds_each_condition_once(monkeypatch):
 
     real_sample = ex.sample
     monkeypatch.setattr(conslaw, "euler_u", counting_euler_u)
-    monkeypatch.setattr(ex, "sample", lambda exprs, policy: sampled.append(list(exprs)) or real_sample(exprs, policy))
-    monkeypatch.setattr(conslaw, "is_zero", _no_is_zero_of(conslaw.is_zero, lambda: sampled[0]))
+    monkeypatch.setattr(ex, "sample", lambda exprs, policy, names=(): sampled.append(exprs) or real_sample(
+        exprs, policy, names))
     conslaw._templates.cache_clear()
+    conslaw._weights.cache_clear()
     per_classify = []
-    # the momentum/H1 overlap instance: every verdict and both fluxes
+    # the momentum/H1 overlap instance: every verdict and both fluxes, which
+    # the exact path builds without a sample of their own
     eq = EquationSpec.from_strings("ux*(u^2-ux^2)", "u*(u^2-ux^2)+(u^2-ux^2)")
     for _ in range(3):
         sampled.clear()
@@ -515,18 +588,10 @@ def test_classify_builds_each_condition_once(monkeypatch):
         rep = classify(eq, POL)
         per_classify.append(len(built) - before)
         assert rep.momentum.conserved and rep.h1.conserved
-        assert len({id(e) for e in sampled[0]}) == len(sampled[0])
+        assert len(sampled) == 1 and callable(sampled[0])
     monkeypatch.undo()
     assert per_classify == [3, 0, 0]
     assert conslaw.euler_u is ex.euler_u
-
-
-def _no_is_zero_of(is_zero_fn, coefficients):
-    """is_zero that fails on any of the coefficients the verdicts sampled."""
-    def checked(e, policy=None):
-        assert not any(e is c for c in coefficients()), "a coefficient was zero-tested again"
-        return is_zero_fn(e, policy)
-    return checked
 
 
 def test_singular_family_report():
@@ -613,6 +678,40 @@ def test_verdicts_equal_the_golden_record():
     assert sorted(golden) == sorted(f"{f} | {g}" for f, g in GOLDEN_EQUATIONS)
     for f, g in GOLDEN_EQUATIONS:
         assert _golden_record(f, g) == golden[f"{f} | {g}"], (f, g)
+
+
+# f and g of the golden equations, one expression per function of the
+# vocabulary, and fractional and negative powers
+TAYLOR_EXPRESSIONS = sorted({e for pair in GOLDEN_EQUATIONS for e in pair}) + [
+    "exp(u*ux) + ux", "ln(u + 2*ux)", "sqrt(u^2 + ux)*ux", "sin(u*ux^2)", "u*cos(u - ux)", "arctanh(u*ux/4)",
+    "(u^2 + ux^2)^(1/3)", "u^(-5/2)*ux^3", "(u - ux)^-3", "ux^(3/2)/u", "exp(u)", "u^2*ux", "3",
+]
+
+
+def test_taylor_expressions_cover_every_function():
+    assert {name for e in TAYLOR_EXPRESSIONS for name in ex.FN_NAMES if name + "(" in e} == set(ex.FN_NAMES)
+
+
+@pytest.mark.parametrize("source", TAYLOR_EXPRESSIONS)
+def test_taylor_partials_equal_the_diff_trees(source):
+    # the 10 Taylor coefficients times i! j! are the partials that diff
+    # trees give at the same points, to 1e-12 relative, and the
+    # structurally zero ones are exactly those diff returns as ZERO
+    e = parse(source)
+    program = ex.Program([e])
+    rng = np.random.default_rng(77)
+    env = {"u": rng.uniform(0.6, 1.8, 30), "ux": rng.uniform(0.05, 0.5, 30)}
+    jet, = program.taylor(env)
+    support = set().union(*program.supports[0])
+    for k, (i, j) in enumerate(ex.JET):
+        d = e
+        for v in ("u",) * i + ("ux",) * j:
+            d = ex.diff(d, v)
+        assert (k not in support) == (d == ex.ZERO), (i, j)
+        want = np.broadcast_to(ex.evaluate(d, env), (30,))
+        got = jet[k] * math.factorial(i) * math.factorial(j)
+        assert np.all(np.isfinite(want))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (i, j, np.max(np.abs(got - want)))
 
 
 # ---------------------------------------------------------------------------
