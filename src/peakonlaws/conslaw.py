@@ -133,6 +133,11 @@ class EquationSpec:
     def bound_g(self) -> Expr:
         return ex.bind_params(self.g, self.params)
 
+    @cached_property
+    def program(self) -> ex.Program:
+        """f and g as one Program, for the split and the solver."""
+        return ex.Program([self.bound_f, self.bound_g])
+
     @staticmethod
     def from_strings(f: str, g: str, params: dict | None = None) -> "EquationSpec":
         params = dict(params or {})
@@ -341,7 +346,7 @@ def _split_conditions(eq: EquationSpec, policy: SamplingPolicy) -> _SplitConditi
     the sampled points are the Taylor coefficients times i! j!.
     """
     weights, weight_forms, layout = _weights()
-    fg = ex.Program([eq.bound_f, eq.bound_g])
+    fg = eq.program
     terms = [e.terms if isinstance(e, ex.Add) else (e,) for e in (eq.bound_f, eq.bound_g)]
     term_forms = iter(ex.poly_normal_forms([t for ts in terms for t in ts]))
     partials = {}  # (function, i, j) -> exact form or None, for the nonzero partials

@@ -160,7 +160,7 @@ def _is_singular_at_zero(eq: EquationSpec) -> bool:
     Each top-level term is tested, so terms whose infinities would meet in
     the sum still count.
     """
-    terms = _fg_program(eq.bound_f, eq.bound_g)({"u": 0.0, "ux": 0.37})
+    terms = eq.program({"u": 0.0, "ux": 0.37})
     return not all(np.isfinite(t) for ts in terms for t in ts)
 
 
@@ -332,14 +332,13 @@ def initial_data(config: SimConfig) -> np.ndarray:
         # periodize by summing image pairs j = 1, 2, ... up to the first
         # that falls below 1e-12 of the peak; a plain wrap would leave a
         # derivative kink at the box edge whose radiation pollutes the
-        # transport.  Bisected U does not grow with |xi| (a larger |xi|
-        # never steps up where a smaller one steps down), so a pair's
-        # largest value is U at its nearest node.  One inversion of xi and
-        # of each pair's nearest |xi| gives the peak and the number of
-        # pairs, a second inverts those pairs, and they are summed in
-        # order of j.  With |xi| <= L/2, rounded xi + jL and xi - jL keep
-        # their signs and their order in xi, so the nearest come from the
-        # extreme nodes.
+        # transport.  U decreases with |xi| and the computed U follows it
+        # to a few ulps, so a pair's largest value is, to a few ulps, U at
+        # its nearest node.  One inversion of xi and of each pair's
+        # nearest |xi| gives the peak and the number of pairs, a second
+        # inverts those pairs, and they are summed in order of j.  With
+        # |xi| <= L/2, rounded xi + jL and xi - jL keep their signs and
+        # their order in xi, so the nearest come from the extreme nodes.
         shifts = L * np.arange(1, 64)
         nearest = np.minimum(xi.min() + shifts, np.abs(xi.max() - shifts))
         first = _solitary_U(b, c, np.concatenate([xi, nearest]))
@@ -371,7 +370,7 @@ class Stepper:
     def __init__(self, grid: Grid, eq: EquationSpec, dealias: bool = True,
                  guard_floor: float = 0.0):
         self.grid = grid
-        self.program = _fg_program(eq.bound_f, eq.bound_g)
+        self.program = eq.program
         self._env = {"u": None, "ux": None, "x": grid.x}
         self.guard_floor = guard_floor
         mask = grid.dealias_mask if dealias else np.ones_like(grid.k)
@@ -428,14 +427,6 @@ class Stepper:
         gmax = float(np.max(np.abs(self._fg(state.u, state.ux)[1])))
         if dt * gmax * self.grid.n / self.grid.length > 1.0:
             warnings.warn("CFL sanity exceeded: dt*max|g|*N/L > 1", RuntimeWarning, stacklevel=3)
-
-
-@lru_cache(maxsize=8)
-def _fg_program(f: ex.Expr, g: ex.Expr) -> ex.Program:
-    # one program per equation, not per stepper: run probes f and g at u = 0
-    # before it builds its stepper, rhs builds a stepper per call, and
-    # compiling f and g takes about a tenth of a step
-    return ex.Program([f, g])
 
 
 def rhs(grid: Grid, state: GridState, eq: EquationSpec, dealias: bool = True) -> np.ndarray:

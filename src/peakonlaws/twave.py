@@ -12,23 +12,19 @@ b*sqrt(2-b^2)/sqrt(c).  The quadrature has the closed form
     |xi| = (sqrt(2)/b) * arctanh(sqrt(2) t / b) - 2 * arctanh(t),
     t = sqrt(B/A),  A = 1 + s,  B = b^2 - 1 + s,
 
-which is inverted here by bisection in U (|xi| is strictly decreasing in
-U, and bisection stays robust at the peak where d xi/dU diverges).  All
-nodes start from (0, peak) and halve hi until xi(peak*2^-k) > |xi|, so
-these leading halvings are shared: the quadrature is evaluated once on
-the dyadic points peak*2^-k and a sorted search places each node at its
-first step up, far down the tail included.  From there a Newton estimate
-of the root, in y = arctanh(sqrt(2) t / b) where |xi| is nearly linear,
-decides every step whose mid lies well outside the rounding error of the
-quadrature, and the quadrature is evaluated only on the mids near the
-root (17 per node for the transport initial data, not 56); a
-certificate sends a node whose estimate misled it back to plain
-bisection, so every node gets the bits of plain bisection.  The
-bisection runs in place, in arrays allocated once per block of nodes: a
-step that made its own ~30 temporaries let glibc trim the top of a small
-heap and fault it back in, thousands of page faults per solitary initial
-datum.  It selects without masks, too: a masked copy that follows a
-data-dependent pattern costs a branch misprediction per element.
+which is explicit in y = arctanh(sqrt(2) t / b): with beta = b/sqrt(2),
+
+    |xi| = y/beta - 2*arctanh(beta*tanh(y)),
+    U = peak / (cosh(y) * (1 - beta^2 tanh(y)^2)).
+
+|xi| is increasing and convex in y, so Newton in y from an upper bound
+descends to the root monotonically, on all nodes at once, and U follows
+from y without a further solve (_solitary_U).  Newton stops one step
+after every step is at most 2^-26*max(1, y), and raises at a cap rather
+than return an unconverged value.  U comes out within about
+2*(1 + ln(peak/U)) ulps, far down the tail included.  The closed form in
+U (_xi_of_U) is kept for the ODE cross-check.
+
 Peakons u = a*exp(-|x - c t|) travel with c = 1/a^2.
 
 scipy is imported only by quadrature_crosscheck, on its first call.
@@ -56,17 +52,8 @@ __all__ = [
 ]
 
 
-# bisection steps per node, from (0, peak)
-_STEPS = 110
-# nodes bisected at a time
-_BLOCK = 16384
-# the certificate needs the bisection to end in a bracket much narrower
-# than rho*U: from a first-step-up bracket [U, 2U], 48 steps end in one
-# narrower than U*2^-47 (each halves it, up to an ulp); _walk takes no
-# step for a node with fewer steps left (U < peak*2^-61)
-_PREDICT_LEFT = 48
-# Newton steps of the estimate
-_NEWTON = 6
+# Newton steps at most; b = 1 - 2^-52 takes 32
+_NEWTON_CAP = 64
 
 
 def solitary_peak_height(b: float, c: float) -> float:
@@ -82,62 +69,28 @@ def _check_bc(b: float, c: float):
         raise ValueError(f"wave speed c must be positive and finite, got {c}")
 
 
-def _s_of(U, b, c, out=None):
-    """s = sqrt(1 - c U^2), clipped at 0; into out if given."""
-    if out is None:
-        out = np.empty(np.shape(U))
-    np.square(U, out=out)
-    np.multiply(c, out, out=out)
-    np.subtract(1.0, out, out=out)
-    np.maximum(out, 0.0, out=out)
-    return np.sqrt(out, out=out)
+def _s_of(U, b, c):
+    """s = sqrt(1 - c U^2), clipped at 0."""
+    return np.sqrt(np.maximum(1.0 - c * np.asarray(U) ** 2, 0.0))
 
 
-def _xi_of_U(U, b, c, work=None):
+def _xi_of_U(U, b, c):
     """|xi| as a function of U in (0, peak]; the closed-form quadrature.
 
     xi = (sqrt(2)/b)*arctanh(z) - 2*arctanh(t) with t = sqrt(B/A) and
     z = sqrt(2)t/b, written via logs with the exact factorizations
     1 - t^2 = (2-b^2)/A and 1 - z^2 = (2-b^2)*c*U^2/(A^2 b^2) so the tail
     (z -> 1) is evaluated without cancellation; xi(0) = +inf.
-
-    Every operation runs in place in four float arrays of U's shape:
-    those of work, if given, else fresh ones.  With work the result is
-    one of its arrays, valid until work is used again.
     """
     U = np.asarray(U, dtype=float)
-    s, A, z, den = work if work is not None else (np.empty(U.shape) for _ in range(4))
-    _s_of(U, b, c, out=s)
-    np.add(1.0, s, out=A)
-    t = np.add(b * b - 1.0, s, out=s)  # B, then t = sqrt(B/A)
-    np.maximum(t, 0.0, out=t)
-    np.divide(t, A, out=t)
-    np.sqrt(t, out=t)
-    np.multiply(np.sqrt(2.0), t, out=z)
-    np.divide(z, b, out=z)
-    # arctanh(t) = 0.5*log((1+t)^2 A / (2-b^2)), in t's array
-    ath_t = np.add(1.0, t, out=t)
-    np.square(ath_t, out=ath_t)
-    ath_t *= A
-    ath_t /= 2.0 - b * b
-    np.log(ath_t, out=ath_t)
-    ath_t *= 0.5
-    # arctanh(z) = 0.5*log((1+z)^2 A^2 b^2 / ((2-b^2) c U^2)), in z's array
-    np.multiply((2.0 - b * b) * c, U, out=den)
-    den *= U
-    ath_z = np.add(1.0, z, out=z)
-    np.square(ath_z, out=ath_z)
-    ath_z *= A
-    ath_z *= A
-    ath_z *= b
-    ath_z *= b
-    with np.errstate(divide="ignore"):
-        ath_z /= den
-        np.log(ath_z, out=ath_z)
-    ath_z *= 0.5
-    ath_z *= np.sqrt(2.0) / b
-    ath_t *= 2.0
-    return np.subtract(ath_z, ath_t, out=ath_z)
+    s = _s_of(U, b, c)
+    A = 1.0 + s
+    t = np.sqrt(np.maximum(b * b - 1.0 + s, 0.0) / A)
+    z = np.sqrt(2.0) * t / b
+    with np.errstate(divide="ignore", over="ignore"):
+        ath_t = 0.5 * np.log((1.0 + t) ** 2 * A / (2.0 - b * b))
+        ath_z = 0.5 * np.log((1.0 + z) ** 2 * A * A * b * b / ((2.0 - b * b) * c * U * U))
+    return (np.sqrt(2.0) / b) * ath_z - 2.0 * ath_t
 
 
 def _uprime_branch(U, xi, b, c):
@@ -176,10 +129,11 @@ class WaveProfile:
 
 
 def solitary_profile(b: float, c: float, xi: np.ndarray) -> WaveProfile:
-    """Invert the closed-form quadrature on a xi grid by bisection in U.
+    """The solitary wave on a xi grid, from the closed form in y = arctanh(z).
 
     Positive orientation; use .reflected() for the mirror solution.
-    U is that of _solitary_U; U' is from the first-order ODE branch.
+    U is that of _solitary_U, by Newton in y, to about 2*(1 + ln(peak/U))
+    ulps; U' is from the first-order ODE branch.
     """
     U = _solitary_U(b, c, xi)
     xi = np.asarray(xi, dtype=float)
@@ -195,246 +149,87 @@ def solitary_profile(b: float, c: float, xi: np.ndarray) -> WaveProfile:
 
 
 def _solitary_U(b: float, c: float, xi: np.ndarray) -> np.ndarray:
-    """U(xi) of the solitary wave by bisection in U, without U'.
+    """U(xi) of the solitary wave by Newton in y = arctanh(z), without U'.
 
-    Bisection is run to ~1e-15 relative so downstream residual tests see
-    only the accuracy of the closed form itself.  The result is that of
-    _STEPS steps from (0, peak) on every node, bit for bit, at less cost:
+    With beta = b/sqrt(2) and t = beta*tanh(y) the closed form reads
 
-    * every node starts with the same halvings of hi, taken while
-      |xi| >= xi(peak*2^-k); one evaluation of the quadrature on those
-      dyadic mids places every node at its first step up;
-    * a Newton estimate r of the root (_estimate) decides, without
-      evaluating the quadrature, every step whose mid lies farther than
-      4*_rounding_bound(b)*r from r (_walk); the quadrature is evaluated
-      only on the mids near r, and a certificate (_predicted_sides_hold)
-      sends a node whose estimate was wrong back to its first step up;
-    * a step depends only on a node's (lo, hi) and |xi|, so a node whose
-      lo and hi are adjacent floats sits at its fixed point and leaves
-      the loop (checked every few steps), as does a node whose steps are
-      spent.  For the same reason the nodes are bisected _BLOCK at a
-      time, which bounds the working memory and not the result.
+        |xi| = y/beta - 2*arctanh(t),   U = peak / (cosh(y) * (1 - t^2)),
+
+    and |xi| is increasing and convex in y, its slope
+    (1 - b^2 + t^2) / (beta*(1 - t^2)) rising from (1 - b^2)/beta at y = 0
+    to 1/beta.  So |xi|*beta/(1 - b^2) and beta*(|xi| + 2*arctanh(beta))
+    both lie at or beyond the root, and Newton from the smaller descends
+    to it monotonically and converges quadratically.  It runs on all
+    nodes at once, stops once every step is at most 2^-26*max(1, y), then
+    takes one more; it raises after _NEWTON_CAP steps.  It takes 4 steps
+    at b = 0.5, 20 at b = 1 - 1e-9 and 32 at b = 1 - 2^-52.  On 2e5
+    values of |xi| from 1e-30 to 1e3 only b = 1 - 2^-53, the last float
+    below 1, reached the cap, at three |xi| near 3e-23, where rounding
+    in the closed form exceeds the stopping rule.
+
+    y comes out within a few ulps of itself, and ln(U) follows y: against
+    a 60-digit inversion, for b from 1e-3 to 1 - 1e-9 and U down to
+    1e-300*peak, U is within 2*(1 + ln(peak/U)) ulps.  U is evaluated as
+    2*peak*h*h / ((1 + h^4)*(1 - t^2)) with h = e^(-y/2), so no step
+    underflows before U does, and it is capped at the peak.  Nodes
+    beyond |xi| = 1200/beta, where y > 1200 and U < 2^-1075 for any c
+    (peak < 1/sqrt(c) < 2^538), are solved at 1200/beta: U rounds to 0
+    there, and y/beta stays finite.
     """
     _check_bc(b, c)
     xi = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xi)):
         raise ValueError("solitary profile needs finite xi")
-    umax = solitary_peak_height(b, c)
-    target = np.abs(xi).ravel()
-    # ladder[k] = umax halved k times, as the bisection halves it; the
-    # trailing 0 is the lo of a node that never steps up
-    ladder = np.append(np.multiply.accumulate(np.r_[umax, np.full(_STEPS, 0.5)]), 0.0)
-    # first step up: the first k with xi(ladder[k+1]) > |xi|; the running
-    # max makes that a sorted search without assuming xi(U) monotone
-    # there, and a node that never steps up gets k = _STEPS
-    rungs = np.maximum.accumulate(_xi_of_U(ladder[1:-1], b, c))
-    rho = _rounding_bound(b)
-    U = np.empty_like(target)
-    for start in range(0, target.size, _BLOCK):
-        block = target[start:start + _BLOCK]
-        out = U[start:start + _BLOCK]
-        first_up = np.searchsorted(rungs, block, side="right")
-        lo, hi = ladder[first_up + 1], ladder[first_up]
-        left = _STEPS - 1 - first_up
-        # the certificate passes where the estimate is within about rho of
-        # the result; a converged estimate is within a few ulps of the root
-        _walk(lo, hi, left, _estimate(block, b, c), 4.0 * rho)
-        _bisect(block, lo, hi, left, b, c, out)
-        redo = np.flatnonzero(~_predicted_sides_hold(
-            out, ladder[first_up + 1], ladder[first_up], lo, hi, rho))
-        if redo.size:
-            first_up = first_up[redo]
-            again = np.empty(redo.size)
-            _bisect(block[redo], ladder[first_up + 1], ladder[first_up], _STEPS - 1 - first_up,
-                    b, c, again)
-            out[redo] = again
-    U[target == 0.0] = umax
-    return U.reshape(xi.shape)
-
-
-def _rounding_bound(b):
-    """rho, a bound on the error of the computed closed form, relative in U.
-
-    _xi_of_U(U) lies between xi(U(1+rho)) and xi(U(1-rho)) for U in
-    [peak*2^-62, peak], the brackets of the nodes _walk takes steps for.
-    A first-order count of the roundings gives about 0.3/b^2 ulps (B =
-    b^2-1+s carries an absolute error of an ulp or so, across a range
-    of width b^2 in s) plus 0.75 ulps per halving of U below the peak
-    (the logs of the tail).  Against a 120-digit evaluation (1800 points
-    for each of 12 values of b from 0.001 to 0.9999) the largest error
-    seen is 0.4/b^2 ulps for b <= 0.1 and 66 ulps above;
-    tests/test_twave.py checks the bound.  256 + 4/b^2 ulps is at least
-    5 times either.
-    """
-    return (256.0 + 4.0 / (b * b)) * 2.0**-52
-
-
-def _estimate(target, b, c):
-    """Newton estimate of the root U of xi(U) = target, per node.
-
-    In y = arctanh(z), with beta = b/sqrt(2) and t = beta*tanh(y),
-
-        xi = y/beta - 2*arctanh(t),   U = peak / (cosh(y) * (1 - t^2)),
-
-    and xi is increasing and convex in y, its slope rising from
-    1/beta - 2*beta at y = 0 to 1/beta.  So target/(1/beta - 2*beta) and
-    beta*(target + 2*arctanh(beta)) both lie at or beyond the root, and
-    Newton from the smaller descends to it monotonically, and converges
-    quadratically: after a step of 2^-26 or less, y is off by about an
-    ulp.  Newton stops when every step is that small, after _NEWTON steps
-    at most; a node whose last step is larger gets NaN, and is bisected as
-    if it had no estimate.
-    """
     beta = b / math.sqrt(2.0)
-    y = np.divide(target, 1.0 / beta - 2.0 * beta)
-    f, th, t = (np.empty(target.shape) for _ in range(3))
-    np.multiply(target, beta, out=f)
-    f += 2.0 * beta * math.atanh(beta)
-    np.minimum(y, f, out=y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(_NEWTON):
-            np.tanh(y, out=th)
-            np.multiply(th, beta, out=t)
-            np.arctanh(t, out=f)
-            # dxi/dy = 1/beta - 2*beta*(1 - tanh(y)^2)/(1 - t^2), in th
-            np.square(th, out=th)
-            np.subtract(1.0, th, out=th)
-            np.square(t, out=t)
-            np.subtract(1.0, t, out=t)
-            np.divide(th, t, out=th)
-            th *= -2.0 * beta
-            th += 1.0 / beta
-            # xi(y) - target, in f, then the Newton step
-            f *= -2.0
-            f -= target
-            np.multiply(y, 1.0 / beta, out=t)
-            f += t
-            np.divide(f, th, out=f)
-            y -= f
-            np.abs(f, out=f)
-            if np.all(f <= 2.0**-26):
-                break
+    target = np.abs(xi.ravel())
+    np.minimum(target, 1200.0 / beta, out=target)
+    y, step, th, t = (np.empty(target.shape) for _ in range(4))
+    np.multiply(target, beta / ((1.0 - b) * (1.0 + b)), out=y)
+    np.multiply(target, beta, out=step)
+    step += 2.0 * beta * math.atanh(beta)
+    np.minimum(y, step, out=y)
+    last = False
+    for _ in range(_NEWTON_CAP):
+        # xi(y) - |xi|, in step
         np.tanh(y, out=th)
         th *= beta
+        np.arctanh(th, out=step)
+        step *= -2.0
+        step -= target
+        np.multiply(y, 1.0 / beta, out=t)
+        step += t
+        # over the slope, in th: beta*(1 - t^2) / (1 - b^2 + t^2)
         np.square(th, out=th)
+        np.add(th, (1.0 - b) * (1.0 + b), out=t)
         np.subtract(1.0, th, out=th)
-        np.cosh(y, out=t)
-        t *= th
-        np.divide(solitary_peak_height(b, c), t, out=t)
-    t[~(f <= 2.0**-26)] = np.nan
-    return t
-
-
-def _walk(lo, hi, left, r, margin):
-    """The bisection steps that the estimate r decides, in place on lo, hi and left.
-
-    A step goes up (mid becomes lo) where mid < r*(1 - margin) and down
-    where mid > r*(1 + margin), the sides bisection takes if r is within
-    margin of the root.  A node whose mid falls between stops there: its
-    bracket and so its mid no longer move.  A node with a NaN estimate or
-    fewer than _PREDICT_LEFT steps left takes no step.
-    After the steps below every bracket around r is narrower than
-    margin*r.  With s in {0, 1} and 0 <= lo <= mid <= hi, the updates
-    max(lo, s*mid) and min(hi, mid + s*hi) select exactly.
-    """
-    steps = math.ceil(-math.log2(margin)) + 1
-    r_up = r * (1.0 - margin)
-    r_down = r * (1.0 + margin)
-    no_step = np.isnan(r) | (left < _PREDICT_LEFT)
-    r_up[no_step] = np.nan
-    r_down[no_step] = np.inf
-    width = hi - lo
-    mid, s = np.empty(lo.shape), np.empty(lo.shape)
-    for _ in range(steps):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        np.less(mid, r_up, out=s)
-        s *= mid
-        np.maximum(lo, s, out=lo)
-        np.less_equal(mid, r_down, out=s)
-        s *= hi
-        s += mid
-        np.minimum(hi, s, out=hi)
-    # each step halves the width up to the rounding of mid, 2^-52 of the
-    # first width at most; so after j <= 43 steps (margin >= 2^-42) the
-    # log2 of the first width over the width is j within 0.01
-    width /= hi - lo
-    left -= np.rint(np.log2(width)).astype(left.dtype)
-
-
-def _predicted_sides_hold(U, lo0, hi0, lo, hi, rho):
-    """Whether every step _walk took is the one plain bisection takes there.
-
-    lo0, hi0 are a node's first-step-up bracket, lo, hi the bracket _walk
-    left, and U the result of bisecting on from (lo, hi): the midpoint of
-    a final bracket narrower than U*2^-47 (_PREDICT_LEFT).  If lo > lo0
-    and lo <= U*(1 - 3*rho), the lower end of that final bracket lies
-    above lo, so it is a mid where the evaluated quadrature exceeded |xi|,
-    and by the bound rho (_rounding_bound) the root exceeds
-    U*(1 - rho - 2^-47).  Every mid where _walk stepped up lies at or
-    below lo, so xi(mid*(1 + rho)) > |xi| there and bisection steps up as
-    well.  Steps down are checked alike, by hi >= U*(1 + 3*rho).  A wrong
-    estimate leaves the root outside (lo, hi); U then ends next to lo or
-    hi, and the check fails.
-    """
-    up_ok = (lo == lo0) | (lo <= U * (1.0 - 3.0 * rho))
-    down_ok = (hi == hi0) | (hi >= U * (1.0 + 3.0 * rho))
-    return up_ok & down_ok
-
-
-def _bisect(target, lo, hi, left, b, c, out):
-    """Bisect U at |xi| = target in (lo, hi), `left` steps still to take, into out.
-
-    lo, hi and left are read, not changed.  The nodes still moving are
-    kept in the leading entries of arrays allocated here once, in order
-    of their budget, so that the nodes whose steps are spent are a
-    leading slice.  Every step runs in place
-    and without a mask: a masked copy or a boolean-mask gather that
-    follows a data-dependent pattern is slow.
-    """
-    live = np.argsort(left, kind="stable")
-    t_live, lo, hi, left = target[live], lo[live], hi[live], left[live]
-    n = live.size
-    mid, s, tmp = (np.empty(n) for _ in range(3))
-    work = np.empty((4, n))
-    same, at_hi = (np.empty(n, dtype=bool) for _ in range(2))
-    for step in range(_STEPS):
-        spent = int(np.searchsorted(left, step, side="right"))
-        if spent:
-            out[live[:spent]] = 0.5 * (lo[:spent] + hi[:spent])
-            live, t_live, lo, hi, left, mid, s, tmp, same, at_hi = (
-                a[spent:] for a in (live, t_live, lo, hi, left, mid, s, tmp, same, at_hi))
-            work = work[:, spent:]
-        if step and step % 8 == 0:
-            # `same` marks the nodes at their fixed point
-            gone = np.flatnonzero(same)
-            if gone.size:
-                out[live[gone]] = 0.5 * (lo[gone] + hi[gone])
-                stay = np.flatnonzero(np.logical_not(same, out=same))
-                n = stay.size
-                for a in (live, t_live, lo, hi, left):
-                    a[:n] = a[stay]
-                live, t_live, lo, hi, left, mid, s, tmp, same, at_hi = (
-                    a[:n] for a in (live, t_live, lo, hi, left, mid, s, tmp, same, at_hi))
-                work = work[:, :n]
-        if not live.size:
+        th *= beta
+        th /= t
+        step *= th
+        y -= step
+        if last:
             break
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        if (step + 1) % 8 == 0:
-            # mid equals an end only where lo and hi are adjacent floats;
-            # every later step leaves 0.5*(lo + hi) equal to this mid
-            np.equal(mid, lo, out=same)
-            np.equal(mid, hi, out=at_hi)
-            same |= at_hi
-        # xi(mid) > |xi|: mid lies below the root and becomes lo, else hi;
-        # with s in {0, 1} and 0 <= lo <= mid <= hi both updates select exactly
-        np.greater(_xi_of_U(mid, b, c, work), t_live, out=s)
-        np.multiply(mid, s, out=tmp)
-        np.maximum(lo, tmp, out=lo)
-        np.multiply(hi, s, out=tmp)
-        tmp += mid
-        np.minimum(hi, tmp, out=hi)
+        np.abs(step, out=step)
+        np.maximum(y, 1.0, out=t)
+        t *= 2.0**-26
+        last = bool(np.all(step <= t))
+    else:
+        raise RuntimeError(f"solitary profile: Newton in y did not converge in {_NEWTON_CAP} steps")
+    # U = 2*peak*h*h / ((1 + h^4)*(1 - t^2)), h = e^(-y/2)
+    np.tanh(y, out=th)
+    th *= beta
+    np.square(th, out=th)
+    np.subtract(1.0, th, out=th)
+    y *= -0.5
+    h = np.exp(y, out=y)
+    np.square(h, out=t)
+    np.square(t, out=t)
+    t += 1.0
+    t *= th
+    peak = solitary_peak_height(b, c)
+    U = np.multiply(h, 2.0 * peak, out=th)
+    U *= h
+    U /= t
+    return np.minimum(U, peak, out=U).reshape(xi.shape)
 
 
 def peakon(a: float, xi: np.ndarray | None = None) -> WaveProfile:

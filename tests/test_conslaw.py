@@ -150,16 +150,17 @@ def test_templates_are_linear_in_the_placeholders():
     ("ux", "u", False),  # Camassa-Holm: most partials are zero
 ])
 def test_split_takes_no_diff_and_builds_no_tree(monkeypatch, f, g, generic):
-    # a warm split takes no diff and builds no expression node: one
-    # Program, over f and g, one poly_normal_forms call, over their
-    # top-level terms, and one Taylor pass per sampled block give every
-    # coefficient, as the sum of weight * partial over its template's
-    # partials that are not zero (f up to order 2, g up to order 3)
+    # a warm split takes no diff and builds no expression node or
+    # Program: one poly_normal_forms call, over the top-level terms of f
+    # and g, and one Taylor pass of the equation's Program over f and g
+    # per sampled block give every coefficient, as the sum of weight *
+    # partial over its template's partials that are not zero (f up to
+    # order 2, g up to order 3)
     eq = EquationSpec.from_strings(f, g)
     conslaw._split_conditions(eq, POL)  # the templates and weights exist from here on
     real_program, real_sample, real_forms, real_taylor = ex.Program, ex.sample, ex.poly_normal_forms, ex.Program.taylor
     count = {"diff": 0, "node": 0, "taylor": 0, "block": 0}
-    programs, forms, blocks = [], [], []
+    programs, forms, blocks, passes = [], [], [], []
     real_post_init = ex.Expr.__post_init__
 
     class CountingProgram(real_program):
@@ -169,6 +170,7 @@ def test_split_takes_no_diff_and_builds_no_tree(monkeypatch, f, g, generic):
 
     def counting_taylor(program, env):
         count["taylor"] += 1
+        passes.append(program)
         return real_taylor(program, env)
 
     def counting_sample(exprs, policy, names=()):
@@ -193,7 +195,7 @@ def test_split_takes_no_diff_and_builds_no_tree(monkeypatch, f, g, generic):
     split = conslaw._split_conditions(eq, POL)
     monkeypatch.undo()
     assert count["diff"] == 0 and count["node"] == 0
-    assert len(programs) == 1 and [id(e) for e in programs[0]] == [id(eq.bound_f), id(eq.bound_g)]
+    assert programs == [] and all(p is eq.program for p in passes)
     terms = [t for e in (eq.bound_f, eq.bound_g) for t in (e.terms if isinstance(e, ex.Add) else (e,))]
     assert len(forms) == 1 and [id(e) for e in forms[0]] == [id(t) for t in terms]
     assert count["taylor"] == count["block"] >= 1
@@ -457,11 +459,11 @@ def test_grad_energy_scale_covers_cancelling_coefficients():
 def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
     # one sample of the coefficients serves their zero tests, the fit and
     # every candidate: no is_zero, one sample call, with a row for each
-    # coefficient that is not an exact zero, one Program, over f and g,
-    # and one poly_normal_forms call, over their top-level terms; the
-    # candidates expand and compile nothing.  Candidates are tried only
-    # where the m-monomials of C alone vanish: on members f = -ux*h'(u)/2,
-    # g = h(u) of the L2(m) family
+    # coefficient that is not an exact zero, no Program beyond the
+    # equation's own, and one poly_normal_forms call, over the top-level
+    # terms of f and g; the candidates expand and compile nothing.
+    # Candidates are tried only where the m-monomials of C alone vanish:
+    # on members f = -ux*h'(u)/2, g = h(u) of the L2(m) family
     for eq in (L2FAM, SINGULAR, CANDIDATE_EQUATIONS[-1], EquationSpec.from_strings("-0.5*ux*exp(u)", "exp(u)"),
                EquationSpec.from_strings("-0.5*ux*u/sqrt(u^2+1)", "sqrt(u^2+1)")):
         sampled, programs, forms = [], [], []
@@ -485,6 +487,7 @@ def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
             raise AssertionError("is_zero called")
 
         terms = [t for e in (eq.bound_f, eq.bound_g) for t in (e.terms if isinstance(e, ex.Add) else (e,))]
+        assert eq.program is eq.program  # built once per equation, before the counts
         tried = _record_candidates(monkeypatch)
         monkeypatch.setattr(ex, "sample", counting_sample)
         monkeypatch.setattr(ex, "Program", CountingProgram)
@@ -495,8 +498,7 @@ def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
         conslaw._solve_grad_energy(split, POL)
         monkeypatch.undo()
         assert tried
-        assert (len(programs), len(forms)) == made == (1, 1)
-        assert [id(e) for e in programs[0]] == [id(eq.bound_f), id(eq.bound_g)]
+        assert (len(programs), len(forms)) == made == (0, 1)
         assert [id(e) for e in forms[0]] == [id(t) for t in terms]
         assert len(sampled) == 1 and sampled[0] is split.samples
         assert len(split.samples.values) == sum(nf != {} for nf in split.forms.values()) == len(split.rows)

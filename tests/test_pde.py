@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from peakonlaws import pde
-from peakonlaws.conslaw import EquationSpec
+from peakonlaws import conslaw, pde
+from peakonlaws import expr as ex
+from peakonlaws.conslaw import EquationSpec, classify
+from peakonlaws.expr import SamplingPolicy
 from peakonlaws.pde import (
     STATUS_COMPLETED,
     STATUS_SINGULAR,
@@ -24,6 +26,7 @@ from peakonlaws.pde import (
     write_series_csv,
     write_snapshots_csv,
 )
+from peakonlaws.twave import _solitary_U
 
 CH = EquationSpec.from_strings("ux", "u")
 SINGULAR = EquationSpec.from_strings("ux/u^3", "1/u^2")
@@ -197,6 +200,28 @@ def test_guard_armed_by_the_value_at_zero(f, g, armed):
     assert pde._is_singular_at_zero(EquationSpec.from_strings(f, g)) is armed
 
 
+def test_one_program_over_f_and_g_per_equation(monkeypatch):
+    # the singular-locus probe, every stepper and the split of the
+    # conditions share the equation's Program over f and g
+    eq = EquationSpec.from_strings("ux/u^3", "1/u^2")
+    built = []
+    real = ex.Program
+
+    class CountingProgram(real):
+        def __init__(self, exprs):
+            built.append(list(exprs))
+            super().__init__(exprs)
+
+    monkeypatch.setattr(ex, "Program", CountingProgram)
+    pde._is_singular_at_zero(eq)
+    steppers = [pde.Stepper(Grid(20.0, 64), eq) for _ in range(2)]
+    conslaw._split_conditions(eq, SamplingPolicy(seed=1))
+    classify(eq, SamplingPolicy(seed=1))
+    monkeypatch.undo()
+    assert [exprs for exprs in built if exprs[0] is eq.bound_f] == [[eq.bound_f, eq.bound_g]]
+    assert all(s.program is eq.program for s in steppers)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_guard_stops_a_simple_pole():
     # gaussian tails fall below the floor at once; g = 1/u is singular there
@@ -229,20 +254,20 @@ def test_initial_data_kinds():
         initial_data(_gaussian_cfg(initial={"kind": "sawtooth", "params": {}}))
 
 
-def test_solitary_initial_data_sums_images(plain_bisection):
+def test_solitary_initial_data_sums_images():
     # u(0) = the profile plus pairs of images j*L away, up to the first pair
-    # below 1e-12 of the peak, each inverted by plain bisection
+    # below 1e-12 of the peak, each inverted on its own
     for length, n, b, c, centers in ((20.0, 1024, 0.5, 1.0, (10.0, 3.7, 16.25)),
                                      (40.0, 512, 0.3, 2.0, (20.0,))):
         for x0 in centers:
             cfg = SimConfig(length, n, 1e-3, 1.0, SINGULAR, {
                 "kind": "solitary_wave", "params": {"b": b, "c": c, "center": x0}})
             xi = np.mod(cfg.grid.x - x0 + length / 2.0, length) - length / 2.0
-            u0 = plain_bisection(b, c, xi)
+            u0 = _solitary_U(b, c, xi)
             peak = float(np.max(u0))
             for j in range(1, 64):
-                left = plain_bisection(b, c, np.abs(xi + j * length))
-                right = plain_bisection(b, c, np.abs(xi - j * length))
+                left = _solitary_U(b, c, np.abs(xi + j * length))
+                right = _solitary_U(b, c, np.abs(xi - j * length))
                 u0 = u0 + left + right
                 if max(np.max(left), np.max(right)) < 1e-12 * peak:
                     break
@@ -263,18 +288,18 @@ def _count_profile_calls(monkeypatch):
     return sizes
 
 
-def test_solitary_initial_data_all_image_pairs(plain_bisection, monkeypatch):
+def test_solitary_initial_data_all_image_pairs(monkeypatch):
     # a slow tail (decay rate b/sqrt(2)) in a small box: no pair falls
     # below 1e-12 of the peak, so all 63 are summed
     length, n, b, c, x0 = 2.0, 64, 0.05, 1.0, 0.7
     cfg = SimConfig(length, n, 1e-3, 1.0, SINGULAR, {
         "kind": "solitary_wave", "params": {"b": b, "c": c, "center": x0}})
     xi = np.mod(cfg.grid.x - x0 + length / 2.0, length) - length / 2.0
-    u0 = plain_bisection(b, c, xi)
+    u0 = _solitary_U(b, c, xi)
     peak = float(np.max(u0))
     for j in range(1, 64):
-        left = plain_bisection(b, c, np.abs(xi + j * length))
-        right = plain_bisection(b, c, np.abs(xi - j * length))
+        left = _solitary_U(b, c, np.abs(xi + j * length))
+        right = _solitary_U(b, c, np.abs(xi - j * length))
         u0 = u0 + left + right
     assert max(np.max(left), np.max(right)) >= 1e-12 * peak
     m0 = np.fft.irfft((1.0 + cfg.grid.k**2) * np.fft.rfft(u0), n=n)

@@ -1,3 +1,4 @@
+import math
 import os
 import platform
 import subprocess
@@ -52,130 +53,11 @@ def test_parameter_validation():
             solitary_profile(0.5, 1.0, np.array([0.0, 1.0, bad]))
 
 
-def _plain_xi_of_U(U, b, c):
-    """The closed form of _xi_of_U as plain expressions, a fresh array per operation."""
-    s = np.sqrt(np.maximum(1.0 - c * U**2, 0.0))
-    A = 1.0 + s
-    t = np.sqrt(np.maximum(b * b - 1.0 + s, 0.0) / A)
-    z = np.sqrt(2.0) * t / b
-    with np.errstate(divide="ignore", over="ignore"):
-        ath_t = 0.5 * np.log((1.0 + t) ** 2 * A / (2.0 - b * b))
-        ath_z = 0.5 * np.log((1.0 + z) ** 2 * A * A * b * b / ((2.0 - b * b) * c * U * U))
-    return (np.sqrt(2.0) / b) * ath_z - 2.0 * ath_t
-
-
-@pytest.mark.parametrize("b, c", [(0.5, 1.0), (0.9, 2.0), (0.05, 3.0), (0.99, 0.2)])
-def test_xi_of_U_in_place_equals_plain_closed_form(b, c):
-    # the bisection evaluates the closed form in place, in its own work
-    # arrays; every operation and its order are those of the plain form
-    peak = solitary_peak_height(b, c)
-    rng = np.random.default_rng(5)
-    U = np.concatenate([[0.0, peak, np.nextafter(peak, 0.0)], rng.uniform(0.0, peak, 4000),
-                        peak * 0.5 ** np.arange(1, 111)])
-    expected = _plain_xi_of_U(U, b, c)
-    assert np.array_equal(_xi_of_U(U, b, c), expected)
-    work = np.full((4, U.size), np.nan)
-    assert np.array_equal(_xi_of_U(U, b, c, work), expected)
-    assert np.array_equal(_xi_of_U(U[::-1].copy(), b, c, work), expected[::-1])
-    assert float(_xi_of_U(U[7], b, c)) == expected[7]
-
-
-def test_profile_equals_plain_bisection(plain_bisection):
-    # nodes leave the bisection at their fixed point; the result must be
-    # that of 110 steps on every node, tail nodes included
-    for b, c, xi in (
-        (0.5, 1.0, np.arange(-60, 61) * 0.25),  # xi = 0 and negative xi
-        (0.9, 2.0, np.linspace(-110.0, 110.0, 2201)),  # far tail, at the cap
-        (0.3, 0.5, np.linspace(-8.0, 8.0, 96).reshape(2, 3, 16)),
-    ):
-        U = solitary_profile(b, c, xi).U
-        assert U.shape == xi.shape
-        assert np.array_equal(U, plain_bisection(b, c, xi))
-
-
-@pytest.mark.parametrize("b, c", [(0.5, 1.0), (0.9, 2.0), (0.05, 3.0), (0.99, 0.2)])
-def test_profile_shared_halvings_edges(plain_bisection, b, c):
-    # every node first halves hi from the peak while |xi| >= xi(peak*2^-k);
-    # the result must still be that of 110 plain steps, bit for bit
-    octaves = solitary_peak_height(b, c) * 0.5 ** np.arange(1, 111)
-    table = _xi_of_U(octaves, b, c)
-    inside = _xi_of_U(1.5 * octaves, b, c)  # one target inside each octave
-    for xi in (
-        table,  # ties: the step goes up only where xi(mid) > |xi|
-        -table,
-        np.nextafter(table, 0.0),
-        np.nextafter(table, np.inf),
-        np.concatenate([2.0 * table, table + 1e3, [1e300]]),  # the far end: every step down
-        inside,
-        np.concatenate([[0.0], inside[::-1], table]),
-        np.empty(0),
-    ):
-        assert np.array_equal(solitary_profile(b, c, xi).U, plain_bisection(b, c, xi))
-
-
-def test_profile_in_blocks(plain_bisection, monkeypatch):
-    # nodes are bisected a block at a time; any block size gives the bits
-    # of plain bisection, in the shape of xi
-    xi = np.concatenate([[0.0], np.linspace(-40.0, 40.0, 2000), [1e300]]).reshape(2, 7, 143)
-    for block in (1, 7, 1000, 4002):
-        monkeypatch.setattr(twave, "_BLOCK", block)
-        assert np.array_equal(solitary_profile(0.5, 1.0, xi).U, plain_bisection(0.5, 1.0, xi))
-
-
 def _transport_nodes(center, length=20.0, n=1024, pairs=5):
     """The nodes of a solitary initial_data on the transport grid: xi and its image pairs."""
     xi = np.mod(np.arange(n) * (length / n) - center + length / 2.0, length) - length / 2.0
     shifts = length * np.arange(1, pairs + 1)[:, None]
     return np.concatenate([xi, np.abs(np.stack([xi + shifts, xi - shifts], axis=1)).ravel()])
-
-
-def test_profile_equals_plain_bisection_on_transport_nodes(plain_bisection):
-    # the estimate decides most steps without evaluating the quadrature;
-    # the bits must still be those of 110 plain steps
-    for center in (10.0, 2.35, 13.71, 19.99):
-        xi = _transport_nodes(center)
-        assert np.array_equal(twave._solitary_U(0.5, 1.0, xi), plain_bisection(0.5, 1.0, xi))
-
-
-def test_profile_equals_plain_bisection_over_shapes(plain_bisection):
-    rng = np.random.default_rng(20261017)
-    for _ in range(12):
-        b, c = float(rng.uniform(0.02, 0.98)), float(rng.uniform(0.2, 5.0))
-        xi = np.concatenate([np.linspace(-30.0, 30.0, 241), rng.uniform(0.0, 150.0 / b, 200)])
-        assert np.array_equal(twave._solitary_U(b, c, xi), plain_bisection(b, c, xi)), (b, c)
-
-
-@pytest.mark.parametrize("error, redo", [(np.nan, False), (1e-14, False), (-1e-14, False),
-                                         (1e-13, None), (1e-12, True), (-1e-9, True),
-                                         (1e-3, True), (-0.3, True)])
-def test_profile_with_a_wrong_estimate_equals_plain_bisection(plain_bisection, monkeypatch, error, redo):
-    # an estimate off by more than the margin takes steps to the wrong
-    # side; the certificate must send such a node back to its first step
-    # up.  Within about rho (6e-14 here) of the root no node is sent back.
-    estimate = twave._estimate
-    monkeypatch.setattr(twave, "_estimate", lambda target, b, c: estimate(target, b, c) * (1.0 + error))
-    calls = []
-    bisect = twave._bisect
-    monkeypatch.setattr(twave, "_bisect", lambda *args: calls.append(args[0].size) or bisect(*args))
-    for b, c, xi in ((0.5, 1.0, _transport_nodes(7.3)), (0.9, 2.0, np.linspace(-60.0, 60.0, 1201))):
-        calls.clear()
-        assert np.array_equal(twave._solitary_U(b, c, xi), plain_bisection(b, c, xi))
-        if redo is not None:
-            assert len(calls) == (2 if redo else 1)
-
-
-def test_profile_evaluates_the_quadrature_at_most_25_times_per_node(monkeypatch):
-    # the transport config's solitary initial data: 55.7 evaluations per
-    # node when every step evaluates the quadrature
-    evaluated, nodes = [], []
-    xi_of_U, invert = twave._xi_of_U, pde._solitary_U
-    monkeypatch.setattr(twave, "_xi_of_U", lambda U, *args: evaluated.append(np.size(U)) or xi_of_U(U, *args))
-    monkeypatch.setattr(pde, "_solitary_U", lambda b, c, xi: nodes.append(np.size(xi)) or invert(b, c, xi))
-    cfg = SimConfig(20.0, 1024, 4e-5, 1.0, EquationSpec.from_strings("ux/u^3", "1/u^2"),
-                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0}})
-    pde.initial_data(cfg)
-    assert sum(nodes) == 1024 + 63 + 10240
-    assert sum(evaluated) / sum(nodes) <= 25.0
 
 
 def _mp_xi_of_U(mp, U, b, c):
@@ -184,23 +66,88 @@ def _mp_xi_of_U(mp, U, b, c):
     return mp.sqrt(2) / b * mp.atanh(mp.sqrt(2) * t / b) - 2 * mp.atanh(t)
 
 
-@pytest.mark.parametrize("b", [0.01, 0.05, 0.3, 0.5, 0.9, 0.9999])
-def test_xi_of_U_within_its_rounding_bound(b):
-    # the certificate rests on xi(U(1+rho)) <= _xi_of_U(U) <= xi(U(1-rho))
-    # over the brackets the estimate takes steps in
+def _octave_edges(b, c):
+    # xi at U = peak*2^-k and next to it, one target inside each octave,
+    # and the far end, where U underflows
+    octaves = solitary_peak_height(b, c) * 0.5 ** np.arange(1, 111)
+    table, inside = _xi_of_U(octaves, b, c), _xi_of_U(1.5 * octaves, b, c)
+    return np.concatenate([[0.0], table, -table, np.nextafter(table, 0.0), np.nextafter(table, np.inf),
+                           2.0 * table, table + 1e3, [1e300, np.finfo(float).max], inside])
+
+
+def _random_shapes():
+    rng = np.random.default_rng(20261017)
+    for _ in range(12):
+        b, c = float(rng.uniform(0.02, 0.98)), float(rng.uniform(0.2, 5.0))
+        yield b, c, np.concatenate([np.linspace(-30.0, 30.0, 241), rng.uniform(0.0, 150.0 / b, 200)])
+
+
+ORACLE_CASES = [
+    (0.5, 1.0, np.arange(-60, 61) * 0.25),  # xi = 0 and negative xi
+    (0.9, 2.0, np.linspace(-110.0, 110.0, 2201)),
+    (0.3, 0.5, np.linspace(-8.0, 8.0, 96).reshape(2, 3, 16)),
+    # the far tail, where U = 5.6e-36, 1.0e-46 and 8.7e-93 lie below
+    # peak*2^-110, out of reach of 110 halvings from (0, peak)
+    (0.5, 1.0, np.array([230.0, 300.0, 600.0])),
+    *((b, c, _octave_edges(b, c)) for b, c in ((0.5, 1.0), (0.9, 2.0), (0.05, 3.0), (0.99, 0.2))),
+    *((0.5, 1.0, _transport_nodes(center)) for center in (10.0, 2.35, 13.71, 19.99)),
+    *_random_shapes(),
+    # the extremes of b, up to |xi| = 690/beta, where U is about peak*1e-300
+    *((b, 1.0, np.concatenate([[0.0, 5e-324, 1e-15], np.geomspace(1e-12, 690.0 * np.sqrt(2.0) / b, 200)]))
+      for b in (1e-3, 0.9999, 1.0 - 1e-9)),
+    (0.5, 1.0, np.empty(0)),
+]
+
+
+def _oracle_eps(peak, U):
+    """The oracle's tolerance on U, relative: 8*(1 + ln(peak/U)) ulps.
+
+    _solitary_U was measured within 2*(1 + ln(peak/U)) ulps of a 60-digit
+    inversion; ln(U) follows y, whose error grows with y ~ ln(peak/U).
+    """
+    return 8.0 * (1.0 + math.log(peak / U)) * 2.0**-52
+
+
+@pytest.mark.parametrize("b, c, xi", ORACLE_CASES,
+                         ids=[f"{i}-b{b:.10g}-n{np.size(xi)}" for i, (b, c, xi) in enumerate(ORACLE_CASES)])
+def test_profile_within_its_tolerance_of_the_closed_form(b, c, xi):
+    # |xi| is decreasing in U, so the true U at |xi| lies in U*(1 -+ eps)
+    # exactly where xi(U*(1 + eps)) <= |xi| <= xi(U*(1 - eps)), by the
+    # closed form in U: independent of the y-parametrisation that
+    # _solitary_U solves.  1 - z^2 falls to about (U/peak)^2 in the tail,
+    # so the working precision keeps 120 digits beyond the ones it loses.
+    # Where U underflows to 0 this asserts that the true U is below 2^-1072.
     mp = pytest.importorskip("mpmath")
-    rng = np.random.default_rng(int(b * 1e4))
-    c = float(rng.uniform(0.2, 5.0))
+    U = solitary_profile(b, c, xi).U
+    assert U.shape == xi.shape
     peak = solitary_peak_height(b, c)
-    rho = twave._rounding_bound(b)
-    U = peak * np.concatenate([2.0 ** -rng.uniform(0.0, 62.0, 150), 1.0 - 2.0 ** -rng.uniform(1.0, 52.0, 50)])
-    # 1 - z^2 falls to ~c*U^2/b^2 in the tail: 120 digits keep 80 of them at U = peak*2^-62
-    with mp.workdps(120):
-        bb, cc, lower, upper = mp.mpf(b), mp.mpf(c), 1 - mp.mpf(rho), 1 + mp.mpf(rho)
-        for u, x in zip(U, _xi_of_U(U, b, c)):
-            assert x <= _mp_xi_of_U(mp, mp.mpf(u) * lower, bb, cc), u
-            if u * (1.0 + rho) < peak:
-                assert x >= _mp_xi_of_U(mp, mp.mpf(u) * upper, bb, cc), u
+    bb, cc = mp.mpf(b), mp.mpf(c)
+    for x, u in np.unique(np.stack([np.abs(xi).ravel(), U.ravel()], axis=1), axis=0):
+        with mp.workdps(120 + 2 * math.ceil(math.log10(peak) - math.log10(max(u, 2.0**-1074)))):
+            # below the normal range U keeps an absolute rounding: allow
+            # 4 ulps of the subnormals there
+            tol = mp.mpf(_oracle_eps(peak, max(u, 2.0**-1022))) * u + mp.mpf(2) ** -1072
+            if tol < u:
+                assert _mp_xi_of_U(mp, u - tol, bb, cc) >= x, (x, u)
+            if u + tol < peak:
+                assert _mp_xi_of_U(mp, u + tol, bb, cc) <= x, (x, u)
+
+
+def test_profile_newton_steps_for_the_transport_nodes(monkeypatch):
+    # both inversions of the transport config's solitary initial data,
+    # on 1024 + 63 and 10240 nodes, converge in 5 Newton steps, the last
+    # of them the one taken after the stopping rule holds
+    nodes = []
+    invert = pde._solitary_U
+    monkeypatch.setattr(pde, "_solitary_U", lambda b, c, xi: nodes.append(np.size(xi)) or invert(b, c, xi))
+    cfg = SimConfig(20.0, 1024, 4e-5, 1.0, EquationSpec.from_strings("ux/u^3", "1/u^2"),
+                    {"kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0}})
+    monkeypatch.setattr(twave, "_NEWTON_CAP", 5)
+    pde.initial_data(cfg)
+    assert sum(nodes) == 1024 + 63 + 10240
+    monkeypatch.setattr(twave, "_NEWTON_CAP", 4)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        pde.initial_data(cfg)
 
 
 REPEAT_FAULTS = textwrap.dedent("""
@@ -223,9 +170,9 @@ REPEAT_FAULTS = textwrap.dedent("""
 
 @pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
                     reason="counts the page faults of glibc's heap")
-def test_profile_bisection_reuses_its_memory():
-    # a bisection that allocates at every step lets glibc trim the top of
-    # a small heap and fault it back in: thousands of minor faults per call
+def test_profile_newton_reuses_its_memory():
+    # a loop that allocates at every step lets glibc trim the top of a
+    # small heap and fault it back in: thousands of minor faults per call
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", REPEAT_FAULTS], env=env,
                           capture_output=True, text=True)
@@ -274,7 +221,7 @@ def test_ode_residuals_and_first_integrals():
 
 
 def test_third_order_residual_at_noise_optimal_step():
-    # quantization noise of the bisected profile is amplified by 1/dxi^3,
+    # rounding noise of the profile is amplified by 1/dxi^3,
     # so the finite-difference identity is cleanest at a coarser step
     r = solitary_ode_residual(solitary_profile(0.5, 1.0, XI), dxi=1e-2)
     assert r.third_order_rms < 1e-6
