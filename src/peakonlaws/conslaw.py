@@ -134,9 +134,14 @@ class EquationSpec:
         return ex.bind_params(self.g, self.params)
 
     @cached_property
+    def loci(self) -> list:
+        """The singular loci of f and g (expr.singular_loci)."""
+        return ex.singular_loci([self.bound_f, self.bound_g])
+
+    @cached_property
     def program(self) -> ex.Program:
-        """f and g as one Program, for the split and the solver."""
-        return ex.Program([self.bound_f, self.bound_g])
+        """f, g and then each of loci as one Program, for the split and the solver."""
+        return ex.Program([self.bound_f, self.bound_g, *(locus.expr for locus in self.loci)])
 
     @staticmethod
     def from_strings(f: str, g: str, params: dict | None = None) -> "EquationSpec":
@@ -343,7 +348,8 @@ def _split_conditions(eq: EquationSpec, policy: SamplingPolicy) -> _SplitConditi
     exact zero.  Where every partial in it is polynomial its normal form
     is the sum of the weights' forms times the partials' forms, derived
     from the normal forms of f's and g's terms.  The partials' values at
-    the sampled points are the Taylor coefficients times i! j!.
+    the sampled points are the Taylor coefficients times i! j!; row 0 of
+    the same pass gives the values of the singular loci of f and g.
     """
     weights, weight_forms, layout = _weights()
     fg = eq.program
@@ -374,13 +380,13 @@ def _split_conditions(eq: EquationSpec, policy: SamplingPolicy) -> _SplitConditi
         factorial = np.array([math.factorial(i) * math.factorial(j) for _, (_, i, j) in pairs], dtype=float)
         bounds = np.cumsum([len(live[k]) for k in pending])[:-1]
 
-        def block(env: dict, count: int) -> list:
-            jets = np.array(fg.taylor(env))
+        def block(env: dict, count: int) -> tuple:
+            f_jet, g_jet, *loci = fg.taylor(env)
             w = np.empty((len(weight_forms), count))
             for row, ts in zip(w, weights(env)):
                 row[:] = functools.reduce(operator.add, ts)
-            values = w[w_rows] * (jets[jet_of, jet_row] * factorial[:, None])
-            return np.split(values, bounds)
+            values = w[w_rows] * (np.array([f_jet, g_jet])[jet_of, jet_row] * factorial[:, None])
+            return np.split(values, bounds), [locus.distance(jet[0]) for locus, jet in zip(eq.loci, loci)]
 
         return ex.sample(block, policy, ("u", "ux"))
 

@@ -22,7 +22,8 @@ partial derivative up to order 3 of each expression at once, with the
 structurally zero ones exactly 0.  There is one sampler: sample draws
 seeded jet points shared by a sequence of expressions (or rows of a
 block evaluator) and judges the candidates a block at a time;
-sample_points is its view for one expression.
+sample_points is its view for one expression.  singular_loci reads the
+poles and branch points off the tree, for the sampler and the solver.
 
 Trees share subtrees freely, so the kernel works once per distinct node.
 Each node computes its hash once, when it is built, and == compares the
@@ -54,6 +55,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -105,6 +107,8 @@ __all__ = [
     "SamplingPolicy",
     "ZeroVerdict",
     "is_zero",
+    "Locus",
+    "singular_loci",
     "Samples",
     "sample",
     "sample_points",
@@ -130,7 +134,7 @@ class ParseError(ValueError):
 
 
 class SingularSamplingError(RuntimeError):
-    """Every attempted sample point evaluated to a non-finite value."""
+    """Too few of the attempted sample points were admissible: finite, and delta away from every singular locus."""
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +555,38 @@ def jet_vars(e: Expr) -> set:
 
 def param_names(e: Expr) -> set:
     return {n.name for n, _ in _nodes((e,)) if isinstance(n, Param)}
+
+
+class Locus(NamedTuple):
+    """Where expr vanishes (kind "zero"), or where |expr| = 1 ("unit")."""
+
+    expr: Expr
+    kind: str
+
+    def distance(self, value):
+        """How far a value of expr lies from the locus: |value|, or ||value| - 1|."""
+        return np.abs(np.abs(value) - 1.0) if self.kind == "unit" else np.abs(value)
+
+    def __str__(self):
+        return f"||{to_source(self.expr)}| - 1|" if self.kind == "unit" else f"|{to_source(self.expr)}|"
+
+
+def singular_loci(exprs: Sequence[Expr]) -> list:
+    """The singular loci of exprs, each once, in the order a walk over their distinct nodes meets them.
+
+    The base of a negative or fractional power and the argument of ln or
+    sqrt are singular where they vanish, the argument of arctanh where its
+    modulus is 1.  A locus free of variables and parameters is left out.
+    """
+    loci = {}  # (expression, kind) -> None
+    for n, _ in _nodes(exprs):
+        if isinstance(n, Pow):
+            if n.exp.numerator < 0 or n.exp.denominator != 1:
+                loci[n.base, "zero"] = None
+        elif isinstance(n, Fn) and n.name in ("ln", "sqrt", "arctanh"):
+            loci[n.arg, "unit" if n.name == "arctanh" else "zero"] = None
+    varies = (Var, Param, Partial)
+    return [Locus(e, kind) for e, kind in loci if any(isinstance(n, varies) for n, _ in _nodes((e,)))]
 
 
 def _rebuild(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
@@ -1105,10 +1141,10 @@ def _normal_form(e: Expr, nf: Callable[[Expr], _PolyT | None]) -> _PolyT | None:
 class SamplingPolicy:
     """How to sample jet points for the randomized zero test.
 
-    Values are drawn from +/-[low, high]; points with |u| < delta,
-    |ux| < delta or |u^2 - ux^2| < delta are rejected (the classified
-    equation families have poles exactly on those loci), as are points
-    where the expression fails to evaluate finitely.
+    Values are drawn from +/-[low, high].  A point is rejected where a
+    singular locus of the sampled expressions (singular_loci) lies within
+    delta, by Locus.distance, or where an expression fails to evaluate
+    finitely.
     """
 
     n_points: int = 20
@@ -1151,22 +1187,6 @@ class ZeroVerdict:
         return self.is_zero
 
 
-def _near_poles(env: Mapping[str, np.ndarray], delta: float, count: int) -> np.ndarray:
-    """Mask of points on the singular loci u=0, ux=0, u^2=ux^2.
-
-    Predicates apply only to variables the expressions actually contain.
-    """
-    u, ux = env.get("u"), env.get("ux")
-    near = np.zeros(count, dtype=bool)
-    if u is not None:
-        near |= np.abs(u) < delta
-    if ux is not None:
-        near |= np.abs(ux) < delta
-    if u is not None and ux is not None:
-        near |= np.abs(u * u - ux * ux) < delta
-    return near
-
-
 _SIGNS = np.array([-1.0, 1.0])
 
 
@@ -1185,23 +1205,28 @@ def sample(exprs, policy: SamplingPolicy, names: Sequence[str] = ()) -> Samples:
     Candidates come one at a time from the seeded stream (uniform values,
     then random signs), so the points depend only on the seed and the
     symbols.  They are judged a block at a time: a candidate is admissible
-    off the singular loci (see SamplingPolicy) where every term of every
-    row evaluates finitely.  At most max_tries * n_points candidates are
-    drawn.  exprs is either a sequence of expressions, compiled as one
-    Program once per call, each a row of its top-level terms; or a block
-    evaluator, a callable (env, count) -> one (terms, count) array per
-    row, over the coordinates names.  Either is called once per block.
+    at least delta away from every singular locus (Locus.distance) where
+    every term of every row evaluates finitely.  At most max_tries *
+    n_points candidates are drawn.  exprs is either a sequence of
+    expressions, compiled with their singular_loci as one Program once per
+    call, each a row of its top-level terms; or a block evaluator, a
+    callable (env, count) -> (rows, distances) over the coordinates names:
+    one (terms, count) array per row, one array of distances per locus.
+    Either is called once per block.
     """
     if callable(exprs):
         block, names = exprs, list(names)
     else:
-        program = Program(exprs)
+        loci = singular_loci(exprs)
+        program = Program([*exprs, *(locus.expr for locus in loci)])
         names = []
         for kind in ("variable", "parameter"):
             names += sorted(name for _, name, k in program._loads if k == kind)
 
         def block(env, count):
-            return [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in program(env)]
+            values = program(env)
+            rows = [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in values[:len(exprs)]]
+            return rows, [locus.distance(reduce(operator.add, ts)) for locus, ts in zip(loci, values[len(exprs):])]
 
     rng = np.random.default_rng(policy.seed)
     n, dim, budget = policy.n_points, len(names), policy.max_tries * policy.n_points
@@ -1220,10 +1245,11 @@ def sample(exprs, policy: SamplingPolicy, names: Sequence[str] = ()) -> Samples:
             rng.uniform(policy.low, policy.high, size=dim) * _SIGNS[rng.integers(0, 2, size=dim)]
             for _ in range(count)
         ]).reshape(count, dim)
-        env = dict(zip(names, pts.T))
         with np.errstate(all="ignore"):  # an overflow is inf, and rejects the candidate
-            rows = block(env, count)
-        admissible = ~_near_poles(env, policy.delta, count)
+            rows, distances = block(dict(zip(names, pts.T)), count)
+        admissible = np.ones(count, dtype=bool)
+        for d in distances:
+            admissible &= ~(d < policy.delta)
         for v in rows:
             admissible &= np.isfinite(v).all(axis=0)
         take = np.flatnonzero(admissible)[: n - found]

@@ -12,8 +12,9 @@ stepper, the evaluator the verdicts use, and a stage writes its products
 and spectra into buffers the stepper owns.  The nodal state after a step
 is stage 1 of the next.  Wave breaking is detected,
 not resolved: the run stops when sup|u_x| crosses the configured
-threshold.  Equations whose f or g is non-finite at u = 0 (evaluated
-there exactly, at u_x = 0.37) get a floor on min|u|.
+threshold.  Equations whose f or g has a singular locus (a pole or
+branch point, expr.singular_loci) get a floor on the distance of the
+grid values from every locus, read from the same program pass.
 """
 
 from __future__ import annotations
@@ -147,21 +148,11 @@ def _sum_terms(terms: list) -> np.ndarray:
 
 
 class SingularHit(RuntimeError):
-    """f or g evaluated non-finite (or below the u-floor) at grid nodes."""
+    """f or g evaluated non-finite, or came within the floor of a singular locus, at grid nodes."""
 
     def __init__(self, message: str, location: float | None = None):
         super().__init__(message)
         self.location = location
-
-
-def _is_singular_at_zero(eq: EquationSpec) -> bool:
-    """Whether f or g is non-finite at u = 0, u_x = 0.37 (a pole or a log there).
-
-    Each top-level term is tested, so terms whose infinities would meet in
-    the sum still count.
-    """
-    terms = eq.program({"u": 0.0, "ux": 0.37})
-    return not all(np.isfinite(t) for ts in terms for t in ts)
 
 
 @dataclass(frozen=True)
@@ -169,10 +160,11 @@ class SimConfig:
     """One simulation: grid, step, equation, initial data, outputs.
 
     initial: {"kind": "gaussian" | "cosine_offset" | "mollified_peakon" |
-    "solitary_wave", "params": {...}}.  min_u_floor >= 0 applies only when
-    f or g is non-finite at u = 0 (evaluated there, at u_x = 0.37), and 0
-    turns the guard off; blowup_threshold > 0 stops the run on sup|u_x|
-    (wave breaking).
+    "solitary_wave", "params": {...}}.  min_u_floor >= 0 is the least
+    distance of the grid values from a singular locus of f or g (see
+    Stepper), such as |u| for g = 1/u^2 or |u^2 - ux^2| for a pole in
+    u^2 - ux^2; it applies only when f or g has one, and 0 turns the guard
+    off.  blowup_threshold > 0 stops the run on sup|u_x| (wave breaking).
     """
 
     length: float
@@ -362,15 +354,19 @@ def initial_data(config: SimConfig) -> np.ndarray:
 class Stepper:
     """Classical RK4 on the spectrum m_hat for one grid and equation.
 
-    guard_floor > 0 arms the min-|u| guard.  Stage rates raise SingularHit
-    when the guard trips or f, g are non-finite on the grid.  A stage runs
-    on buffers the stepper owns; nothing it returns shares them.
+    guard_floor > 0 arms the guard on the singular loci of f and g
+    (EquationSpec.loci), read from the pass over f and g.  Stage rates
+    raise SingularHit when a locus's distance (expr.Locus) on the grid
+    falls below guard_floor, naming the locus, or when f or g is
+    non-finite on the grid.  A stage runs on buffers the stepper owns;
+    nothing it returns shares them.
     """
 
     def __init__(self, grid: Grid, eq: EquationSpec, dealias: bool = True,
                  guard_floor: float = 0.0):
         self.grid = grid
         self.program = eq.program
+        self.loci = eq.loci
         self._env = {"u": None, "ux": None, "x": grid.x}
         self.guard_floor = guard_floor
         mask = grid.dealias_mask if dealias else np.ones_like(grid.k)
@@ -389,19 +385,22 @@ class Stepper:
         u, ux, m = self._nodal(mh)
         return GridState(t, m, u, ux)
 
-    def _fg(self, u: np.ndarray, ux: np.ndarray) -> tuple:
-        """f and g on the grid, each summed left to right."""
+    def _terms(self, u: np.ndarray, ux: np.ndarray) -> list:
+        """The term values of f, g and each singular locus on the grid."""
         self._env["u"], self._env["ux"] = u, ux
-        f_terms, g_terms = self.program(self._env)
-        return _sum_terms(f_terms), _sum_terms(g_terms)
+        return self.program(self._env)
 
     def rates(self, u: np.ndarray, ux: np.ndarray, m: np.ndarray) -> np.ndarray:
         """m_hat_t at the nodal state (u, u_x, m)."""
         x = self.grid.x
-        if self.guard_floor > 0.0 and np.min(np.abs(u)) < self.guard_floor:
-            j = int(np.argmin(np.abs(u)))
-            raise SingularHit(f"|u| fell below the floor {self.guard_floor:g}", float(x[j]))
-        fv, gv = self._fg(u, ux)
+        f_terms, g_terms, *loci = self._terms(u, ux)
+        if loci and self.guard_floor > 0.0:
+            for locus, terms in zip(self.loci, loci):
+                distance = locus.distance(_sum_terms(terms))
+                if np.min(distance) < self.guard_floor:
+                    raise SingularHit(f"{locus} fell below the floor {self.guard_floor:g}",
+                                      float(x[np.argmin(distance)]))
+        fv, gv = _sum_terms(f_terms), _sum_terms(g_terms)
         products = self._products
         np.multiply(fv, m, out=products[0])
         np.multiply(gv, m, out=products[1])
@@ -424,7 +423,7 @@ class Stepper:
 
     def check_cfl(self, state: GridState, dt: float):
         """Warn when dt*max|g|*N/L > 1, at the line calling run."""
-        gmax = float(np.max(np.abs(self._fg(state.u, state.ux)[1])))
+        gmax = float(np.max(np.abs(_sum_terms(self._terms(state.u, state.ux)[1]))))
         if dt * gmax * self.grid.n / self.grid.length > 1.0:
             warnings.warn("CFL sanity exceeded: dt*max|g|*N/L > 1", RuntimeWarning, stacklevel=3)
 
@@ -488,23 +487,20 @@ class SimResult:
     final: GridState
 
 
-def run(config: SimConfig, eq: EquationSpec | None = None, *,
-        m0: np.ndarray | None = None) -> SimResult:
+def run(config: SimConfig, *, m0: np.ndarray | None = None) -> SimResult:
     """Integrate to t_final, recording the series every series_dt.
 
     m0 is the nodal m(0); by default initial_data(config).  Terminates
     early with a wave-breaking or singularity status (partial series
-    retained).  The min-|u| guard is armed only for equations whose f or
-    g is non-finite at u = 0.
+    retained).  The guard keeps min_u_floor away from every singular
+    locus of f and g.
     """
-    eq = eq or config.equation
     grid = config.grid
     if m0 is None:
         m0 = initial_data(config)
     elif np.shape(m0) != (grid.n,):
         raise ValueError(f"m0 has shape {np.shape(m0)}, the grid needs ({grid.n},)")
-    guard = config.min_u_floor if _is_singular_at_zero(eq) else 0.0
-    stepper = Stepper(grid, eq, config.dealias, guard)
+    stepper = Stepper(grid, config.equation, config.dealias, config.min_u_floor)
     mh = np.fft.rfft(m0)
     state = stepper.state(mh, 0.0)
     stepper.check_cfl(state, config.dt)

@@ -20,8 +20,9 @@ which is explicit in y = arctanh(sqrt(2) t / b): with beta = b/sqrt(2),
 |xi| is increasing and convex in y, so Newton in y from an upper bound
 descends to the root monotonically, on all nodes at once, and U follows
 from y without a further solve (_solitary_U).  Newton stops one step
-after every step is at most 2^-26*max(1, y), and raises at a cap rather
-than return an unconverged value.  U comes out within about
+after every node has converged: its step is at most 2^-26*max(1, y), or
+its residual in xi moves ln(U) by at most 2^-53.  It raises at a cap
+rather than return an unconverged value.  U comes out within about
 2*(1 + ln(peak/U)) ulps, far down the tail included.  The closed form in
 U (_xi_of_U) is kept for the ODE cross-check.
 
@@ -52,8 +53,10 @@ __all__ = [
 ]
 
 
-# Newton steps at most; b = 1 - 2^-52 takes 32
+# Newton steps at most; b = 1 - 2^-52 and 1 - 2^-53 take 24
 _NEWTON_CAP = 64
+# the 9-point stencils of solitary_ode_residual reach 4 nodes to each side
+_FD_HALFWIDTH = 4
 
 
 def solitary_peak_height(b: float, c: float) -> float:
@@ -160,12 +163,16 @@ def _solitary_U(b: float, c: float, xi: np.ndarray) -> np.ndarray:
     to 1/beta.  So |xi|*beta/(1 - b^2) and beta*(|xi| + 2*arctanh(beta))
     both lie at or beyond the root, and Newton from the smaller descends
     to it monotonically and converges quadratically.  It runs on all
-    nodes at once, stops once every step is at most 2^-26*max(1, y), then
-    takes one more; it raises after _NEWTON_CAP steps.  It takes 4 steps
-    at b = 0.5, 20 at b = 1 - 1e-9 and 32 at b = 1 - 2^-52.  On 2e5
-    values of |xi| from 1e-30 to 1e3 only b = 1 - 2^-53, the last float
-    below 1, reached the cap, at three |xi| near 3e-23, where rounding
-    in the closed form exceeds the stopping rule.
+    nodes at once, stops once every node has converged, then takes one
+    more step; it raises after _NEWTON_CAP steps.  A node has converged
+    when its step is at most 2^-26*max(1, y), or when its residual
+    xi(y) - |xi| moves ln(U) by at most 2^-53: d ln(U)/d xi = -t, so
+    that is |t*(xi(y) - |xi|)| <= 2^-53.  The second rule serves b near
+    1 at small y, where the slope (1 - b^2)/beta is at the rounding of
+    xi(y) and the steps in y are rounding noise, while U hardly depends
+    on y.  On 2e5 values of |xi| from 1e-30 to 1e3 it takes 5 steps,
+    the last one included, at b = 0.5, 20 at b = 1 - 1e-9 and 24 at
+    b = 1 - 2^-52 and at 1 - 2^-53, the last float below 1.
 
     y comes out within a few ulps of itself, and ln(U) follows y: against
     a 60-digit inversion, for b from 1e-3 to 1 - 1e-9 and U down to
@@ -183,7 +190,7 @@ def _solitary_U(b: float, c: float, xi: np.ndarray) -> np.ndarray:
     beta = b / math.sqrt(2.0)
     target = np.abs(xi.ravel())
     np.minimum(target, 1200.0 / beta, out=target)
-    y, step, th, t = (np.empty(target.shape) for _ in range(4))
+    y, step, th, t, moved = (np.empty(target.shape) for _ in range(5))
     np.multiply(target, beta / ((1.0 - b) * (1.0 + b)), out=y)
     np.multiply(target, beta, out=step)
     step += 2.0 * beta * math.atanh(beta)
@@ -198,6 +205,9 @@ def _solitary_U(b: float, c: float, xi: np.ndarray) -> np.ndarray:
         step -= target
         np.multiply(y, 1.0 / beta, out=t)
         step += t
+        # what that moves ln(U) by, as d ln(U)/d xi = -beta*tanh(y)
+        np.multiply(step, th, out=moved)
+        np.abs(moved, out=moved)
         # over the slope, in th: beta*(1 - t^2) / (1 - b^2 + t^2)
         np.square(th, out=th)
         np.add(th, (1.0 - b) * (1.0 + b), out=t)
@@ -211,7 +221,7 @@ def _solitary_U(b: float, c: float, xi: np.ndarray) -> np.ndarray:
         np.abs(step, out=step)
         np.maximum(y, 1.0, out=t)
         t *= 2.0**-26
-        last = bool(np.all(step <= t))
+        last = bool(np.all((step <= t) | (moved <= 2.0**-53)))
     else:
         raise RuntimeError(f"solitary profile: Newton in y did not converge in {_NEWTON_CAP} steps")
     # U = 2*peak*h*h / ((1 + h^4)*(1 - t^2)), h = e^(-y/2)
@@ -309,7 +319,6 @@ def solitary_ode_residual(
     profile: WaveProfile,
     xi_max: float = 15.0,
     dxi: float = 1e-3,
-    fd_halfwidth: int = 4,
 ) -> SolitaryResiduals:
     """Residual statistics for a solitary profile.
 
@@ -338,14 +347,15 @@ def solitary_ode_residual(
 
     # (ii) fine grid, one-sided range is enough by symmetry
     n = int(round(xi_max / dxi))
-    xif = np.arange(-fd_halfwidth, n + fd_halfwidth + 1) * dxi
+    xif = np.arange(-_FD_HALFWIDTH, n + _FD_HALFWIDTH + 1) * dxi
     Uf = _solitary_U(b, c, np.abs(xif))
     # 8th-order central difference weights
     w1 = np.array([3, -32, 168, -672, 0, 672, -168, 32, -3], dtype=float) / (840 * dxi)
     w3 = np.array([-7, 72, -338, 488, 0, -488, 338, -72, 7], dtype=float) / (240 * dxi**3)
-    idx = np.arange(fd_halfwidth, n + fd_halfwidth + 1)
-    Up1 = sum(w * Uf[idx + j] for j, w in zip(range(-4, 5), w1))
-    Up3 = sum(w * Uf[idx + j] for j, w in zip(range(-4, 5), w3))
+    idx = np.arange(_FD_HALFWIDTH, n + _FD_HALFWIDTH + 1)
+    offsets = range(-_FD_HALFWIDTH, _FD_HALFWIDTH + 1)
+    Up1 = sum(w * Uf[idx + j] for j, w in zip(offsets, w1))
+    Up3 = sum(w * Uf[idx + j] for j, w in zip(offsets, w3))
     Uc = Uf[idx]
     Upp = _usecond(Uc, b, c)
     xic = xif[idx]

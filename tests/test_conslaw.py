@@ -145,6 +145,24 @@ def test_templates_are_linear_in_the_placeholders():
             assert [k for s, k in mono if s[0] in "fg"] == [1]
 
 
+@pytest.mark.parametrize("f, g, loci", [
+    ("ux*exp(u)", "exp(u)", []),
+    ("ux*(u^2-ux^2) + u/(u^2-ux^2)", "u", ["|u^2 - ux^2|"]),
+    ("ux/u^3", "1/u^2", ["|u|"]),
+])
+def test_split_samples_off_the_loci_of_f_and_g(f, g, loci):
+    # the split's sample keeps delta away from the singular loci of f and
+    # g, and from nothing else: with low < delta, points near u = 0 and
+    # u^2 = ux^2 come up wherever these are not loci
+    eq = EquationSpec.from_strings(f, g)
+    policy = SamplingPolicy(n_points=200, seed=5, low=0.01)
+    split = conslaw._split_conditions(eq, policy)
+    assert [str(locus) for locus in eq.loci] == loci
+    u, ux = split.samples.points.T
+    for name, distance in (("|u|", np.abs(u)), ("|u^2 - ux^2|", np.abs(u * u - ux * ux))):
+        assert (distance.min() >= policy.delta) == (name in loci), name
+
+
 @pytest.mark.parametrize("f, g, generic", [
     ("u^3*ux^3 + exp(u*ux)", "sqrt(u^2+1)*ux^4 + u^4*ux", True),
     ("ux", "u", False),  # Camassa-Holm: most partials are zero
@@ -200,10 +218,13 @@ def test_split_takes_no_diff_and_builds_no_tree(monkeypatch, f, g, generic):
     assert len(forms) == 1 and [id(e) for e in forms[0]] == [id(t) for t in terms]
     assert count["taylor"] == count["block"] >= 1
     sampled = [k for k, nf in split.forms.items() if nf != {}]
-    assert len(blocks[0]) == len(sampled)
+    # a row per sampled coefficient, and the distances from the singular
+    # loci of f and g, read from the same Taylor pass
+    rows, distances = blocks[0]
+    assert len(rows) == len(sampled) and len(distances) == len(eq.loci)
     if generic:  # no partial of f up to order 2 or of g up to order 3 is zero
         assert sampled == list(split.forms)
-        assert [len(t) for t in blocks[0]] == [len(conslaw._templates()[name][mono]) for name, mono in sampled]
+        assert [len(t) for t in rows] == [len(conslaw._templates()[name][mono]) for name, mono in sampled]
     # the m^4 coefficient is g_03, zero for Camassa-Holm
     assert (split.forms["C", "m^4"] == {}) == (not generic)
     # a warm classify, its currents included, takes no diff either

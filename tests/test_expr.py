@@ -376,18 +376,21 @@ def test_singular_sampling_error():
         is_zero(e, SamplingPolicy(n_points=5, max_tries=20))
 
 
-def test_sample_points_follow_the_sequential_draw():
+@pytest.mark.parametrize("low", [0.2, 0.01])
+def test_sample_points_follow_the_sequential_draw(low):
     # one candidate at a time from the seeded stream: uniform values, then
-    # signs; the first n off the singular loci where e is finite are kept
+    # signs; the first n off the singular loci where e is finite are kept.
+    # The loci of e are u (ln) and u^2 - ux^2 (the pole), not ux: with
+    # low < delta some kept points have |ux| < delta
     e = parse("ln(u) + 1/(u^2-ux^2)")
-    policy = SamplingPolicy(n_points=30, seed=3)
+    policy = SamplingPolicy(n_points=100, seed=3, low=low)
     rng = np.random.default_rng(policy.seed)
     want = []
     while len(want) < policy.n_points:
         vals = rng.uniform(policy.low, policy.high, size=2)
         signs = rng.choice([-1.0, 1.0], size=2)
         u, ux = vals * signs  # names sorted: u, ux
-        if min(abs(u), abs(ux), abs(u * u - ux * ux)) < policy.delta:
+        if min(abs(u), abs(u * u - ux * ux)) < policy.delta:
             continue
         if u <= 0.0:  # ln(u) is not finite
             continue
@@ -395,6 +398,44 @@ def test_sample_points_follow_the_sequential_draw():
     got = sample_points(e, policy)
     assert [(p["u"], p["ux"]) for p in got] == [w[:2] for w in want]
     assert [p["__value__"] for p in got] == pytest.approx([w[2] for w in want], rel=1e-13)
+    assert any(abs(ux) < policy.delta for _, ux, _ in want) == (low < policy.delta)
+
+
+@pytest.mark.parametrize("source, loci", [
+    ("ux/u^3 + 1/u^2", ["|u|"]),
+    ("u^2*ux - 3*ux^3 + 1", []),
+    ("exp(u) + sin(ux) + cos(u*ux)", []),
+    ("ux + u/(u^2 - ux^2)", ["|u^2 - ux^2|"]),
+    # a current of the pole family: a pole at u + ux, a log at (u - ux)/(u + ux)
+    ("ln((u - ux)/(u + ux)) + 1/ux", ["|u + ux|", "|(u - ux)/(u + ux)|", "|ux|"]),
+    ("sqrt(u^2 + 1) + u^(3/2)", ["|u^2 + 1|", "|u|"]),
+    ("arctanh(u/2) - arctanh(u/2)^2", ["||0.5*u| - 1|"]),
+    ("1/ux + 1/ux^2 + ux^-3", ["|ux|"]),  # one locus, listed once
+    ("ln(2)*u + sqrt(3)", []),  # constant loci are left out
+    ("a/(u - b) + 1/m", ["|u - b|", "|m|"]),
+])
+def test_singular_loci_read_off_the_expression(source, loci):
+    e = parse(source, ["a", "b"])
+    assert [str(locus) for locus in expr.singular_loci([e])] == loci
+    # the loci of several expressions are those of their sum, each once
+    assert expr.singular_loci([e, e, parse("u*ux")]) == expr.singular_loci([e])
+
+
+def test_locus_distance():
+    at = np.array([0.95, -1.02, 0.0, -0.5])
+    assert np.array_equal(expr.Locus(parse("u"), "zero").distance(at), np.abs(at))
+    assert np.allclose(expr.Locus(parse("u"), "unit").distance(at), [0.05, 0.02, 1.0, 0.5], rtol=0, atol=1e-15)
+
+
+def test_sample_keeps_off_only_the_loci_of_its_expressions():
+    # no pole of CH's f and g lies on u^2 = ux^2, so nothing keeps the
+    # sample off it; a pole family's f keeps it delta away
+    policy = SamplingPolicy(n_points=200, seed=5)
+    ch = expr.sample([parse("ux"), parse("u")], policy)
+    y = ch.points[:, 0] ** 2 - ch.points[:, 1] ** 2
+    assert ch.names == ["u", "ux"] and (np.abs(y) < policy.delta).any()
+    pole = expr.sample([parse("ux + u/(u^2 - ux^2)"), parse("u")], policy)
+    assert np.abs(pole.points[:, 0] ** 2 - pole.points[:, 1] ** 2).min() >= policy.delta
 
 
 @pytest.mark.parametrize("source, outside", [
@@ -751,8 +792,10 @@ def test_sample_builds_one_program_per_call(monkeypatch, full_conditions):
         built.clear()
         s = expr.sample(exprs, policy)
         assert s.values.shape == s.scales.shape == (len(exprs), policy.n_points)
-        assert len(built) == 1 and len(built[0]) == len(exprs)
-        assert all(a is b for a, b in zip(built[0], exprs))
+        # the expressions, then their singular loci
+        loci = [locus.expr for locus in expr.singular_loci(exprs)]
+        assert loci and len(built) == 1 and len(built[0]) == len(exprs) + len(loci)
+        assert all(a is b for a, b in zip(built[0], [*exprs, *loci]))
 
 
 def test_vote_equals_the_point_loop(plain_vote):

@@ -182,27 +182,46 @@ def test_run_singularity_guard():
     )
     res = run(cfg)
     assert res.status == STATUS_SINGULAR
+    assert res.message == "|u| fell below the floor 0.001"
 
 
-@pytest.mark.parametrize("f, g, armed", [
-    ("ux/u^3", "1/u^2", True),
-    ("ux/u", "u", True),
-    ("ux", "1/u", True),
-    ("ux", "u+1/u", True),
-    ("ux", "ln(u^2)", True),
-    ("ux", "ln(u^2)-ln(u^4)", True),  # the terms' infinities cancel in a sum
-    ("ux", "u", False),
-    ("2*ux", "u", False),
-    ("u*ux", "u^2", False),
-    ("ux*(u^2-ux^2)+u/(u^2-ux^2)", "u", False),
+@pytest.mark.parametrize("f, g, loci", [
+    ("ux/u^3", "1/u^2", ["|u|"]),
+    ("ux/u", "u", ["|u|"]),
+    ("ux", "1/u", ["|u|"]),
+    ("ux", "u+1/u", ["|u|"]),
+    ("ux", "ln(u^2)", ["|u^2|"]),
+    ("ux", "ln(u^2)-ln(u^4)", ["|u^2|", "|u^4|"]),  # the terms' infinities cancel in a sum
+    ("ux", "u", []),
+    ("2*ux", "u", []),
+    ("u*ux", "u^2", []),
+    # finite at u = 0, singular on u^2 = ux^2
+    ("ux*(u^2-ux^2)+u/(u^2-ux^2)", "u", ["|u^2 - ux^2|"]),
+    ("ux*exp(u)", "sqrt(u^2+1)", ["|u^2 + 1|"]),
+    ("ux", "arctanh(u/2)", ["||0.5*u| - 1|"]),
 ])
-def test_guard_armed_by_the_value_at_zero(f, g, armed):
-    assert pde._is_singular_at_zero(EquationSpec.from_strings(f, g)) is armed
+def test_guard_armed_by_the_singular_loci(monkeypatch, f, g, loci):
+    # run guards, at min_u_floor, the singular loci of f and g
+    eq = EquationSpec.from_strings(f, g)
+    assert [str(locus) for locus in eq.loci] == loci
+    guarded = []
+    real = pde.Stepper
+
+    class RecordingStepper(real):
+        def __init__(self, grid, eq, dealias=True, guard_floor=0.0):
+            super().__init__(grid, eq, dealias, guard_floor)
+            guarded.append((self.guard_floor, [str(locus) for locus in self.loci]))
+
+    monkeypatch.setattr(pde, "Stepper", RecordingStepper)
+    cfg = SimConfig(length=2 * math.pi, n=16, dt=1e-3, t_final=1e-3, equation=eq, min_u_floor=1e-3,
+                    initial={"kind": "cosine_offset", "params": {"offset": 0.5, "amplitude": 0.1}})
+    run(cfg)
+    assert guarded == [(1e-3, loci)]
 
 
 def test_one_program_over_f_and_g_per_equation(monkeypatch):
-    # the singular-locus probe, every stepper and the split of the
-    # conditions share the equation's Program over f and g
+    # a run, every stepper and the split of the conditions share the
+    # equation's Program over f, g and their singular loci
     eq = EquationSpec.from_strings("ux/u^3", "1/u^2")
     built = []
     real = ex.Program
@@ -213,13 +232,31 @@ def test_one_program_over_f_and_g_per_equation(monkeypatch):
             super().__init__(exprs)
 
     monkeypatch.setattr(ex, "Program", CountingProgram)
-    pde._is_singular_at_zero(eq)
     steppers = [pde.Stepper(Grid(20.0, 64), eq) for _ in range(2)]
+    run(SimConfig(length=20.0, n=64, dt=1e-3, t_final=2e-3, equation=eq,
+                  initial={"kind": "cosine_offset", "params": {}}))
     conslaw._split_conditions(eq, SamplingPolicy(seed=1))
     classify(eq, SamplingPolicy(seed=1))
     monkeypatch.undo()
-    assert [exprs for exprs in built if exprs[0] is eq.bound_f] == [[eq.bound_f, eq.bound_g]]
+    assert [exprs for exprs in built if exprs[0] is eq.bound_f] == [[eq.bound_f, eq.bound_g, ex.parse("u")]]
     assert all(s.program is eq.program for s in steppers)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_guard_stops_a_pole_family_run_on_its_locus():
+    # f = ux + u/(u^2 - ux^2) is finite at u = 0; the data cross
+    # u^2 = ux^2, and the guard names that locus
+    eq = EquationSpec.from_strings("ux + u/(u^2-ux^2)", "u")
+    cfg = SimConfig(length=2 * math.pi, n=128, dt=1e-3, t_final=0.1, equation=eq,
+                    initial={"kind": "cosine_offset", "params": {"offset": 0.5, "amplitude": 1.0}})
+    res = run(cfg)
+    assert res.status == STATUS_SINGULAR
+    assert res.message.replace(" ", "") == "|u^2-ux^2|fellbelowthefloor0.001"
+    assert len(res.series.t) < 101  # partial series retained
+    # data off the locus run to the end
+    res = run(SimConfig(length=2 * math.pi, n=128, dt=1e-3, t_final=0.1, equation=eq,
+                        initial={"kind": "cosine_offset", "params": {}}))
+    assert res.status == STATUS_COMPLETED
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -96,6 +96,11 @@ ORACLE_CASES = [
     *((b, 1.0, np.concatenate([[0.0, 5e-324, 1e-15], np.geomspace(1e-12, 690.0 * np.sqrt(2.0) / b, 200)]))
       for b in (1e-3, 0.9999, 1.0 - 1e-9)),
     (0.5, 1.0, np.empty(0)),
+    # the last float below 1, down to |xi| where the slope (1 - b^2)/beta is
+    # at the rounding of xi(y) and the Newton steps in y are rounding noise
+    (1.0 - 2.0**-53, 1.0, np.concatenate([[3.1320052337235604e-23, 3.237259774850798e-23,
+                                           3.972308734353782e-24, 3.9768388947502744e-24],
+                                          np.geomspace(1e-30, 1e3, 200)])),
 ]
 
 
