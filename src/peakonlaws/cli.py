@@ -16,6 +16,7 @@ import argparse
 import datetime
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -44,7 +45,14 @@ def _parse_params(items) -> dict:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise ValueError(f"expected name=value, got {item!r}")
-        out[name] = float(value)
+        if name in out:
+            raise ValueError(f"parameter {name!r} is given more than once")
+        try:
+            out[name] = float(value)
+        except ValueError:
+            raise ValueError(f"parameter {name!r} must be a number, got {value!r}") from None
+        if not math.isfinite(out[name]):
+            raise ValueError(f"parameter {name!r} must be finite, got {value!r}")
     return out
 
 

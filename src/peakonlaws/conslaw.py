@@ -133,15 +133,15 @@ class EquationSpec:
     def bound_g(self) -> Expr:
         return ex.bind_params(self.g, self.params)
 
-    @cached_property
+    @property
     def loci(self) -> list:
-        """The singular loci of f and g (expr.singular_loci)."""
-        return ex.singular_loci([self.bound_f, self.bound_g])
+        """The singular loci of f and g (expr.singular_loci), read off the walk that compiles program."""
+        return self.program.loci
 
     @cached_property
     def program(self) -> ex.Program:
         """f, g and then each of loci as one Program, for the split and the solver."""
-        return ex.Program([self.bound_f, self.bound_g, *(locus.expr for locus in self.loci)])
+        return ex.Program([self.bound_f, self.bound_g], with_loci=True)
 
     @staticmethod
     def from_strings(f: str, g: str, params: dict | None = None) -> "EquationSpec":

@@ -22,8 +22,12 @@ partial derivative up to order 3 of each expression at once, with the
 structurally zero ones exactly 0.  There is one sampler: sample draws
 seeded jet points shared by a sequence of expressions (or rows of a
 block evaluator) and judges the candidates a block at a time;
-sample_points is its view for one expression.  singular_loci reads the
-poles and branch points off the tree, for the sampler and the solver.
+sample_points is its view for one expression.  The candidates depend on
+the seed, the bounds and the number of symbols only, so each such stream
+is drawn once per process and kept, read-only, for the calls after it
+(a few streams at most).  singular_loci reads the poles and branch
+points off the tree, for the sampler and the solver; a Program built
+with_loci reads them off the walk that compiles it.
 
 Trees share subtrees freely, so the kernel works once per distinct node.
 Each node computes its hash once, when it is built, and == compares the
@@ -34,7 +38,9 @@ and a Program computes each distinct node once per call: a subtree shared
 by several parents is compiled, evaluated, derived, expanded or rebuilt
 once.  Nodes hold their fields and hash only; a batch API (Program,
 sample, poly_normal_forms) shares its work across the expressions of one
-call, and nothing is kept between calls.
+call, and nothing is kept between calls but the sampler's candidate
+streams.  add and mul keep the terms and factors they do not merge as
+they came, so canonical input comes back as the very nodes it was built of.
 
 Partial is a placeholder for a partial derivative of an unknown function
 of (u, ux).  The derivatives and poly_normal_form know it, so euler_u
@@ -42,8 +48,9 @@ builds a determining condition once for a generic f, whose normal form
 reads off each placeholder's weight.  The evaluator, the printer and the
 parser reject it.
 
-Everything here is immutable and side-effect free; randomized zero testing
-takes an explicit SamplingPolicy carrying its own seed.  is_zero tries the
+Everything here is immutable and side-effect free, the cache of candidate
+streams aside, which changes no result; randomized zero testing takes an
+explicit SamplingPolicy carrying its own seed.  is_zero tries the
 polynomial normal form first, and vote is its verdict rule on sampled
 values.
 """
@@ -53,6 +60,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -380,6 +388,37 @@ def _coeff_key(t: Expr) -> tuple[float, Expr]:
     return 1.0, t
 
 
+def _kept(f: Expr) -> bool:
+    """Whether mul keeps f as it came: pow_(f.base, f.exp) gives back a Pow f, true of any other f."""
+    if not isinstance(f, Pow):
+        return True
+    e, b = f.exp, f.base
+    if e.denominator == 1 and (e.numerator in (0, 1) or isinstance(b, Pow) and b.exp.denominator == 1):
+        return False
+    return not isinstance(b, Const)
+
+
+def _kept_term(t: Expr) -> bool:
+    """Whether mul(Const(k), key), (k, key) = _coeff_key(t), gives back t: a product as mul builds it."""
+    if not isinstance(t, Mul):
+        return _kept(t)
+    fs = t.factors
+    if isinstance(fs[0], Const):
+        if fs[0].value == 1.0 or len(fs) == 2 and isinstance(fs[1], Add):
+            return False
+        fs = fs[1:]
+    if len(t.factors) < 2:
+        return False
+    bases = set()
+    for f in fs:
+        if isinstance(f, (Const, Mul)) or not _kept(f):
+            return False
+        bases.add(f.base if isinstance(f, Pow) else f)
+    return len(bases) == len(fs)
+
+
+# add and mul return a term or factor that they do not merge as it came,
+# and build anew only what they merge
 def add(*terms) -> Expr:
     flat: list[Expr] = []
     c = 0.0
@@ -392,18 +431,23 @@ def add(*terms) -> Expr:
         else:
             flat.append(t)
     # collect like terms; keeps trees small and sums flat
-    coeffs: dict[Expr, float] = {}
-    order: list[Expr] = []
+    coeffs: dict[Expr, list] = {}  # key -> [coefficient, the term while it stands alone]
     for t in flat:
         if isinstance(t, Const):
             c += t.value
             continue
         k, key = _coeff_key(t)
-        if key not in coeffs:
-            coeffs[key] = 0.0
-            order.append(key)
-        coeffs[key] += k
-    rest = [mul(Const(coeffs[key]), key) for key in order if coeffs[key] != 0.0]
+        entry = coeffs.get(key)
+        if entry is None:
+            coeffs[key] = [0.0 + k, t]
+        else:
+            entry[0] += k
+            entry[1] = None
+    rest = [
+        t if t is not None and _kept_term(t) else mul(Const(k), key)
+        for key, (k, t) in coeffs.items()
+        if k != 0.0
+    ]
     if c != 0.0:
         rest.append(Const(c))
     if not rest:
@@ -424,26 +468,29 @@ def mul(*factors) -> Expr:
             c *= f.value
         else:
             flat.append(f)
-    rest: list[Expr] = []
+    # group repeated bases: ux*ux -> ux^2, b*b^-1 -> 1
+    grouped: dict[Expr, list] = {}  # base -> [exponent, the factor while it stands alone]
     for f in flat:
         if isinstance(f, Const):
             c *= f.value
+            continue
+        b, e = (f.base, f.exp) if isinstance(f, Pow) else (f, _UNIT)
+        entry = grouped.get(b)
+        if entry is None:
+            grouped[b] = [e, f]
         else:
-            rest.append(f)
+            entry[0] += e
+            entry[1] = None
     if c == 0.0:
         return ZERO
-    # group repeated bases: ux*ux -> ux^2, b*b^-1 -> 1
-    grouped: list[tuple[Expr, Fraction]] = []
-    for f in rest:
-        b, e = (f.base, f.exp) if isinstance(f, Pow) else (f, _UNIT)
-        for i, (gb, ge) in enumerate(grouped):
-            if gb == b:
-                grouped[i] = (gb, ge + e)
-                break
-        else:
-            grouped.append((b, e))
-    rest = [b if e is _UNIT else pow_(b, e) for b, e in grouped if e != 0]
-    rest = [f for f in rest if not (isinstance(f, Const) and f.value == 1.0)]
+    rest: list[Expr] = []
+    for b, (e, f) in grouped.items():
+        if f is not None and _kept(f):
+            rest.append(f)
+        elif e != 0:
+            f = b if e is _UNIT else pow_(b, e)
+            if not (isinstance(f, Const) and f.value == 1.0):
+                rest.append(f)
     if not rest:
         return Const(c)
     # distribute a plain constant over a sum; keeps sums flat so that the
@@ -578,15 +625,21 @@ def singular_loci(exprs: Sequence[Expr]) -> list:
     sqrt are singular where they vanish, the argument of arctanh where its
     modulus is 1.  A locus free of variables and parameters is left out.
     """
-    loci = {}  # (expression, kind) -> None
-    for n, _ in _nodes(exprs):
+    return _loci(_nodes(exprs))
+
+
+def _loci(nodes: list) -> list:
+    """singular_loci read off a _nodes list, in one pass over it."""
+    varies = {}  # id(node) -> whether a variable or parameter lies under it
+    loci = {}  # (expression, kind) -> whether it varies
+    for n, kids in nodes:
+        varies[id(n)] = isinstance(n, (Var, Param, Partial)) or any(varies[id(c)] for c in kids)
         if isinstance(n, Pow):
             if n.exp.numerator < 0 or n.exp.denominator != 1:
-                loci[n.base, "zero"] = None
+                loci[n.base, "zero"] = varies[id(n.base)]
         elif isinstance(n, Fn) and n.name in ("ln", "sqrt", "arctanh"):
-            loci[n.arg, "unit" if n.name == "arctanh" else "zero"] = None
-    varies = (Var, Param, Partial)
-    return [Locus(e, kind) for e, kind in loci if any(isinstance(n, varies) for n, _ in _nodes((e,)))]
+            loci[n.arg, "unit" if n.name == "arctanh" else "zero"] = varies[id(n.arg)]
+    return [Locus(e, kind) for (e, kind), v in loci.items() if v]
 
 
 def _rebuild(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
@@ -650,9 +703,11 @@ class Program:
     the operation a node by node evaluation would make, so the values are
     the same to the bit.  np.errstate is entered once per call, and only
     when a negative or fractional power or a function can leave its domain.
+    With with_loci, a row per singular locus of exprs (singular_loci, read
+    off the same walk) follows the rows of exprs; loci lists them.
     """
 
-    def __init__(self, exprs: Sequence[Expr]):
+    def __init__(self, exprs: Sequence[Expr], *, with_loci: bool = False):
         tops = [e.terms if isinstance(e, Add) else (e,) for e in exprs]
         self._init: list = []  # slot values before a call: constants, else None
         self._loads: list = []  # (slot, name, kind) read from env
@@ -674,7 +729,8 @@ class Program:
                 self._code.append((function, slot(key), a, b))
             return numbered[key]
 
-        for n, kids in _nodes([t for ts in tops for t in ts]):
+        nodes = _nodes([t for ts in tops for t in ts])
+        for n, kids in nodes:
             args = [slot_of[id(c)] for c in kids]
             if isinstance(n, Const):
                 out = slot((Const, n.value.hex()), np.float64(n.value))
@@ -703,6 +759,9 @@ class Program:
             else:
                 raise ExprError(f"cannot evaluate {type(n).__name__}")
             slot_of[id(n)] = out
+        # a locus is a node of this walk: its row reads slots computed already
+        self.loci = _loci(nodes) if with_loci else []
+        tops += [e.terms if isinstance(e, Add) else (e,) for e, _ in self.loci]
         self._outputs = [[slot_of[id(t)] for t in ts] for ts in tops]
         self._jets = None  # the Taylor interpretation, made on the first taylor call
 
@@ -1190,6 +1249,39 @@ class ZeroVerdict:
 _SIGNS = np.array([-1.0, 1.0])
 
 
+# The candidate streams drawn so far, keyed by (seed, low, high, dim): the
+# generator and its candidates in draw order, read-only.  A few keys at
+# most, the least recently used dropped first.
+_STREAMS: dict = {}
+_STREAMS_KEPT = 16
+_STREAMS_LOCK = threading.Lock()
+
+
+def _candidates(policy: SamplingPolicy, dim: int, stop: int, budget: int) -> np.ndarray:
+    """At least the first stop candidates of the seeded stream of policy over dim symbols (read-only).
+
+    The stream is drawn once per process: a longer request extends it,
+    by at least a doubling but never beyond budget.
+    """
+    key = (policy.seed, policy.low, policy.high, dim)
+    with _STREAMS_LOCK:
+        rng, pts = _STREAMS.pop(key, None) or (np.random.default_rng(policy.seed), np.empty((0, dim)))
+        if len(pts) < stop:
+            count = min(max(stop, 2 * len(pts)), budget) - len(pts)
+            # operands evaluate left to right: uniform, then the signs, per candidate;
+            # _SIGNS[integers(0, 2)] draws what choice([-1.0, 1.0]) draws, with less overhead
+            new = np.array([
+                rng.uniform(policy.low, policy.high, size=dim) * _SIGNS[rng.integers(0, 2, size=dim)]
+                for _ in range(count)
+            ]).reshape(count, dim)
+            pts = np.concatenate([pts, new])
+            pts.flags.writeable = False
+        _STREAMS[key] = rng, pts
+        while len(_STREAMS) > _STREAMS_KEPT:
+            del _STREAMS[next(iter(_STREAMS))]
+    return pts
+
+
 class Samples(NamedTuple):
     """Admissible jet points shared by several expressions, in draw order."""
 
@@ -1202,14 +1294,16 @@ class Samples(NamedTuple):
 def sample(exprs, policy: SamplingPolicy, names: Sequence[str] = ()) -> Samples:
     """Draw the first n_points admissible points for every symbol of exprs.
 
-    Candidates come one at a time from the seeded stream (uniform values,
-    then random signs), so the points depend only on the seed and the
-    symbols.  They are judged a block at a time: a candidate is admissible
-    at least delta away from every singular locus (Locus.distance) where
-    every term of every row evaluates finitely.  At most max_tries *
-    n_points candidates are drawn.  exprs is either a sequence of
-    expressions, compiled with their singular_loci as one Program once per
-    call, each a row of its top-level terms; or a block evaluator, a
+    Candidates are read in order from the seeded stream (per candidate,
+    uniform values, then random signs), so the points depend only on the
+    seed, low, high and the number of symbols; the stream is drawn once
+    per process and shared by every call with those four (_candidates).
+    They are judged a block at a time: a candidate is admissible at least
+    delta away from every singular locus (Locus.distance) where every
+    term of every row evaluates finitely.  At most max_tries * n_points
+    candidates are read.  exprs is either a sequence of expressions,
+    compiled with their singular_loci (Program with_loci) as one Program
+    once per call, each a row of its top-level terms; or a block evaluator, a
     callable (env, count) -> (rows, distances) over the coordinates names:
     one (terms, count) array per row, one array of distances per locus.
     Either is called once per block.
@@ -1217,8 +1311,8 @@ def sample(exprs, policy: SamplingPolicy, names: Sequence[str] = ()) -> Samples:
     if callable(exprs):
         block, names = exprs, list(names)
     else:
-        loci = singular_loci(exprs)
-        program = Program([*exprs, *(locus.expr for locus in loci)])
+        program = Program(exprs, with_loci=True)
+        loci = program.loci
         names = []
         for kind in ("variable", "parameter"):
             names += sorted(name for _, name, k in program._loads if k == kind)
@@ -1228,7 +1322,6 @@ def sample(exprs, policy: SamplingPolicy, names: Sequence[str] = ()) -> Samples:
             rows = [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in values[:len(exprs)]]
             return rows, [locus.distance(reduce(operator.add, ts)) for locus, ts in zip(loci, values[len(exprs):])]
 
-    rng = np.random.default_rng(policy.seed)
     n, dim, budget = policy.n_points, len(names), policy.max_tries * policy.n_points
     chosen, terms, found, tries = [], None, 0, 0
     while found < n:
@@ -1239,12 +1332,7 @@ def sample(exprs, policy: SamplingPolicy, names: Sequence[str] = ()) -> Samples:
             )
         count = min(n - found, budget - tries)
         tries += count
-        # operands evaluate left to right: uniform, then the signs, per candidate;
-        # _SIGNS[integers(0, 2)] draws what choice([-1.0, 1.0]) draws, with less overhead
-        pts = np.array([
-            rng.uniform(policy.low, policy.high, size=dim) * _SIGNS[rng.integers(0, 2, size=dim)]
-            for _ in range(count)
-        ]).reshape(count, dim)
+        pts = _candidates(policy, dim, tries, budget)[tries - count:tries]
         with np.errstate(all="ignore"):  # an overflow is inf, and rejects the candidate
             rows, distances = block(dict(zip(names, pts.T)), count)
         admissible = np.ones(count, dtype=bool)

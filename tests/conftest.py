@@ -290,3 +290,90 @@ def _plain_vote(names, points, values, scales, rel_tol: float) -> ex.ZeroVerdict
 def plain_vote():
     """Reference for expr.vote."""
     return _plain_vote
+
+
+def _plain_coeff_key(t: ex.Expr) -> tuple:
+    if isinstance(t, ex.Mul) and isinstance(t.factors[0], ex.Const):
+        rest = t.factors[1:]
+        return t.factors[0].value, (rest[0] if len(rest) == 1 else ex.Mul(rest))
+    return 1.0, t
+
+
+def _plain_add(*terms) -> ex.Expr:
+    """add rebuilding every term: mul(Const(coefficient), key) for each key, merged or not."""
+    flat, c = [], 0.0
+    for t in terms:
+        t = ex._as_expr(t)
+        if isinstance(t, ex.Add):
+            flat.extend(t.terms)
+        elif isinstance(t, ex.Const):
+            c += t.value
+        else:
+            flat.append(t)
+    coeffs, order = {}, []
+    for t in flat:
+        if isinstance(t, ex.Const):
+            c += t.value
+            continue
+        k, key = _plain_coeff_key(t)
+        if key not in coeffs:
+            coeffs[key] = 0.0
+            order.append(key)
+        coeffs[key] += k
+    rest = [_plain_mul(ex.Const(coeffs[key]), key) for key in order if coeffs[key] != 0.0]
+    if c != 0.0:
+        rest.append(ex.Const(c))
+    if not rest:
+        return ex.ZERO
+    return rest[0] if len(rest) == 1 else ex.Add(tuple(rest))
+
+
+def _plain_mul(*factors) -> ex.Expr:
+    """mul rebuilding every factor: grouped by base in a list, and pow_ of each base and exponent."""
+    flat, c = [], 1.0
+    for f in factors:
+        f = ex._as_expr(f)
+        if isinstance(f, ex.Mul):
+            flat.extend(f.factors)
+        elif isinstance(f, ex.Const):
+            c *= f.value
+        else:
+            flat.append(f)
+    rest = []
+    for f in flat:
+        if isinstance(f, ex.Const):
+            c *= f.value
+        else:
+            rest.append(f)
+    if c == 0.0:
+        return ex.ZERO
+    grouped = []
+    for f in rest:
+        b, e = (f.base, f.exp) if isinstance(f, ex.Pow) else (f, ex._UNIT)
+        for i, (gb, ge) in enumerate(grouped):
+            if gb == b:
+                grouped[i] = (gb, ge + e)
+                break
+        else:
+            grouped.append((b, e))
+    rest = [b if e is ex._UNIT else ex.pow_(b, e) for b, e in grouped if e != 0]
+    rest = [f for f in rest if not (isinstance(f, ex.Const) and f.value == 1.0)]
+    if not rest:
+        return ex.Const(c)
+    if len(rest) == 1 and isinstance(rest[0], ex.Add) and c != 1.0:
+        return _plain_add(*(_plain_mul(ex.Const(c), t) for t in rest[0].terms))
+    if c != 1.0:
+        rest.insert(0, ex.Const(c))
+    return rest[0] if len(rest) == 1 else ex.Mul(tuple(rest))
+
+
+@pytest.fixture
+def plain_add():
+    """Reference for expr.add: every term rebuilt through plain_mul."""
+    return _plain_add
+
+
+@pytest.fixture
+def plain_mul():
+    """Reference for expr.mul: every factor rebuilt, repeated bases found by a scan."""
+    return _plain_mul

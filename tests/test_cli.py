@@ -38,6 +38,24 @@ def test_classify_with_parameter(capsys):
     assert doc["grad_energy"]["nu"] == pytest.approx(0.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("command", ["classify", "verify"])
+@pytest.mark.parametrize("params, message", [
+    (("a=1", "a=-1"), "error: parameter 'a' is given more than once"),
+    (("a=nan",), "error: parameter 'a' must be finite, got 'nan'"),
+    (("a=-inf",), "error: parameter 'a' must be finite, got '-inf'"),
+    (("a=one",), "error: parameter 'a' must be a number, got 'one'"),
+])
+def test_bad_parameter_is_named(capsys, command, params, message):
+    # a repeated name is refused, not overwritten by its last value, and a
+    # value that is no finite number is refused with the parameter's name
+    args = ["--T", "u", "--Phi", "a*u*m", "--Q", "1"] if command == "verify" else []
+    for p in params:
+        args += ["--param", p]
+    code, out, err = run_cli(capsys, command, "--f", "a*ux", "--g", "u", *args)
+    assert code == 1 and out == ""
+    assert err.strip() == message
+
+
 def test_classify_rejects_degenerate_equation(capsys):
     code, _, err = run_cli(capsys, "classify", "--f", "0", "--g", "0")
     assert code == 1

@@ -182,9 +182,9 @@ def test_split_takes_no_diff_and_builds_no_tree(monkeypatch, f, g, generic):
     real_post_init = ex.Expr.__post_init__
 
     class CountingProgram(real_program):
-        def __init__(self, exprs):
+        def __init__(self, exprs, **kwargs):
             programs.append(list(exprs))
-            super().__init__(exprs)
+            super().__init__(exprs, **kwargs)
 
     def counting_taylor(program, env):
         count["taylor"] += 1
@@ -491,9 +491,9 @@ def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):
         real_sample, real_program, real_forms = ex.sample, ex.Program, ex.poly_normal_forms
 
         class CountingProgram(real_program):
-            def __init__(self, exprs):
+            def __init__(self, exprs, **kwargs):
                 programs.append(list(exprs))
-                super().__init__(exprs)
+                super().__init__(exprs, **kwargs)
 
         def counting_sample(exprs, policy, names=()):
             samples = real_sample(exprs, policy, names)

@@ -1,13 +1,14 @@
 import math
 import operator
 import pickle
+import random
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from peakonlaws import expr
+from peakonlaws import conslaw, expr
 from peakonlaws.conslaw import EquationSpec, classify, upsilon
 from peakonlaws.expr import (
     Add,
@@ -15,6 +16,7 @@ from peakonlaws.expr import (
     Fn,
     JetVar,
     Mul,
+    Param,
     ParseError,
     Pow,
     SamplingPolicy,
@@ -44,6 +46,7 @@ from peakonlaws.expr import (
     to_u_jet,
     var,
 )
+from test_conslaw import GOLDEN_EQUATIONS
 
 
 def zdiff(a, b, seed=0):
@@ -401,7 +404,7 @@ def test_sample_points_follow_the_sequential_draw(low):
     assert any(abs(ux) < policy.delta for _, ux, _ in want) == (low < policy.delta)
 
 
-@pytest.mark.parametrize("source, loci", [
+LOCI_CASES = [
     ("ux/u^3 + 1/u^2", ["|u|"]),
     ("u^2*ux - 3*ux^3 + 1", []),
     ("exp(u) + sin(ux) + cos(u*ux)", []),
@@ -413,7 +416,10 @@ def test_sample_points_follow_the_sequential_draw(low):
     ("1/ux + 1/ux^2 + ux^-3", ["|ux|"]),  # one locus, listed once
     ("ln(2)*u + sqrt(3)", []),  # constant loci are left out
     ("a/(u - b) + 1/m", ["|u - b|", "|m|"]),
-])
+]
+
+
+@pytest.mark.parametrize("source, loci", LOCI_CASES)
 def test_singular_loci_read_off_the_expression(source, loci):
     e = parse(source, ["a", "b"])
     assert [str(locus) for locus in expr.singular_loci([e])] == loci
@@ -783,19 +789,19 @@ def test_sample_builds_one_program_per_call(monkeypatch, full_conditions):
     built = []
 
     class CountingProgram(expr.Program):
-        def __init__(self, exprs):
-            built.append(list(exprs))
-            super().__init__(exprs)
+        def __init__(self, exprs, **kwargs):
+            built.append((list(exprs), self))
+            super().__init__(exprs, **kwargs)
 
     monkeypatch.setattr(expr, "Program", CountingProgram)
     for exprs in (conditions, conditions[:1], conditions):
         built.clear()
         s = expr.sample(exprs, policy)
         assert s.values.shape == s.scales.shape == (len(exprs), policy.n_points)
-        # the expressions, then their singular loci
-        loci = [locus.expr for locus in expr.singular_loci(exprs)]
-        assert loci and len(built) == 1 and len(built[0]) == len(exprs) + len(loci)
-        assert all(a is b for a, b in zip(built[0], [*exprs, *loci]))
+        # the expressions, then a row per singular locus
+        loci = expr.singular_loci(exprs)
+        assert loci and len(built) == 1 and built[0][1].loci == loci
+        assert all(a is b for a, b in zip(built[0][0], exprs, strict=True))
 
 
 def test_vote_equals_the_point_loop(plain_vote):
@@ -811,3 +817,216 @@ def test_vote_equals_the_point_loop(plain_vote):
         assert got == want
         assert got.witness is None or all(type(got.witness[k]) is type(want.witness[k]) for k in want.witness)
 
+
+
+@pytest.mark.parametrize("source, loci", LOCI_CASES)
+def test_program_with_loci_equals_the_program_over_the_loci(source, loci):
+    # the locus rows read off the compile walk equal, to the bit, the rows
+    # of a Program over the expressions and then their singular_loci
+    exprs = [parse(source, ["a", "b"]), parse("ux/(u^2 - ux^2) + ln(u)")]
+    program = expr.Program(exprs, with_loci=True)
+    listed = expr.singular_loci(exprs)
+    assert program.loci == listed and [str(locus) for locus in listed[:len(loci)]] == loci
+    env = {**_condition_grid(), "a": 0.5, "b": -1.5}
+    got, want = program(env), expr.Program([*exprs, *(locus.expr for locus in listed)])(env)
+    assert len(got) == len(want) == len(exprs) + len(listed)
+    for a, b in zip(got, want, strict=True):
+        assert len(a) == len(b) and all(_same_bits(x, y) for x, y in zip(a, b))
+    assert expr.Program(exprs).loci == []
+
+
+# ---------------------------------------------------------------------------
+# the candidate streams of the sampler
+
+
+def _fresh_stream(policy: SamplingPolicy, dim: int, count: int) -> np.ndarray:
+    """The first count candidates of a new generator: per candidate, uniform values, then signs."""
+    rng = np.random.default_rng(policy.seed)
+    return np.array([rng.uniform(policy.low, policy.high, size=dim) * rng.choice([-1.0, 1.0], size=dim)
+                     for _ in range(count)]).reshape(count, dim)
+
+
+def test_candidate_streams_equal_a_fresh_draw(monkeypatch):
+    # interleaved requests, shorter and longer, over more keys than are
+    # kept, each read as one sequential draw of a new generator
+    monkeypatch.setattr(expr, "_STREAMS", {})
+    rng = np.random.default_rng(0)
+    policies = [SamplingPolicy(seed=seed, low=low, n_points=10, max_tries=6)
+                for seed in (42, 7, 1299827) for low in (0.2, 0.01)]
+    keys = [(policy, dim) for policy in policies for dim in (1, 2, 7)]
+    assert len(keys) > expr._STREAMS_KEPT
+    budget = 60
+    fresh = {(policy, dim): _fresh_stream(policy, dim, budget) for policy, dim in keys}
+    for _ in range(300):
+        policy, dim = keys[rng.integers(len(keys))]
+        stop = int(rng.integers(1, budget + 1))
+        drawn = expr._STREAMS.get((policy.seed, policy.low, policy.high, dim), (None, ()))[1]
+        got = expr._candidates(policy, dim, stop, budget)
+        assert stop <= len(got) <= budget and got.shape[1] == dim
+        assert _same_bits(got, fresh[policy, dim][:len(got)])
+        assert not got.flags.writeable
+        assert len(expr._STREAMS) <= expr._STREAMS_KEPT
+        # a stream grows only when it must, and then doubles, or more if the request is longer
+        assert len(got) == (len(drawn) if stop <= len(drawn) else min(max(stop, 2 * len(drawn)), budget))
+
+
+def test_sample_reads_the_stream_of_a_fresh_generator(monkeypatch):
+    # sample calls with 1, 2 and 7 symbols and several seeds, interleaved,
+    # give the points and values of calls that each start a new stream
+    cases = [([parse("u + 1/u")], 1), ([parse("ln(u) + 1/(u^2 - ux^2)")], 2),
+             ([parse("a*m*mx + mxx/u + b*ux", ["a", "b"]), parse("m - u")], 7)]
+    monkeypatch.setattr(expr, "_STREAMS", {})
+    rng = np.random.default_rng(1)
+    for _ in range(24):
+        exprs, dim = cases[rng.integers(len(cases))]
+        policy = SamplingPolicy(seed=int(rng.choice([3, 42, 99])), n_points=int(rng.integers(1, 40)), low=0.05)
+        warm = expr.sample(exprs, policy)
+        with monkeypatch.context() as fresh:
+            fresh.setattr(expr, "_STREAMS", {})
+            cold = expr.sample(exprs, policy)
+        assert len(warm.names) == dim and warm.names == cold.names
+        for a, b in zip(warm[1:], cold[1:], strict=True):
+            assert _same_bits(a, b)
+
+
+def test_sample_points_are_a_copy_of_the_read_only_stream(monkeypatch):
+    monkeypatch.setattr(expr, "_STREAMS", {})
+    policy, e = SamplingPolicy(seed=11), parse("u + ux")  # every candidate admissible
+    s = expr.sample([e], policy)
+    (_, stream), = expr._STREAMS.values()
+    assert not stream.flags.writeable
+    with pytest.raises(ValueError):
+        stream[0, 0] = 1.0
+    assert s.points.flags.writeable and not np.shares_memory(s.points, stream)
+    s.points[:] = 0.0
+    assert _same_bits(expr.sample([e], policy).points, stream[:policy.n_points])
+    assert _same_bits(stream[:policy.n_points], _fresh_stream(policy, 2, policy.n_points))
+
+
+def test_singular_sampling_error_counts_its_tries(monkeypatch):
+    # the message and its counts are those of the sequential draw, with
+    # the stream not yet drawn and drawn already
+    monkeypatch.setattr(expr, "_STREAMS", {})
+    nowhere = fn("ln", sub(const(-5.0), parse("u^2")))
+    policy = SamplingPolicy(n_points=5, max_tries=20)
+    half = SamplingPolicy(n_points=20, max_tries=1, seed=3)
+    found = int((_fresh_stream(half, 1, 20)[:, 0] > 0).sum())  # ln(u) is finite at u > 0 only
+    assert 0 < found < 20
+    for _ in range(2):
+        with pytest.raises(SingularSamplingError, match=r"^could not find admissible sample points "
+                                                        r"\(0 of 5 after 100 tries\)$"):
+            is_zero(nowhere, policy)
+        with pytest.raises(SingularSamplingError, match=rf"^could not find admissible sample points "
+                                                        rf"\({found} of 20 after 20 tries\)$"):
+            is_zero(parse("ln(u)"), half)
+
+
+def test_stream_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(expr, "_STREAMS", {})
+    kept = expr._STREAMS_KEPT
+    for seed in range(3 * kept):
+        expr.sample([parse("u*ux")], SamplingPolicy(seed=seed, n_points=4, max_tries=2))
+        assert len(expr._STREAMS) <= kept
+    # the streams used last are kept, none longer than its budget
+    assert [key[0] for key in expr._STREAMS] == list(range(2 * kept, 3 * kept))
+    assert all(len(stream) <= 8 for _, stream in expr._STREAMS.values())
+
+
+# ---------------------------------------------------------------------------
+# add and mul against the constructors that rebuild every term and factor
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ExprError as err:
+        return type(err), str(err)
+
+
+def _assert_same_expr(got, want):
+    assert got == want
+    if isinstance(want, expr.Expr):
+        assert hash(got) == hash(want)
+        assert _outcome(to_source, got) == _outcome(to_source, want)
+        assert poly_normal_form(got) == poly_normal_form(want)
+
+
+def _random_pool(seed: int) -> list:
+    """Nodes built by the constructors, and a fifth raw: like terms, repeated bases, non-canonical nodes."""
+    rng = random.Random(seed)
+    pool = [var("u"), var("ux"), var("m"), Param("a"), const(2.0), const(-1.0), const(0.5)]
+    raw = [
+        lambda a, b: Mul((a, b)), lambda a, b: Mul((const(1.0), a)), lambda a, b: Mul((a,)),
+        lambda a, b: Mul((a, const(3.0), b)), lambda a, b: Mul((const(2.0), Add((a, b)))),
+        lambda a, b: Add((a, b)), lambda a, b: Add((a,)), lambda a, b: Pow(a, Fraction(1)),
+        lambda a, b: Pow(a, Fraction(0)), lambda a, b: Pow(const(2.0), Fraction(2)),
+        # a product that mul leaves with a factor whose base repeats another's
+        lambda a, b: mul(a, pow_(pow_(a, 2), Fraction(1, 2)), pow_(pow_(a, 2), Fraction(1, 2))),
+    ]
+    made = [
+        add, mul, sub, lambda a, b: mul(a, b, a), lambda a, b: add(a, mul(-1.0, b), b),
+        lambda a, b: pow_(a, rng.choice([2, -1, Fraction(1, 2), Fraction(-3, 2)])),
+        lambda a, b: fn(rng.choice(["exp", "sin"]), a), lambda a, b: mul(rng.choice([2.0, -0.5, 3.0]), a),
+    ]
+    while len(pool) < 60:
+        build = rng.choice(raw if rng.random() < 0.2 else made)
+        try:
+            pool.append(build(rng.choice(pool), rng.choice(pool)))
+        except ExprError:
+            pass
+    return pool
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_and_mul_equal_the_plain_ones_on_random_trees(seed, plain_add, plain_mul):
+    rng = random.Random(1000 + seed)
+    pool = _random_pool(seed)
+    for _ in range(150):
+        args = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.2:
+            args.insert(rng.randint(0, len(args)), rng.choice([0, 1, 2.5, -1.0]))
+        for new, plain in ((add, plain_add), (mul, plain_mul)):
+            _assert_same_expr(_outcome(new, *args), _outcome(plain, *args))
+
+
+def test_add_and_mul_equal_the_plain_ones_on_the_golden_equations(monkeypatch, plain_add, plain_mul):
+    # every call of add and mul that parsing, the split templates,
+    # classify and characteristic_check make on the golden equations
+    calls = []
+
+    def recording(new, plain):
+        def constructor(*args):
+            out = new(*args)
+            calls.append((plain, args, out))
+            return out
+        return constructor
+
+    new_add, new_mul = recording(expr.add, plain_add), recording(expr.mul, plain_mul)
+    for module in (expr, conslaw):
+        monkeypatch.setattr(module, "add", new_add)
+        monkeypatch.setattr(module, "mul", new_mul)
+    conslaw._templates.__wrapped__()
+    policy = SamplingPolicy(seed=42)
+    for f, g in GOLDEN_EQUATIONS:
+        eq = EquationSpec.from_strings(f, g)
+        for cur in classify(eq, policy).fluxes:
+            assert conslaw.characteristic_check(cur, eq, policy).conserved
+    monkeypatch.undo()
+    assert len(calls) > 1000
+    for plain, args, got in calls:
+        _assert_same_expr(got, plain(*args))
+
+
+def test_add_and_mul_return_canonical_input_as_it_came():
+    u, ux = var("u"), var("ux")
+    square = pow_(ux, 2)
+    t1, t2, t3 = mul(2.0, u, square), pow_(u, -1), fn("exp", mul(u, ux))
+    s = add(t1, t2, t3, 1.5)
+    assert [id(t) for t in s.terms[:3]] == [id(t1), id(t2), id(t3)] and s.terms[3] == const(1.5)
+    p = mul(t2, t3, ux)
+    assert [id(f) for f in p.factors] == [id(t2), id(t3), id(ux)]
+    # only what merges is built anew
+    s = add(t1, t2, t1)
+    assert s.terms[0] == mul(4.0, u, square) and s.terms[1] is t2
+    p = mul(t3, u, square, pow_(u, 2))
+    assert p.factors[0] is t3 and p.factors[1] == pow_(u, 3) and p.factors[2] is square

@@ -227,9 +227,9 @@ def test_one_program_over_f_and_g_per_equation(monkeypatch):
     real = ex.Program
 
     class CountingProgram(real):
-        def __init__(self, exprs):
-            built.append(list(exprs))
-            super().__init__(exprs)
+        def __init__(self, exprs, **kwargs):
+            built.append((list(exprs), kwargs))
+            super().__init__(exprs, **kwargs)
 
     monkeypatch.setattr(ex, "Program", CountingProgram)
     steppers = [pde.Stepper(Grid(20.0, 64), eq) for _ in range(2)]
@@ -238,7 +238,8 @@ def test_one_program_over_f_and_g_per_equation(monkeypatch):
     conslaw._split_conditions(eq, SamplingPolicy(seed=1))
     classify(eq, SamplingPolicy(seed=1))
     monkeypatch.undo()
-    assert [exprs for exprs in built if exprs[0] is eq.bound_f] == [[eq.bound_f, eq.bound_g, ex.parse("u")]]
+    assert [b for b in built if b[0][0] is eq.bound_f] == [([eq.bound_f, eq.bound_g], {"with_loci": True})]
+    assert [locus.expr for locus in eq.program.loci] == [ex.parse("u")]
     assert all(s.program is eq.program for s in steppers)
 
 
