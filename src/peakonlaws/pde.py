@@ -7,14 +7,19 @@ smoothing and unconditionally stable); time stepping is classical RK4 at
 fixed step.  Each RK stage makes two stacked FFT calls: one irfft of
 m_hat times the cached lift [1/(1+k^2), ik/(1+k^2), 1] gives u, u_x and
 m on the grid, and one rfft of [f*m, g*m] gives the product spectra,
-which are dealiased with the 2/3 rule.  f and g are one expr.Program per
-stepper, the evaluator the verdicts use, and a stage writes its products
-and spectra into buffers the stepper owns.  The nodal state after a step
-is stage 1 of the next.  Wave breaking is detected,
-not resolved: the run stops when sup|u_x| crosses the configured
-threshold.  Equations whose f or g has a singular locus (a pole or
-branch point, expr.singular_loci) get a floor on the distance of the
-grid values from every locus, read from the same program pass.
+which are dealiased with the 2/3 rule: 8 FFT calls per step.  f and g
+are one expr.Program per stepper, the evaluator the verdicts use.  A step
+runs in buffers the Stepper allocates once (products, spectra, the nodal
+values of stages 2-4, the stage rates k1-k4 and their sum), by the same
+floating-point operations in the same order as a step that allocates
+every array, so its results are the same to the bit; nothing a Stepper
+returns shares those buffers.  A stage tests its products for
+non-finite values through mode 0 of their spectra, the sum of each row.
+The nodal state after a step is stage 1 of the next.  Wave breaking is
+detected, not resolved: the run stops when sup|u_x| crosses the
+configured threshold.  Equations whose f or g has a singular locus (a
+pole or branch point, expr.singular_loci) get a floor on the value of
+every locus on the grid, read from the same program pass.
 """
 
 from __future__ import annotations
@@ -75,11 +80,17 @@ class Grid:
     def dx(self) -> float:
         return self.length / self.n
 
-    # the cached arrays are read-only: every caller shares them
+    # the cached arrays are read-only and x_text a tuple: every caller
+    # shares them
 
     @cached_property
     def x(self) -> np.ndarray:
         return _frozen(np.arange(self.n) * self.dx)
+
+    @cached_property
+    def x_text(self) -> tuple:
+        """x to 17 significant digits, as the snapshot CSV writes it."""
+        return tuple(["%.17g" % v for v in self.x.tolist()])
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -160,11 +171,14 @@ class SimConfig:
     """One simulation: grid, step, equation, initial data, outputs.
 
     initial: {"kind": "gaussian" | "cosine_offset" | "mollified_peakon" |
-    "solitary_wave", "params": {...}}.  min_u_floor >= 0 is the least
-    distance of the grid values from a singular locus of f or g (see
-    Stepper), such as |u| for g = 1/u^2 or |u^2 - ux^2| for a pole in
-    u^2 - ux^2; it applies only when f or g has one, and 0 turns the guard
-    off.  blowup_threshold > 0 stops the run on sup|u_x| (wave breaking).
+    "solitary_wave", "params": {...}}.  min_u_floor >= 0 is the floor on
+    each singular locus of f or g (see Stepper), compared with that
+    locus's own value on the grid (expr.Locus.distance), not with one
+    distance in (u, u_x): with 1e-3, a pole in 1/u trips at |u| < 0.001,
+    ln(u^2) at |u^2| < 0.001 (|u| < 0.032), and a pole in u^2 - ux^2 at
+    |u^2 - ux^2| < 0.001.  It applies only when f or g has a locus, and 0
+    turns the guard off.  blowup_threshold > 0 stops the run on sup|u_x|
+    (wave breaking).
     """
 
     length: float
@@ -356,10 +370,17 @@ class Stepper:
 
     guard_floor > 0 arms the guard on the singular loci of f and g
     (EquationSpec.loci), read from the pass over f and g.  Stage rates
-    raise SingularHit when a locus's distance (expr.Locus) on the grid
-    falls below guard_floor, naming the locus, or when f or g is
-    non-finite on the grid.  A stage runs on buffers the stepper owns;
-    nothing it returns shares them.
+    raise SingularHit when a locus's value on the grid comes within
+    guard_floor of the locus (expr.Locus.distance), naming the locus, or
+    when f or g is non-finite on the grid.
+
+    A step runs in buffers allocated here, once: the product block
+    (2, N) and its spectra (2, N/2+1), the lifted spectrum (3, N/2+1)
+    and the nodal block (3, N) of stages 2-4, the stage rates k1-k4, the
+    stage spectrum and the accumulator of the rate sum.  rates(..., out=)
+    writes the rate into out; without out it returns a fresh array.
+    Nothing that rates, state or step returns shares a buffer of the
+    stepper.
     """
 
     def __init__(self, grid: Grid, eq: EquationSpec, dealias: bool = True,
@@ -376,9 +397,13 @@ class Stepper:
         self._products = np.empty((2, grid.n))
         self._spectra = np.empty((2, modes), dtype=complex)
         self._lifted = np.empty((3, modes), dtype=complex)
+        self._nodes = np.empty((3, grid.n))
+        self._k = np.empty((4, modes), dtype=complex)
+        self._stage = np.empty(modes, dtype=complex)
+        self._sum = np.empty(modes, dtype=complex)
 
-    def _nodal(self, mh: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.multiply(self.grid.lift, mh, out=self._lifted), n=self.grid.n)
+    def _nodal(self, mh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        return np.fft.irfft(np.multiply(self.grid.lift, mh, out=self._lifted), n=self.grid.n, out=out)
 
     def state(self, mh: np.ndarray, t: float) -> GridState:
         """Nodal u, u_x and m of the spectrum mh."""
@@ -390,36 +415,49 @@ class Stepper:
         self._env["u"], self._env["ux"] = u, ux
         return self.program(self._env)
 
-    def rates(self, u: np.ndarray, ux: np.ndarray, m: np.ndarray) -> np.ndarray:
-        """m_hat_t at the nodal state (u, u_x, m)."""
+    def rates(self, u: np.ndarray, ux: np.ndarray, m: np.ndarray,
+              out: np.ndarray | None = None) -> np.ndarray:
+        """m_hat_t at the nodal state (u, u_x, m), written into out if given."""
         x = self.grid.x
         f_terms, g_terms, *loci = self._terms(u, ux)
         if loci and self.guard_floor > 0.0:
             for locus, terms in zip(self.loci, loci):
                 distance = locus.distance(_sum_terms(terms))
-                if np.min(distance) < self.guard_floor:
+                if distance.min() < self.guard_floor:
                     raise SingularHit(f"{locus} fell below the floor {self.guard_floor:g}",
-                                      float(x[np.argmin(distance)]))
+                                      float(x[distance.argmin()]))
         fv, gv = _sum_terms(f_terms), _sum_terms(g_terms)
         products = self._products
         np.multiply(fv, m, out=products[0])
         np.multiply(gv, m, out=products[1])
-        if not np.isfinite(products).all():
-            # a non-finite f or g makes its product non-finite; a finite
-            # product that overflows is not a singular hit
+        spectra = np.fft.rfft(products, out=self._spectra)
+        # mode 0 of a row is its sum (real), non-finite whenever one of
+        # its products is; a non-finite f or g makes its product
+        # non-finite, and a finite product that overflows is not a hit
+        if not math.isfinite(spectra[0, 0].real + spectra[1, 0].real):
             bad = np.flatnonzero(~(np.isfinite(fv) & np.isfinite(gv)))
             if bad.size:
                 raise SingularHit("f or g is non-finite on the grid", float(x[bad[0]]))
-        spectra = np.multiply(self.weights, np.fft.rfft(products, out=self._spectra), out=self._spectra)
-        return spectra[0] + spectra[1]
+        np.multiply(self.weights, spectra, out=spectra)
+        return np.add(spectra[0], spectra[1], out=out)
 
     def step(self, mh: np.ndarray, state: GridState, dt: float) -> np.ndarray:
         """m_hat one step on; `state` is the nodal state of mh (stage 1)."""
-        k1 = self.rates(state.u, state.ux, state.m)
-        k2 = self.rates(*self._nodal(mh + 0.5 * dt * k1))
-        k3 = self.rates(*self._nodal(mh + 0.5 * dt * k2))
-        k4 = self.rates(*self._nodal(mh + dt * k3))
-        return mh + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k, stage, total = self._k, self._stage, self._sum
+        self.rates(state.u, state.ux, state.m, out=k[0])
+        # stage i is mh + c*dt*k[i-1], the operations of mh + c * dt * k
+        for i, c in ((1, 0.5), (2, 0.5), (3, 1.0)):
+            np.multiply(k[i - 1], c * dt, out=stage)
+            np.add(mh, stage, out=stage)
+            self.rates(*self._nodal(stage, out=self._nodes), out=k[i])
+        # mh + (dt/6) * (((k1 + 2*k2) + 2*k3) + k4)
+        np.multiply(k[1], 2.0, out=total)
+        np.add(k[0], total, out=total)
+        np.multiply(k[2], 2.0, out=stage)
+        np.add(total, stage, out=total)
+        np.add(total, k[3], out=total)
+        np.multiply(total, dt / 6.0, out=total)
+        return np.add(mh, total)
 
     def check_cfl(self, state: GridState, dt: float):
         """Warn when dt*max|g|*N/L > 1, at the line calling run."""
@@ -528,14 +566,13 @@ def run(config: SimConfig, *, m0: np.ndarray | None = None) -> SimResult:
             status, message = STATUS_SINGULAR, str(hit)
             break
         new = stepper.state(mh, step * config.dt)
-        if not np.all(np.isfinite(new.m)):
+        if not np.isfinite(new.m).all():
             status, message = STATUS_SINGULAR, "non-finite nodal value"
             break
         state = new
-        if float(np.max(np.abs(state.ux))) > config.blowup_threshold:
-            status, message = STATUS_WAVE_BREAKING, (
-                f"sup|u_x| = {float(np.max(np.abs(state.ux))):.3e} at t = {state.t:.6g}"
-            )
+        sup_ux = float(np.abs(state.ux).max())
+        if sup_ux > config.blowup_threshold:
+            status, message = STATUS_WAVE_BREAKING, f"sup|u_x| = {sup_ux:.3e} at t = {state.t:.6g}"
             series.record(grid, state, config.energy_mu, config.energy_nu)
             break
         if step % series_every == 0 or step == n_steps:
@@ -608,9 +645,9 @@ def write_series_csv(path: str, series: ConservedSeries):
 
 
 def write_snapshots_csv(path: str, grid: Grid, snapshots: list):
-    # x is formatted once per grid, and t once per snapshot into the row
-    # format's literal text ("%.17g" writes no "%")
-    x = ["%.17g" % v for v in grid.x.tolist()]
+    # x is formatted once per grid (Grid.x_text), and t once per snapshot
+    # into the row format's literal text ("%.17g" writes no "%")
+    x = grid.x_text
     with open(path, "w", newline="") as fh:
         fh.write("t,x,u,m\r\n")
         for t, u, m in snapshots:

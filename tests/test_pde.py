@@ -515,8 +515,9 @@ def test_read_config_validation(tmp_path):
             read_config(json.dumps(dict(doc, initial=initial)))
 
 
-# the reference runs of criterion 6 at N=512, and the solitary wave of
-# test_solitary_wave_transport_in_simulator at N=1024
+# the reference runs of criterion 6 at N=512, the solitary wave of
+# test_solitary_wave_transport_in_simulator and the mollified peakon of
+# criterion 9 at N=1024
 STEPPER_CASES = {
     "camassa_holm": dict(length=40.0, n=512, dt=1e-3, equation=CH,
                          initial={"kind": "gaussian", "params": {"center": 17.3}}),
@@ -524,13 +525,15 @@ STEPPER_CASES = {
                      initial={"kind": "cosine_offset", "params": {"offset": 2.0, "amplitude": 0.5}}),
     "solitary": dict(length=20.0, n=1024, dt=4e-5, equation=SINGULAR,
                      initial={"kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0}}),
+    "peakon": dict(length=4.0, n=1024, dt=1e-4, equation=SINGULAR, min_u_floor=1e-3,
+                   initial={"kind": "mollified_peakon", "params": {}}),
 }
 
 
 @pytest.mark.parametrize("case, dealias", [
     ("camassa_holm", True), ("camassa_holm", False),
     ("singular", True), ("singular", False),
-    ("solitary", True),
+    ("solitary", True), ("peakon", True),
 ])
 def test_run_equals_plain_stepper(case, dealias, plain_run):
     steps = 50
@@ -547,17 +550,31 @@ def test_run_equals_plain_stepper(case, dealias, plain_run):
 
 
 def test_stage_singular_hit_matches_plain_stepper(plain_stepper):
-    cfg = _gaussian_cfg(equation=SINGULAR, initial={"kind": "cosine_offset", "params": {}})
+    cfg = _gaussian_cfg(n=16, equation=SINGULAR, initial={"kind": "cosine_offset", "params": {}})
     grid = cfg.grid
     st = GridState.from_m(grid, initial_data(cfg))
-    u = st.u.copy()
-    u[37] = 0.0  # f = ux/u^3 and g = 1/u^2 are NaN at one node
-    hits = []
-    for stepper in (pde.Stepper(grid, SINGULAR), plain_stepper(grid, SINGULAR)):
-        with pytest.raises(pde.SingularHit) as hit:
-            stepper.rates(u, st.ux, st.m)
-        hits.append((str(hit.value), hit.value.location))
-    assert hits[0] == hits[1] == ("f or g is non-finite on the grid", float(grid.x[37]))
+
+    def outcome(stepper, u, ux, m):
+        try:
+            return stepper.rates(u, ux, m)
+        except pde.SingularHit as hit:
+            return str(hit), hit.location
+
+    # one non-finite value at each node in turn: u = 0 makes f = ux/u^3
+    # and g = 1/u^2 NaN, ux = +-inf makes f alone infinite, and m = NaN
+    # leaves f and g finite, which is not a hit
+    for j in range(grid.n):
+        for name, value, hit in (("u", 0.0, True), ("ux", math.inf, True),
+                                 ("ux", -math.inf, True), ("m", math.nan, False)):
+            state = {"u": st.u.copy(), "ux": st.ux.copy(), "m": st.m.copy()}
+            state[name][j] = value
+            got, want = (outcome(stepper, state["u"], state["ux"], state["m"])
+                         for stepper in (pde.Stepper(grid, SINGULAR), plain_stepper(grid, SINGULAR)))
+            if hit:
+                assert isinstance(got, tuple) and got == want == (
+                    "f or g is non-finite on the grid", float(grid.x[j])), (name, j)
+            else:
+                assert np.array_equal(got, want, equal_nan=True) and not np.isfinite(got).any(), (name, j)
     # finite f and g whose product overflows are not a singular hit
     huge = np.full(grid.n, 1e300)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -591,3 +608,25 @@ def test_returned_states_share_no_buffer(monkeypatch):
     assert all(np.array_equal(u, su) and np.array_equal(m, sm) for (_, u, m), (su, sm) in zip(res.snapshots, snaps))
     assert np.array_equal(k, k_copy)
     assert all(np.array_equal(a, b) for a, b in zip((state.m, state.u, state.ux), state_copy))
+
+
+def test_run_makes_eight_fft_calls_per_step(monkeypatch):
+    calls = {"rfft": 0, "irfft": 0}
+
+    def counting(name):
+        transform = getattr(np.fft, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return transform(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
+    steps = 10
+    res = run(_gaussian_cfg(t_final=steps * 1e-3))
+    assert res.status == STATUS_COMPLETED and res.final.t == pytest.approx(steps * 1e-3)
+    # initial_data: one rfft and one irfft; run: the rfft of m(0) and the
+    # irfft of its state; a step: 4 rates (rfft), 3 stage states and the
+    # state after the step (irfft)
+    assert calls == {"rfft": 2 + 4 * steps, "irfft": 2 + 4 * steps}
