@@ -51,6 +51,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from . import expr as ex
+from . import poly
 from .expr import (
     Expr,
     ExprError,
@@ -208,7 +209,8 @@ def _templates() -> dict:
             m_part = tuple(p for p in mono if p[0][0] == "m")
             (placeholder,) = [leaves[s] for s, _ in mono if s[0] in "fg"]
             rest = [pow_(leaves[s], k) for s, k in mono if s[0] == "u"]
-            split.setdefault(_monomial_source(m_part), {}).setdefault(placeholder, []).append(mul(const(c), *rest))
+            weight = mul(const(float(poly._rational(c))), *rest)
+            split.setdefault(_monomial_source(m_part), {}).setdefault(placeholder, []).append(weight)
         out[name] = {mono: tuple((p, add(*ts)) for p, ts in weights.items()) for mono, weights in split.items()}
     return out
 
@@ -242,15 +244,15 @@ def _partial_forms(forms: list, supports: list) -> dict:
     and is left out.  It is exact (else None) when every term that holds
     it is polynomial; the derivatives are taken of the dicts.
     """
-    poly = {}
+    total = {}
     for nf in forms:
         if nf is not None:
-            poly = ex._padd(poly, nf)
-    derived = {(0, 0): poly}
+            total = poly._padd(total, nf)
+    derived = {(0, 0): total}
 
     def form(i: int, j: int) -> dict:
         if (i, j) not in derived:
-            derived[i, j] = ex._pdiff(form(i - 1, j), "u") if i else ex._pdiff(form(0, j - 1), "ux")
+            derived[i, j] = poly._pdiff(form(i - 1, j), "u") if i else poly._pdiff(form(0, j - 1), "ux")
         return derived[i, j]
 
     out = {}
@@ -367,7 +369,7 @@ def _split_conditions(eq: EquationSpec, policy: SamplingPolicy) -> _SplitConditi
         elif all(partials[p] is not None for _, p in live[key]):
             total = {}
             for w, p in live[key]:
-                total = ex._padd(total, ex._pmul(weight_forms[w], partials[p]))
+                total = poly._padd(total, poly._pmul(weight_forms[w], partials[p]))
             forms[key] = total
         else:
             forms[key] = None
@@ -471,8 +473,8 @@ def _candidate_verdict(split: _SplitConditions, mu: float, nu: float, rel_tol: f
     """Zero test of the 1 and m rows of the residual (mu-2)*A + nu*B + C.
 
     When the coefficients of those rows are all polynomial, their normal
-    forms are combined exactly with weights Fraction(mu-2), Fraction(nu)
-    and 1, and two empty rows are an exact zero.  Otherwise each row's
+    forms are combined exactly with the weights mu-2, nu and 1 (floats,
+    so dyadic), and two empty rows are an exact zero.  Otherwise each row's
     values (mu-2)*a + nu*b + c vote at the shared sample points, each
     against the scale max(1, |mu-2|*s_A, |nu|*s_B, s_C).  No residual is
     built, normalized, compiled or sampled anew.
@@ -485,8 +487,9 @@ def _candidate_verdict(split: _SplitConditions, mu: float, nu: float, rel_tol: f
         for total, row_forms in zip(combined, forms):
             for w, nf in zip(weights, row_forms):
                 if w:
-                    for mono, c in nf.items():
-                        ex._accumulate(total, mono, Fraction(w) * c)
+                    wn, we = poly._dyadic(w)
+                    for mono, (n, e) in nf.items():
+                        poly._accumulate(total, mono, (wn * n, we + e))
         if not any(combined):
             return ZeroVerdict("zero", 0.0, None, exact=True)
     verdicts = []
@@ -632,7 +635,7 @@ def _poly_in_y_exact(w: Expr) -> list[Fraction] | None:
         d = dict(mono)
         k = d.get("u", 0)
         if d.get("ux") == 1 and k % 2 == 0:
-            coeffs[k // 2] = c
+            coeffs[k // 2] = poly._rational(c)
     clist = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]
     diff = ex.poly_normal_form(sub(w, mul(_UX, _poly_apply(clist, _Y))))
     return clist if diff == {} else None
@@ -807,7 +810,7 @@ def _integral_in_u(g: Expr) -> Expr | None:
         return None
     nf = ex.poly_normal_form(g)
     if nf is not None:
-        coeffs: dict[int, Fraction] = {dict(mono).get("u", 0): c for mono, c in nf.items()}
+        coeffs: dict[int, Fraction] = {dict(mono).get("u", 0): poly._rational(c) for mono, c in nf.items()}
         clist = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]
         return _Recognized(_U, tuple(clist)).antiderivative()
     us = np.linspace(0.5, 2.5, 9)

@@ -39,8 +39,17 @@ by several parents is compiled, evaluated, derived, expanded or rebuilt
 once.  Nodes hold their fields and hash only; a batch API (Program,
 sample, poly_normal_forms) shares its work across the expressions of one
 call, and nothing is kept between calls but the sampler's candidate
-streams.  add and mul keep the terms and factors they do not merge as
-they came, so canonical input comes back as the very nodes it was built of.
+streams and a bounded table of monomial products.  add and mul keep the
+terms and factors they do not merge as they came, so canonical input
+comes back as the very nodes it was built of, and mul regroups what it
+rebuilds until nothing merges.
+
+The exact normal forms hold each coefficient as a dyadic rational n*2**e,
+a pair of ints with n odd (module poly, which holds their arithmetic and
+the table of monomial products): every float, integer exponent and
+derivative factor is dyadic, and so are their sums and products, so the
+expansion needs no gcd.  A constant to a negative power that is not
+dyadic has no normal form, and is sampled.  Fraction stays for exponents.
 
 Partial is a placeholder for a partial derivative of an unknown function
 of (u, ux).  The derivatives and poly_normal_form know it, so euler_u
@@ -48,11 +57,11 @@ builds a determining condition once for a generic f, whose normal form
 reads off each placeholder's weight.  The evaluator, the printer and the
 parser reject it.
 
-Everything here is immutable and side-effect free, the cache of candidate
-streams aside, which changes no result; randomized zero testing takes an
-explicit SamplingPolicy carrying its own seed.  is_zero tries the
-polynomial normal form first, and vote is its verdict rule on sampled
-values.
+Everything here is immutable and side-effect free, the caches of
+candidate streams and monomial products aside, which change no result;
+randomized zero testing takes an explicit SamplingPolicy carrying its own
+seed.  is_zero tries the polynomial normal form first, and vote is its
+verdict rule on sampled values.
 """
 
 from __future__ import annotations
@@ -69,6 +78,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import taylor
+from .poly import _UNIT_COEFF, _accumulate, _dyadic, _pmul, _PolyT
 from .taylor import JET
 
 __all__ = [
@@ -483,14 +493,22 @@ def mul(*factors) -> Expr:
             entry[1] = None
     if c == 0.0:
         return ZERO
+    # regroup until nothing merges: pow_ of a merged exponent may give a
+    # constant, a product, or a power of another base ((u^2)^1 is u^2), and
+    # a raw product may nest one; such a factor may merge in turn
     rest: list[Expr] = []
+    regroup = False
     for b, (e, f) in grouped.items():
         if f is not None and _kept(f):
             rest.append(f)
+            regroup = regroup or isinstance(f, Mul)
         elif e != 0:
             f = b if e is _UNIT else pow_(b, e)
             if not (isinstance(f, Const) and f.value == 1.0):
                 rest.append(f)
+                regroup = regroup or isinstance(f, (Const, Mul)) or (f.base if isinstance(f, Pow) else f) is not b
+    if regroup:
+        return mul(Const(c), *rest)
     if not rest:
         return Const(c)
     # distribute a plain constant over a sum; keeps sums flat so that the
@@ -1065,50 +1083,6 @@ def euler_ut(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # exact polynomial normal form (used as a fast/exact zero test when available)
 
-# a polynomial is a dict: monomial -> Fraction, monomial = sorted tuple of
-# (symbol_name, exponent) pairs
-
-_PolyT = dict
-
-
-def _pmul(p: _PolyT, q: _PolyT) -> _PolyT:
-    out: _PolyT = {}
-    for m1, c1 in p.items():
-        for m2, c2 in q.items():
-            powers: dict[str, int] = dict(m1)
-            for s, k in m2:
-                powers[s] = powers.get(s, 0) + k
-            key = tuple(sorted((s, k) for s, k in powers.items() if k))
-            _accumulate(out, key, c1 * c2)
-    return out
-
-
-def _pdiff(p: _PolyT, symbol: str) -> _PolyT:
-    """d/d(symbol) of p; distinct monomials stay distinct."""
-    out: _PolyT = {}
-    for mono, c in p.items():
-        k = dict(mono).get(symbol, 0)
-        if k:
-            out[tuple((s, e - (s == symbol)) for s, e in mono if (s, e) != (symbol, 1))] = c * k
-    return out
-
-
-def _padd(p: _PolyT, q: _PolyT) -> _PolyT:
-    out = dict(p)
-    for m, c in q.items():
-        _accumulate(out, m, c)
-    return out
-
-
-def _accumulate(out: _PolyT, m: tuple, c: Fraction):
-    """out[m] += c for a nonzero c, dropping the monomial when it cancels."""
-    if m in out:
-        c += out[m]
-        if not c:
-            del out[m]
-            return
-    out[m] = c
-
 
 def poly_normal_forms(exprs: Sequence[Expr]) -> list:
     """The exact normal form of each of exprs (see poly_normal_form), on one memo.
@@ -1119,19 +1093,25 @@ def poly_normal_forms(exprs: Sequence[Expr]) -> list:
     memo: dict = {}  # id(node) -> its normal form; shared, never mutated
 
     def nf(n: Expr) -> _PolyT | None:
-        if id(n) not in memo:
-            memo[id(n)] = _normal_form(n, nf)
-        return memo[id(n)]
+        p = memo.get(id(n), memo)  # memo itself marks a node not yet expanded
+        if p is memo:
+            p = memo[id(n)] = _normal_form(n, nf)
+        return p
 
     return [nf(e) for e in exprs]
 
 
 def poly_normal_form(e: Expr) -> _PolyT | None:
-    """Expand to an exact multivariate polynomial over the rationals.
+    """Expand to an exact multivariate polynomial with dyadic coefficients.
+
+    The result maps each monomial, a sorted tuple of (symbol, exponent)
+    pairs, to its coefficient (n, e) = n * 2**e with n odd (poly._rational
+    gives its Fraction); an empty dict is the zero polynomial.
 
     Returns None when the expression is not polynomial in the jet
     variables and parameters (negative/fractional powers of non-constant
-    bases, elementary functions of non-constant arguments).  Each distinct
+    bases, elementary functions of non-constant arguments), or holds a
+    constant to a negative power whose value is not dyadic.  Each distinct
     node is expanded once per call; the expansion stops at the first
     non-polynomial term it meets.  poly_normal_forms([e]) for one
     expression.
@@ -1141,32 +1121,32 @@ def poly_normal_form(e: Expr) -> _PolyT | None:
 
 def _normal_form(e: Expr, nf: Callable[[Expr], _PolyT | None]) -> _PolyT | None:
     """poly_normal_form of e, with nf giving that of its children."""
-    if isinstance(e, Const):
-        c = Fraction(e.value)
+    kind = type(e)
+    if kind is Mul or kind is Add:
+        parts = []
+        for c in e.factors if kind is Mul else e.terms:
+            p = nf(c)
+            if p is None:
+                return None
+            parts.append(p)
+        out = parts[0]
+        if kind is Mul:
+            for p in parts[1:]:
+                out = _pmul(out, p)
+            return out
+        out = dict(out)  # the forms in memo are shared: sum into a copy
+        for p in parts[1:]:
+            for m, c in p.items():
+                _accumulate(out, m, c)
+        return out
+    if kind is Var:
+        return {((e.v.name, 1),): _UNIT_COEFF}
+    if kind is Const:
+        c = _dyadic(e.value)
         return {(): c} if c else {}
-    if isinstance(e, Param):
-        return {((e.name, 1),): Fraction(1)}
-    if isinstance(e, Var):
-        return {((e.v.name, 1),): Fraction(1)}
-    if isinstance(e, Partial):
-        return {((e.name, 1),): Fraction(1)}
-    if isinstance(e, Add):
-        out: _PolyT = {}
-        for t in e.terms:
-            p = nf(t)
-            if p is None:
-                return None
-            out = _padd(out, p)
-        return out
-    if isinstance(e, Mul):
-        out = {(): Fraction(1)}
-        for f in e.factors:
-            p = nf(f)
-            if p is None:
-                return None
-            out = _pmul(out, p)
-        return out
-    if isinstance(e, Pow):
+    if kind is Param or kind is Partial:
+        return {((e.name, 1),): _UNIT_COEFF}
+    if kind is Pow:
         p = nf(e.base)
         if p is None:
             return None
@@ -1174,22 +1154,23 @@ def _normal_form(e: Expr, nf: Callable[[Expr], _PolyT | None]) -> _PolyT | None:
             if e.exp > 0:
                 return {}
             return None
-        if len(p) == 1 and next(iter(p)) == ():
-            # constant base: fold exactly when the power stays rational
-            c = p[()]
-            if e.exp.denominator == 1:
-                k = e.exp.numerator
-                return {(): c**k} if c or k > 0 else None
+        if e.exp.denominator != 1:
             return None
-        if e.exp.denominator != 1 or e.exp < 0:
-            return None
-        out = {(): Fraction(1)}
-        for _ in range(e.exp.numerator):
+        k = e.exp.numerator
+        if len(p) == 1 and () in p:
+            # constant base: fold exactly when the power stays dyadic (k >= 0,
+            # or a base of +-2**s); else None, and the sampler decides
+            n, s = p[()]
+            return {(): (n ** abs(k), s * k)} if k >= 0 or n in (1, -1) else None
+        if k <= 0:
+            return {(): _UNIT_COEFF} if k == 0 else None
+        out = p
+        for _ in range(k - 1):
             out = _pmul(out, p)
         return out
-    if isinstance(e, Fn):
+    if kind is Fn:
         return None
-    raise ExprError(f"cannot expand {type(e).__name__}")  # pragma: no cover
+    raise ExprError(f"cannot expand {kind.__name__}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

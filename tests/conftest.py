@@ -1,4 +1,5 @@
 import operator
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -329,7 +330,18 @@ def _plain_add(*terms) -> ex.Expr:
 
 
 def _plain_mul(*factors) -> ex.Expr:
-    """mul rebuilding every factor: grouped by base in a list, and pow_ of each base and exponent."""
+    """mul rebuilding every factor, regrouped until a product's own factors give it back."""
+    out = _plain_mul_once(*factors)
+    while isinstance(out, ex.Mul):
+        again = _plain_mul_once(*out.factors)
+        if again == out:
+            break
+        out = again
+    return out
+
+
+def _plain_mul_once(*factors) -> ex.Expr:
+    """One grouping pass of mul: factors grouped by base in a list, and pow_ of each base and exponent."""
     flat, c = [], 1.0
     for f in factors:
         f = ex._as_expr(f)
@@ -377,3 +389,110 @@ def plain_add():
 def plain_mul():
     """Reference for expr.mul: every factor rebuilt, repeated bases found by a scan."""
     return _plain_mul
+
+
+def _fraction_pmul(p: dict, q: dict) -> dict:
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            powers = dict(m1)
+            for s, k in m2:
+                powers[s] = powers.get(s, 0) + k
+            _fraction_accumulate(out, tuple(sorted((s, k) for s, k in powers.items() if k)), c1 * c2)
+    return out
+
+
+def _fraction_diff(form: dict, symbol: str) -> dict:
+    out = {}
+    for mono, c in form.items():
+        k = dict(mono).get(symbol, 0)
+        if k:
+            out[tuple((s, j - (s == symbol)) for s, j in mono if (s, j) != (symbol, 1))] = c * k
+    return out
+
+
+def _fraction_sum(forms) -> dict:
+    out = {}
+    for form in forms:
+        for mono, c in form.items():
+            _fraction_accumulate(out, mono, c)
+    return out
+
+
+def _fraction_accumulate(out: dict, m: tuple, c: Fraction):
+    if m in out:
+        c += out[m]
+        if not c:
+            del out[m]
+            return
+    out[m] = c
+
+
+def _fraction_normal_form(e: ex.Expr, nf) -> dict | None:
+    if isinstance(e, ex.Const):
+        c = Fraction(e.value)
+        return {(): c} if c else {}
+    if isinstance(e, ex.Var):
+        return {((e.v.name, 1),): Fraction(1)}
+    if isinstance(e, (ex.Param, ex.Partial)):
+        return {((e.name, 1),): Fraction(1)}
+    if isinstance(e, ex.Add):
+        out = {}
+        for t in e.terms:
+            p = nf(t)
+            if p is None:
+                return None
+            out = dict(out)
+            for m, c in p.items():
+                _fraction_accumulate(out, m, c)
+        return out
+    if isinstance(e, ex.Mul):
+        out = {(): Fraction(1)}
+        for f in e.factors:
+            p = nf(f)
+            if p is None:
+                return None
+            out = _fraction_pmul(out, p)
+        return out
+    if isinstance(e, ex.Pow):
+        p = nf(e.base)
+        if p is None:
+            return None
+        if len(p) == 0:
+            return {} if e.exp > 0 else None
+        if len(p) == 1 and next(iter(p)) == ():
+            c = p[()]
+            if e.exp.denominator == 1:
+                k = e.exp.numerator
+                return {(): c**k} if c or k > 0 else None
+            return None
+        if e.exp.denominator != 1 or e.exp < 0:
+            return None
+        out = {(): Fraction(1)}
+        for _ in range(e.exp.numerator):
+            out = _fraction_pmul(out, p)
+        return out
+    return None
+
+
+def _fraction_normal_forms(exprs) -> list:
+    """The normal forms of exprs over Fraction, a gcd per operation, memoised per call as expr's."""
+    memo = {}
+
+    def nf(n):
+        if id(n) not in memo:
+            memo[id(n)] = _fraction_normal_form(n, nf)
+        return memo[id(n)]
+
+    return [nf(e) for e in exprs]
+
+
+@pytest.fixture
+def fraction_normal_forms():
+    """Reference for expr.poly_normal_forms: the same expansion with Fraction coefficients.
+
+    Its one difference by design: a constant base to a negative power
+    folds to any rational here, and to a dyadic one only in expr (else
+    None, and the sampler decides).
+    """
+    return _fraction_normal_forms

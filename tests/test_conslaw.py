@@ -9,6 +9,7 @@ import pytest
 
 from peakonlaws import conslaw
 from peakonlaws import expr as ex
+from peakonlaws import poly
 from peakonlaws.conslaw import (
     ConservedCurrent,
     EquationSpec,
@@ -32,6 +33,8 @@ from peakonlaws.expr import (
     sub,
     to_source,
 )
+
+from conftest import _fraction_diff, _fraction_pmul, _fraction_sum
 
 POL = SamplingPolicy()
 
@@ -122,6 +125,11 @@ def _template_forms() -> dict:
     """{(condition, m-monomial): normal form of its template coefficient, sum of weight * placeholder}."""
     return {(name, mono): ex.poly_normal_form(ex.add(*(ex.mul(w, p) for p, w in weights)))
             for name, split in conslaw._templates().items() for mono, weights in split.items()}
+
+
+def _rational_form(nf: dict) -> dict:
+    """A normal form with each dyadic coefficient (n, e) as the Fraction n * 2**e."""
+    return {mono: poly._rational(c) for mono, c in nf.items()}
 
 
 def test_templates_are_linear_in_the_placeholders():
@@ -245,9 +253,10 @@ def test_template_monomials():
         ["m", "m^2", "m^3", "m^4", "m*mx", "m^2*mx", "mx", "mx^2", "mxx", "m*mxx"])
     assert len(forms) == 14 and all(forms.values())
     F = Fraction
-    assert forms["B", "m"] == {(("f_02", 1), ("u", 1)): F(1), (("f_10", 1),): F(2), (("f_11", 1), ("ux", 1)): F(1)}
-    assert forms["C", "m^4"] == {(("g_03", 1),): F(1)}
-    assert forms["C", "m*mxx"] == {(("g_01", 1),): F(3)}
+    assert _rational_form(forms["B", "m"]) == {
+        (("f_02", 1), ("u", 1)): F(1), (("f_10", 1),): F(2), (("f_11", 1), ("ux", 1)): F(1)}
+    assert _rational_form(forms["C", "m^4"]) == {(("g_03", 1),): F(1)}
+    assert _rational_form(forms["C", "m*mxx"]) == {(("g_01", 1),): F(3)}
     # only f up to order 2 and g up to order 3 enter
     symbols = {s for nf in forms.values() for mono in nf for s, _ in mono}
     assert symbols == {"u", "ux", "f_00", "f_10", "f_01", "f_20", "f_11", "f_02",
@@ -296,7 +305,7 @@ def test_templates_match_sympy():
 
     def as_sympy(nf):
         return sum(sp.Rational(c.numerator, c.denominator) * sp.Mul(*(symbol(s) ** k for s, k in mono))
-                   for mono, c in nf.items())
+                   for mono, c in _rational_form(nf).items())
 
     got = {key: as_sympy(nf) for key, nf in _template_forms().items()}
     assert sorted(got) == sorted(want)
@@ -915,3 +924,34 @@ def test_report_json():
     for f in doc["fluxes"]:
         # flux strings re-parse within the grammar
         parse(f["T"]), parse(f["Phi"]), parse(f["Q"])
+
+
+POLYNOMIAL_GOLDEN = [(f, g) for f, g in GOLDEN_EQUATIONS
+                     if all(ex.poly_normal_form(e) is not None for e in (ex.parse(f), ex.parse(g)))]
+
+
+@pytest.mark.parametrize("f, g", POLYNOMIAL_GOLDEN)
+def test_split_forms_equal_the_fraction_oracle(f, g, fraction_normal_forms):
+    # for polynomial f and g, each coefficient's exact form (the weights'
+    # forms times the partials' forms, derived as dicts) equals the same
+    # sum taken over Fraction: the expansion of conftest, the derivatives
+    # of the whole of f and g, and no structural-zero shortcut; every
+    # coefficient is odd
+    eq = EquationSpec.from_strings(f, g)
+    templates = conslaw._templates()
+    weights = [w for split in templates.values() for pairs in split.values() for _, w in pairs]
+    weight_of = dict(zip(weights, fraction_normal_forms(weights)))
+    whole = dict(zip("fg", fraction_normal_forms([eq.bound_f, eq.bound_g])))
+
+    def partial(p: ex.Partial) -> dict:
+        form = whole[p.of]
+        for symbol in ["u"] * p.i + ["ux"] * p.j:
+            form = _fraction_diff(form, symbol)
+        return form
+
+    forms = conslaw._split_conditions(eq, POL).forms
+    for name, split in templates.items():
+        for mono, pairs in split.items():
+            got = forms[name, mono]
+            assert all(n % 2 == 1 for n, _ in got.values()), (name, mono)
+            assert _rational_form(got) == _fraction_sum(_fraction_pmul(weight_of[w], partial(p)) for p, w in pairs)

@@ -1,14 +1,17 @@
+import importlib
 import math
 import operator
 import pickle
 import random
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from peakonlaws import conslaw, expr
+from peakonlaws import conslaw, expr, poly
 from peakonlaws.conslaw import EquationSpec, classify, upsilon
 from peakonlaws.expr import (
     Add,
@@ -612,7 +615,7 @@ def test_partial_placeholder_rules():
     want = add(mul(var("ux"), P("f", 2, 2)), mul(sub(var("u"), var("m")), P("f", 1, 3)))
     assert poly_normal_form(sub(d_x(F), want)) == {}
     assert poly_normal_form(sub(d_t(F), add(mul(var("ut"), P("f", 2, 2)), mul(var("utx"), P("f", 1, 3))))) == {}
-    assert poly_normal_form(mul(2, F, var("u"))) == {(("f_12", 1), ("u", 1)): Fraction(2)}
+    assert poly_normal_form(mul(2, F, var("u"))) == {(("f_12", 1), ("u", 1)): (1, 1)}  # 2 = 1 * 2**1
     assert jet_vars(mul(F, var("m"))) == {JetVar("m")}
     # the same placeholder is one node, f and g are not
     assert mul(F, P("f", 1, 2)) == pow_(F, 2) and add(F, P("g", 1, 2)) != mul(2, F)
@@ -960,7 +963,7 @@ def _random_pool(seed: int) -> list:
         lambda a, b: Mul((a, const(3.0), b)), lambda a, b: Mul((const(2.0), Add((a, b)))),
         lambda a, b: Add((a, b)), lambda a, b: Add((a,)), lambda a, b: Pow(a, Fraction(1)),
         lambda a, b: Pow(a, Fraction(0)), lambda a, b: Pow(const(2.0), Fraction(2)),
-        # a product that mul leaves with a factor whose base repeats another's
+        # a product whose merged exponent makes pow_ return a power of another base
         lambda a, b: mul(a, pow_(pow_(a, 2), Fraction(1, 2)), pow_(pow_(a, 2), Fraction(1, 2))),
     ]
     made = [
@@ -1030,3 +1033,96 @@ def test_add_and_mul_return_canonical_input_as_it_came():
     assert s.terms[0] == mul(4.0, u, square) and s.terms[1] is t2
     p = mul(t3, u, square, pow_(u, 2))
     assert p.factors[0] is t3 and p.factors[1] == pow_(u, 3) and p.factors[2] is square
+
+
+def test_mul_regroups_until_nothing_merges():
+    u, ux = var("u"), var("ux")
+    h = pow_(pow_(u, 2), Fraction(1, 2))  # (u^2)^(1/2): two of them merge to u^2, whose base is u
+    k = pow_(mul(u, ux), Fraction(1, 2))  # two of them merge to the product u*ux
+    for factors, want in (((u, h, h), "u^3"), ((k, k, u), "u^2*ux"), ((3.0, Pow(const(2.0), Fraction(2)), u), "12*u")):
+        product = mul(*factors)
+        assert to_source(product) == want
+        assert product == parse(want) and mul(*product.factors if isinstance(product, Mul) else (product,)) == product
+
+
+# ---------------------------------------------------------------------------
+# the exact normal forms against the Fraction expansion
+
+
+def _assert_forms_equal_as_rationals(got: list, want: list):
+    """Each form of got, coefficient (n, e) read as n * 2**e, equals want's, monomials in the same order."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert all(n % 2 == 1 for n, _ in g.values())
+        assert {m: poly._rational(c) for m, c in g.items()} == w and list(g) == list(w)
+
+
+def _verdicts_pass_inputs(monkeypatch, cases) -> list:
+    """The inputs of every poly_normal_forms call of one verdicts pass: classify, then characteristic_check."""
+    calls = []
+    real = expr.poly_normal_forms
+    monkeypatch.setattr(expr, "poly_normal_forms", lambda exprs: calls.append(list(exprs)) or real(calls[-1]))
+    policy = SamplingPolicy(seed=42)
+    for f, g in cases:
+        eq = EquationSpec.from_strings(f, g)
+        for cur in classify(eq, policy).fluxes:
+            conslaw.characteristic_check(cur, eq, policy)
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 4242])
+def test_normal_forms_equal_the_fraction_oracle_on_a_verdicts_pass(seed, monkeypatch, fraction_normal_forms):
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+    cases = [(c.f, c.g) for c in workloads.reference_cases() + workloads.family_cases(seed)]
+    calls = _verdicts_pass_inputs(monkeypatch, cases)
+    assert len(calls) > 300
+    for exprs in calls:
+        _assert_forms_equal_as_rationals(expr.poly_normal_forms(exprs), fraction_normal_forms(exprs))
+
+
+def test_normal_forms_equal_the_fraction_oracle_on_the_templates(fraction_normal_forms):
+    f, g = expr.Partial("f"), expr.Partial("g")
+    u, ux, m = var("u"), var("ux"), var("m")
+    conditions = [
+        euler_u(mul(sub(mul(u, f), mul(ux, g)), m)),
+        euler_u(mul(f, m)),
+        euler_u(mul(add(f, mul(0.5, d_x(g))), pow_(m, 2))),
+    ]
+    weights = [w for split in conslaw._templates().values() for pairs in split.values() for _, w in pairs]
+    for exprs in (conditions, weights):
+        _assert_forms_equal_as_rationals(expr.poly_normal_forms(exprs), fraction_normal_forms(exprs))
+
+
+def test_dyadic_coefficients_round_trip_floats():
+    for x in (5e-324, 2.0**-1022, 1.7e308, -1.7e308, 0.1, 1.0 / 3.0, 3.0, 4.0, -0.75, 2.0**60):
+        n, e = poly._dyadic(x)
+        assert n % 2 == 1 and poly._rational((n, e)) == Fraction(x) and float(poly._rational((n, e))) == x
+    assert poly._dyadic(0.0) is None and poly._dyadic(-0.0) is None
+
+
+def test_a_constant_to_a_negative_power_is_exact_only_when_dyadic():
+    u = var("u")
+    # 4^-1 = 1/4 is dyadic, 3^-1 is not: the sampler decides that one
+    assert poly_normal_form(Pow(const(4.0), Fraction(-1))) == {(): (1, -2)}
+    assert poly_normal_form(Pow(const(-0.5), Fraction(-3))) == {(): (-1, 3)}
+    assert poly_normal_form(Pow(const(3.0), Fraction(-1))) is None
+    assert poly_normal_form(Mul((u, Pow(const(3.0), Fraction(-1))))) is None
+    assert poly_normal_form(Pow(const(3.0), Fraction(0))) == {(): (1, 0)}
+
+
+def test_monomial_product_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(poly, "_MONO_PRODUCTS", {})
+    monkeypatch.setattr(poly, "_MONO_PRODUCTS_KEPT", 8)
+    u, ux = var("u"), var("ux")
+    for k in range(1, 30):
+        assert poly_normal_form(mul(pow_(u, k), add(ux, u))) == {(("u", k), ("ux", 1)): (1, 0), (("u", k + 1),): (1, 0)}
+        assert len(poly._MONO_PRODUCTS) <= 8

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,22 @@ def test_run_singularity_guard():
     res = run(cfg)
     assert res.status == STATUS_SINGULAR
     assert res.message == "|u| fell below the floor 0.001"
+
+
+def test_unguarded_singular_run_ends_without_a_numpy_warning():
+    # with the guard off, u ~ 1e-120 makes f = ux/u^3 +inf and -inf on one
+    # product row; the stage's rfft of that row must not warn before the
+    # run reports the hit, and the CFL warning still comes
+    cfg = SimConfig(
+        length=1.0, n=16, dt=1e-3, t_final=1e-2, equation=SINGULAR, min_u_floor=0.0,
+        initial={"kind": "cosine_offset", "params": {"offset": 0.0, "amplitude": 1e-120}},
+    )
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        res = run(cfg)
+    assert res.status == STATUS_SINGULAR
+    assert res.message == "f or g is non-finite on the grid"
+    assert [str(w.message) for w in record] == ["CFL sanity exceeded: dt*max|g|*N/L > 1"]
 
 
 @pytest.mark.parametrize("f, g, loci", [
