@@ -1594,7 +1594,9 @@ def _print(e: Expr, prec: int) -> str:
     if isinstance(e, Mul):
         num, den = [], []
         for f in e.factors:
-            if isinstance(f, Pow) and f.exp < 0:
+            # a negative fractional power stays a power: as a division it
+            # would parse to the reciprocal of the positive power
+            if isinstance(f, Pow) and f.exp < 0 and f.exp.denominator == 1:
                 den.append(pow_(f.base, -f.exp))
             else:
                 num.append(f)

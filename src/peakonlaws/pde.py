@@ -7,19 +7,22 @@ smoothing and unconditionally stable); time stepping is classical RK4 at
 fixed step.  Each RK stage makes two stacked FFT calls: one irfft of
 m_hat times the cached lift [1/(1+k^2), ik/(1+k^2), 1] gives u, u_x and
 m on the grid, and one rfft of [f*m, g*m] gives the product spectra,
-which are dealiased with the 2/3 rule: 8 FFT calls per step.  f and g
-are one expr.Program per stepper, the evaluator the verdicts use.  A step
-runs in buffers the Stepper allocates once (products, spectra, the nodal
-values of stages 2-4, the stage rates k1-k4 and their sum), by the same
-floating-point operations in the same order as a step that allocates
-every array, so its results are the same to the bit; nothing a Stepper
-returns shares those buffers.  A stage tests its products for
-non-finite values through mode 0 of their spectra, the sum of each row.
-The nodal state after a step is stage 1 of the next.  Wave breaking is
-detected, not resolved: the run stops when sup|u_x| crosses the
-configured threshold.  Equations whose f or g has a singular locus (a
-pole or branch point, expr.singular_loci) get a floor on the value of
-every locus on the grid, read from the same program pass.
+which are dealiased with the 2/3 rule: 8 FFT calls per step.  Every
+transform calls the pocketfft gufuncs that np.fft.rfft and irfft
+dispatch to, with the arguments they pass (_rfft, _irfft): the same bits
+without their per-call checks.  f and g are one expr.Program per
+stepper, the evaluator the verdicts use.  A step runs in buffers the
+Stepper allocates once (products, spectra, the nodal values of stages
+2-4, the stage rates k1-k4 and their sum), by the same floating-point
+operations in the same order as a step that allocates every array, so
+its results are the same to the bit; nothing a Stepper returns shares
+those buffers.  A stage tests its products for non-finite values
+through mode 0 of their spectra, the sum of each row.  The nodal state
+after a step is stage 1 of the next.  Wave breaking is detected, not
+resolved: the run stops when sup|u_x| crosses the configured threshold.
+Equations whose f or g has a singular locus (a pole or branch point,
+expr.singular_loci) get a floor on the value of every locus on the
+grid, read from the same program pass.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cache, cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -130,9 +133,38 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@cache
+def _pocketfft():
+    """The pocketfft gufuncs of numpy.fft, imported on the first transform.
+
+    np.fft.rfft(a) and irfft(a, n) check their arguments and then call
+    rfft_n_even(a, 1, out=) (every grid has an even n) and irfft(a, 1/n,
+    out=); called directly they give the same bits without those checks,
+    about 5 us a call.  A process that never transforms (classify) never
+    loads numpy.fft.
+    """
+    from numpy.fft import _pocketfft_umath
+    return _pocketfft_umath
+
+
+def _rfft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.rfft(a) of float rows of even length, written into out if given."""
+    if out is None:
+        *rows, n = np.shape(a)
+        out = np.empty((*rows, n // 2 + 1), dtype=complex)
+    return _pocketfft().rfft_n_even(a, 1, out=out)
+
+
+def _irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """np.fft.irfft(a, n=n) of complex rows, written into out if given."""
+    if out is None:
+        out = np.empty((*np.shape(a)[:-1], n))
+    return _pocketfft().irfft(a, 1 / n, out=out)
+
+
 def helmholtz_u(grid: Grid, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """u and u_x from m via u_hat = m_hat/(1+k^2) and spectral derivative."""
-    u, ux = np.fft.irfft(grid.lift[:2] * np.fft.rfft(m), n=grid.n)
+    u, ux = _irfft(grid.lift[:2] * _rfft(m), grid.n)
     return u, ux
 
 
@@ -329,7 +361,7 @@ def initial_data(config: SimConfig) -> np.ndarray:
         for j in (-1, 0, 1):
             u0 += a * np.exp(-np.abs(x - x0 - j * L))
         sigma = width_dx * grid.dx
-        u0 = np.fft.irfft(np.fft.rfft(u0) * np.exp(-0.5 * (grid.k * sigma) ** 2), n=grid.n)
+        u0 = _irfft(_rfft(u0) * np.exp(-0.5 * (grid.k * sigma) ** 2), grid.n)
     elif kind == "solitary_wave":
         b = float(p["b"])
         c = float(p["c"])
@@ -357,8 +389,8 @@ def initial_data(config: SimConfig) -> np.ndarray:
             u0 = u0 + left + right
     else:
         raise ValueError(f"unknown initial-data kind {kind!r}")
-    uh = np.fft.rfft(u0)
-    return np.fft.irfft((1.0 + grid.k**2) * uh, n=grid.n)
+    uh = _rfft(u0)
+    return _irfft((1.0 + grid.k**2) * uh, grid.n)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +435,7 @@ class Stepper:
         self._sum = np.empty(modes, dtype=complex)
 
     def _nodal(self, mh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        return np.fft.irfft(np.multiply(self.grid.lift, mh, out=self._lifted), n=self.grid.n, out=out)
+        return _irfft(np.multiply(self.grid.lift, mh, out=self._lifted), self.grid.n, out)
 
     def state(self, mh: np.ndarray, t: float) -> GridState:
         """Nodal u, u_x and m of the spectrum mh."""
@@ -430,7 +462,7 @@ class Stepper:
         products = self._products
         np.multiply(fv, m, out=products[0])
         np.multiply(gv, m, out=products[1])
-        spectra = np.fft.rfft(products, out=self._spectra)
+        spectra = _rfft(products, self._spectra)
         # mode 0 of a row is its sum (real), non-finite whenever one of
         # its products is; a non-finite f or g makes its product
         # non-finite, and a finite product that overflows is not a hit
@@ -471,7 +503,7 @@ def rhs(grid: Grid, state: GridState, eq: EquationSpec, dealias: bool = True) ->
 
     u and u_x are taken from the state, as GridState.from_m makes them.
     """
-    return np.fft.irfft(Stepper(grid, eq, dealias).rates(state.u, state.ux, state.m), n=grid.n)
+    return _irfft(Stepper(grid, eq, dealias).rates(state.u, state.ux, state.m), grid.n)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +571,7 @@ def run(config: SimConfig, *, m0: np.ndarray | None = None) -> SimResult:
     elif np.shape(m0) != (grid.n,):
         raise ValueError(f"m0 has shape {np.shape(m0)}, the grid needs ({grid.n},)")
     stepper = Stepper(grid, config.equation, config.dealias, config.min_u_floor)
-    mh = np.fft.rfft(m0)
+    mh = _rfft(m0)
     state = stepper.state(mh, 0.0)
     stepper.check_cfl(state, config.dt)
 

@@ -316,6 +316,8 @@ COLD_START = textwrap.dedent("""
 
     out = Path(sys.argv[1])
     assert cli.main(["classify", "--f", "ux", "--g", "u"]) == 0
+    # the solver loads numpy.fft on its first transform
+    assert "numpy.fft" not in sys.modules
     assert cli.main(["--out", str(out), "twave", "solitary", "--b", "0.5", "--c", "1"]) == 0
     config = out / "solitary.json"
     config.write_text(json.dumps({
@@ -335,8 +337,8 @@ COLD_START = textwrap.dedent("""
 
 
 def test_cold_start_loads_no_scipy(tmp_path):
-    # classify, twave and simulate run without scipy; only
-    # twave.quadrature_crosscheck imports it
+    # classify, twave and simulate run without scipy, and classify without
+    # numpy.fft; only twave.quadrature_crosscheck imports scipy
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
                           capture_output=True, text=True)

@@ -534,7 +534,7 @@ def test_read_config_validation(tmp_path):
 
 # the reference runs of criterion 6 at N=512, the solitary wave of
 # test_solitary_wave_transport_in_simulator and the mollified peakon of
-# criterion 9 at N=1024
+# criterion 9 at N=1024, and the smallest grid and a large one
 STEPPER_CASES = {
     "camassa_holm": dict(length=40.0, n=512, dt=1e-3, equation=CH,
                          initial={"kind": "gaussian", "params": {"center": 17.3}}),
@@ -544,6 +544,10 @@ STEPPER_CASES = {
                      initial={"kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0}}),
     "peakon": dict(length=4.0, n=1024, dt=1e-4, equation=SINGULAR, min_u_floor=1e-3,
                    initial={"kind": "mollified_peakon", "params": {}}),
+    "singular_n16": dict(length=40.0, n=16, dt=1e-3, equation=SINGULAR,
+                         initial={"kind": "cosine_offset", "params": {"offset": 2.0, "amplitude": 0.5}}),
+    "camassa_holm_n2048": dict(length=40.0, n=2048, dt=1e-3, equation=CH,
+                               initial={"kind": "gaussian", "params": {"center": 17.3}}),
 }
 
 
@@ -551,6 +555,7 @@ STEPPER_CASES = {
     ("camassa_holm", True), ("camassa_holm", False),
     ("singular", True), ("singular", False),
     ("solitary", True), ("peakon", True),
+    ("singular_n16", True), ("camassa_holm_n2048", True),
 ])
 def test_run_equals_plain_stepper(case, dealias, plain_run):
     steps = 50
@@ -631,15 +636,16 @@ def test_run_makes_eight_fft_calls_per_step(monkeypatch):
     calls = {"rfft": 0, "irfft": 0}
 
     def counting(name):
-        transform = getattr(np.fft, name)
+        transform = getattr(pde, "_" + name)
 
         def counted(*args, **kwargs):
             calls[name] += 1
             return transform(*args, **kwargs)
         return counted
 
+    # every transform of pde goes through these two handles
     for name in calls:
-        monkeypatch.setattr(np.fft, name, counting(name))
+        monkeypatch.setattr(pde, "_" + name, counting(name))
     steps = 10
     res = run(_gaussian_cfg(t_final=steps * 1e-3))
     assert res.status == STATUS_COMPLETED and res.final.t == pytest.approx(steps * 1e-3)
