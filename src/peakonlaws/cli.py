@@ -30,7 +30,7 @@ from .conslaw import (
     characteristic_check,
     classify,
 )
-from .expr import ExprError, ParseError, SamplingPolicy, SingularSamplingError, parse
+from .expr import ExprError, ParseError, SamplingPolicy, SingularSamplingError, bind_params, parse
 
 __all__ = ["main"]
 
@@ -185,22 +185,7 @@ def cmd_verify(args) -> int:
     try:
         params = _parse_params(args.param)
         eq = EquationSpec.from_strings(args.f, args.g, params)
-        names = list(params)
-        cur = ConservedCurrent(
-            "cli",
-            parse(args.T, names),
-            parse(args.Phi, names),
-            parse(args.Q, names),
-        )
-        if params:
-            from .expr import bind_params
-
-            cur = ConservedCurrent(
-                "cli",
-                bind_params(cur.T, params),
-                bind_params(cur.Phi, params),
-                bind_params(cur.Q, params),
-            )
+        cur = ConservedCurrent("cli", *(bind_params(parse(src, params), params) for src in (args.T, args.Phi, args.Q)))
         policy = _policy(args)
     except (ParseError, ExprError, ValueError) as err:
         _report_parse_error(err, {"T": args.T, "Phi": args.Phi, "Q": args.Q})

@@ -459,7 +459,9 @@ def check_grad_energy(
     Singular values below 1e-7 of the largest are treated as zero; any
     value within a factor 10 of that threshold makes the rank decision
     ambiguous and the verdict indeterminate.  Each candidate (mu, nu) is
-    then zero-tested as a residual (see _candidate_verdict).
+    then zero-tested as a residual (see _candidate_verdict).  One rule
+    turns each zero test into the set: the plane, point or line it tests
+    where it is zero, empty where it is nonzero, indeterminate otherwise.
     """
     policy = policy or SamplingPolicy()
     return _solve_grad_energy(_split_conditions(eq, policy), policy)
@@ -483,14 +485,8 @@ def _candidate_verdict(split: _SplitConditions, mu: float, nu: float, rel_tol: f
     rows = [[(name, row) for name in "ABC"] for row in _AFFINE_ROWS]
     forms = [[split.forms.get(k, {}) for k in keys] for keys in rows]
     if all(nf is not None for row_forms in forms for nf in row_forms):
-        combined = [{} for _ in rows]
-        for total, row_forms in zip(combined, forms):
-            for w, nf in zip(weights, row_forms):
-                if w:
-                    wn, we = poly._dyadic(w)
-                    for mono, (n, e) in nf.items():
-                        poly._accumulate(total, mono, (wn * n, we + e))
-        if not any(combined):
+        w_forms = [{(): poly._dyadic(w)} if w else {} for w in weights]
+        if not any(functools.reduce(poly._padd, map(poly._pmul, row_forms, w_forms)) for row_forms in forms):
             return ZeroVerdict("zero", 0.0, None, exact=True)
     verdicts = []
     for row, keys in zip(_AFFINE_ROWS, rows):
@@ -501,17 +497,20 @@ def _candidate_verdict(split: _SplitConditions, mu: float, nu: float, rel_tol: f
     return _all_zero(verdicts)
 
 
+def _judged(v: ZeroVerdict, kind: str, mu=None, nu=None, direction=None) -> GradEnergySolutions:
+    """The solution set kind where the zero test v is zero, empty where it is nonzero, else indeterminate."""
+    if v.status == "zero":
+        return GradEnergySolutions(kind, mu, nu, direction, v.residual_max)
+    return GradEnergySolutions("empty" if v.status == "nonzero" else "indeterminate", residual_max=v.residual_max)
+
+
 def _solve_grad_energy(split: _SplitConditions, policy: SamplingPolicy) -> GradEnergySolutions:
     """check_grad_energy on the split conditions of an equation."""
-    only_c = [mono for mono in split.monomials("C") if mono not in _AFFINE_ROWS]
-    vrest = split.verdict("C", only_c)
-    if vrest.status == "nonzero":
-        return GradEnergySolutions("empty", residual_max=vrest.residual_max)
-    if vrest.status == "indeterminate":
-        return GradEnergySolutions("indeterminate", residual_max=vrest.residual_max)
-    vc = split.verdict("C")
+    vrest = split.verdict("C", [mono for mono in split.monomials("C") if mono not in _AFFINE_ROWS])
+    if vrest.status != "zero":  # the rows of C alone hold for no (mu, nu)
+        return _judged(vrest, "plane")
     if split.samples is None:  # every coefficient is an exact zero
-        return GradEnergySolutions("plane", residual_max=vc.residual_max)
+        return _judged(split.verdict("C"), "plane")
 
     blocks, rhs = [], []
     for row in _AFFINE_ROWS:
@@ -521,53 +520,33 @@ def _solve_grad_energy(split: _SplitConditions, policy: SamplingPolicy) -> GradE
         rhs.append(-c / top)
     mat, rhs = np.vstack(blocks), np.concatenate(rhs)
     svals = np.linalg.svd(mat, compute_uv=False)
-    smax = svals[0] if len(svals) else 0.0
+    smax = svals[0]
     # column magnitudes are O(1) after scale normalization, so compare the
     # rank threshold against max(smax, 1)
     thresh = 1e-7 * max(smax, 1.0)
-    near = [s for s in svals if thresh / 10.0 < s < thresh * 10.0]
-    if near:
-        return GradEnergySolutions("indeterminate", residual_max=float(smax))
+    if any(thresh / 10.0 < s < thresh * 10.0 for s in svals):
+        return _judged(ZeroVerdict("indeterminate", float(smax)), "plane")
     rank = int(np.sum(svals > thresh))
-
-    def validated(mu: float, nu: float) -> ZeroVerdict:
-        return _candidate_verdict(split, mu, nu, policy.rel_tol)
-
     if rank == 0:
-        if vc.status == "zero":
-            return GradEnergySolutions("plane", residual_max=vc.residual_max)
-        if vc.status == "nonzero":
-            return GradEnergySolutions("empty", residual_max=vc.residual_max)
-        return GradEnergySolutions("indeterminate", residual_max=vc.residual_max)
+        return _judged(split.verdict("C"), "plane")
 
-    if rank == 2:
-        sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-        mu, nu = _snap(float(sol[0]) + 2.0), _snap(float(sol[1]))
-        v = validated(mu, nu)
-        if v.status == "zero":
-            return GradEnergySolutions("point", mu, nu, residual_max=v.residual_max)
-        if v.status == "nonzero":
-            return GradEnergySolutions("empty", residual_max=v.residual_max)
-        return GradEnergySolutions("indeterminate", residual_max=v.residual_max)
-
-    # rank 1: minimum-norm particular solution plus the null direction
+    # the minimum-norm solution: the point, or the line's particular solution
     sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    mu, nu = _snap(float(sol[0]) + 2.0), _snap(float(sol[1]))
+    v = _candidate_verdict(split, mu, nu, policy.rel_tol)
+    if rank == 2:
+        return _judged(v, "point", mu, nu)
     _, _, vt = np.linalg.svd(mat)
-    null = vt[1]
-    null = null / np.hypot(*null)
+    null = vt[1] / np.hypot(*vt[1])
     null = np.array([_snap(null[0]), _snap(null[1])])
     null = null / np.hypot(*null)
-    mu0, nu0 = _snap(float(sol[0]) + 2.0), _snap(float(sol[1]))
-    v1 = validated(mu0, nu0)
-    v2 = validated(mu0 + null[0], nu0 + null[1])
-    if v1.status == "zero" and v2.status == "zero":
-        return GradEnergySolutions(
-            "line", mu0, nu0, (float(null[0]), float(null[1])),
-            residual_max=max(v1.residual_max, v2.residual_max),
-        )
-    if "indeterminate" in (v1.status, v2.status):
-        return GradEnergySolutions("indeterminate", residual_max=v1.residual_max)
-    return GradEnergySolutions("empty", residual_max=max(v1.residual_max, v2.residual_max))
+    v2 = _candidate_verdict(split, mu + null[0], nu + null[1], policy.rel_tol)
+    # both points must hold; an indeterminate one outranks a nonzero one,
+    # and then the first point's residual is reported
+    pair = (v.status, v2.status)
+    status = "indeterminate" if "indeterminate" in pair else "nonzero" if "nonzero" in pair else "zero"
+    residual = v.residual_max if status == "indeterminate" else max(v.residual_max, v2.residual_max)
+    return _judged(ZeroVerdict(status, residual), "line", mu, nu, (float(null[0]), float(null[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -956,12 +935,10 @@ def classify(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Conserva
     mom, h1 = Verdict.from_zero(vb), Verdict.from_zero(va)
     sols = _solve_grad_energy(split, policy)
 
-    l2m_direct = Verdict.from_zero(vc).conserved
+    # the direct test of C and the solution set must agree, else indeterminate
     l2m_set = sols.contains(2.0, 0.0) if sols.kind != "indeterminate" else None
-    if sols.kind == "indeterminate" or l2m_direct is None or l2m_direct != l2m_set:
-        l2m = Verdict(None, vc.residual_max, vc.witness)
-    else:
-        l2m = Verdict(l2m_direct, vc.residual_max, vc.witness if not l2m_direct else None)
+    conserved = l2m_set if Verdict.from_zero(vc).conserved == l2m_set else None
+    l2m = Verdict(conserved, vc.residual_max, None if conserved else vc.witness)
 
     wh2 = _wh2_verdict(sols, va, vc)
 

@@ -1459,27 +1459,23 @@ class _Parser:
 
     def expr(self) -> Expr:
         e = self.term()
-        while self.tok[0] in ("+", "-"):
-            op = self.tok[0]
+        while (op := self.tok[0]) in ("+", "-"):
             self._advance()
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else sub(e, rhs)
+            e = add(e, self.term()) if op == "+" else sub(e, self.term())
         return e
 
     def term(self) -> Expr:
-        e = self.factor()
-        while self.tok[0] in ("*", "/"):
-            op = self.tok[0]
+        factors = [self.factor()]
+        while (op := self.tok[0]) in ("*", "/"):
             pos = self.tok[2]
             self._advance()
             rhs = self.factor()
-            if op == "*":
-                e = mul(e, rhs)
-            else:
+            if op == "/":
                 if isinstance(rhs, Const) and rhs.value == 0.0:
                     raise ParseError("division by zero", pos)
-                e = div(e, rhs)
-        return e
+                rhs = div(ONE, rhs)
+            factors.append(rhs)
+        return mul(*factors) if len(factors) > 1 else factors[0]
 
     def factor(self) -> Expr:
         if self.tok[0] == "-":

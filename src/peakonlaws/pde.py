@@ -300,11 +300,21 @@ def read_config(source: str | dict) -> SimConfig:
             eq_raw["f"], eq_raw["g"], eq_raw.get("params", {})
         )
         out = cfg.get("output", {})
+        if not isinstance(out, dict):
+            raise ValueError(f"output must be a JSON object, got {out!r}")
         n = cfg["N"]
         # a fractional or quoted N would silently run on another grid
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"N must be an integer, got {n!r}")
-        series_dt = cfg.get("series_dt")
+        # only the keys the document holds: SimConfig owns the defaults
+        options = {key: _number(key, cfg[key])
+                   for key in ("energy_mu", "energy_nu", "blowup_threshold", "min_u_floor") if key in cfg}
+        if cfg.get("series_dt") is not None:  # null: no series times
+            options["series_dt"] = _number("series_dt", cfg["series_dt"])
+        if "dealias" in cfg:
+            options["dealias"] = cfg["dealias"]
+        if "snapshot_times" in out:
+            options["snapshot_times"] = tuple(_number("snapshot_times", t) for t in out["snapshot_times"])
         return SimConfig(
             length=_number("L", cfg["L"]),
             n=n,
@@ -312,13 +322,7 @@ def read_config(source: str | dict) -> SimConfig:
             t_final=_number("t_final", cfg["t_final"]),
             equation=eq,
             initial=dict(cfg["initial"]),
-            dealias=cfg.get("dealias", True),
-            series_dt=None if series_dt is None else _number("series_dt", series_dt),
-            energy_mu=_number("energy_mu", cfg.get("energy_mu", 2.0)),
-            energy_nu=_number("energy_nu", cfg.get("energy_nu", 0.0)),
-            blowup_threshold=_number("blowup_threshold", cfg.get("blowup_threshold", 1e3)),
-            min_u_floor=_number("min_u_floor", cfg.get("min_u_floor", 1e-3)),
-            snapshot_times=tuple(_number("snapshot_times", t) for t in out.get("snapshot_times", ())),
+            **options,
         )
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"invalid simulation config: {err}") from err

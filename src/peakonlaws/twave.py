@@ -468,10 +468,9 @@ def hamiltonian_first_integrals(f1_coeffs, g1_coeffs, U, Up, Upp, c):
     y = U * U - Up * Up
     f1 = _poly_eval(f1_coeffs, y)
     g1 = _poly_eval(g1_coeffs, y)
-    F1 = y * _poly_eval([ck / (k + 1.0) for k, ck in enumerate(f1_coeffs)], y)
-    G1 = y * _poly_eval([ck / (k + 1.0) for k, ck in enumerate(g1_coeffs)], y)
     F1t = _poly_eval([ck / (k + 1.0) for k, ck in enumerate(f1_coeffs)], y)
     G1t = _poly_eval([ck / (k + 1.0) for k, ck in enumerate(g1_coeffs)], y)
+    F1, G1 = y * F1t, y * G1t
     mom = -c * (U - Upp) + 0.5 * F1 + (U - Upp) * (U * f1 + g1)
     h1 = -c * (U * U + Up * Up) + 2.0 * c * U * Upp - G1 + 2.0 * U * (U - Upp) * (U * f1 + g1)
     comb = (Up * Up - U * U) * (U * F1t + G1t - c)

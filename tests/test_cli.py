@@ -205,6 +205,29 @@ def test_classify_witness_names_its_monomial(capsys):
         assert doc["l2m"]["witness"]["monomial"]
 
 
+@pytest.mark.parametrize("a, Phi, code", [
+    ("2", "a*(u*m + 0.5*(u^2-ux^2)) - utx", 0),
+    ("2", "2*(u*m + 0.5*(u^2-ux^2)) - utx", 0),
+    ("3", "2*(u*m + 0.5*(u^2-ux^2)) - utx", 2),
+])
+def test_verify_binds_its_parameters(capsys, a, Phi, code):
+    # T = u is conserved by f = a*ux, g = a*u with flux Phi = a*(u*m +
+    # (u^2-ux^2)/2) - u_tx: a is bound in the current as in the equation
+    got, out, _ = run_cli(capsys, "verify", "--T", "u", "--Phi", Phi, "--Q", "1",
+                          "--f", "a*ux", "--g", "a*u", "--param", f"a={a}")
+    assert got == code
+    assert json.loads(out)["zero"] is (code == 0)
+
+
+@pytest.mark.parametrize("command", ["classify", "verify"])
+def test_no_admissible_sample_point_is_an_error(capsys, command):
+    # ln(-u^2) is finite nowhere: sampling gives up, and the CLI reports it
+    args = ["--T", "u", "--Phi", "0", "--Q", "1"] if command == "verify" else []
+    code, out, err = run_cli(capsys, command, "--f", "ln(-u^2)", "--g", "u", *args)
+    assert code == 1 and out == ""
+    assert err.startswith("error: could not find admissible sample points")
+
+
 def test_verify_parse_error(capsys):
     code, _, err = run_cli(
         capsys, "verify", "--T", "u", "--Phi", "u +", "--Q", "1",

@@ -415,10 +415,14 @@ def test_grad_candidates_match_the_built_residual(monkeypatch, plain_coefficient
     assert {("zero", True), ("zero", False), ("nonzero", False)} <= seen
 
 
+def _split(coeffs: dict) -> conslaw._SplitConditions:
+    """Synthetic conditions {(condition, m-monomial): source}, zero-tested as classify's are."""
+    return conslaw._SplitConditions.tested({k: parse(e) for k, e in coeffs.items()}, POL)
+
+
 def _conditions(A: str, B: str, C: str) -> conslaw._SplitConditions:
-    """Synthetic conditions whose only m-monomial is m, zero-tested as classify's are."""
-    coeffs = {(name, "m"): parse(e) for name, e in zip("ABC", (A, B, C))}
-    return conslaw._SplitConditions.tested(coeffs, POL)
+    """Synthetic conditions whose only m-monomial is m."""
+    return _split({(name, "m"): e for name, e in zip("ABC", (A, B, C))})
 
 
 @pytest.mark.parametrize("A, B", [("u*ux", "ux^3"), ("ux/u^3", "ux^3/u")])
@@ -484,6 +488,66 @@ def test_grad_energy_scale_covers_cancelling_coefficients():
     sols = conslaw._solve_grad_energy(_conditions("1e12*ux/u^3", "3e12*ux/u^3", "0"), POL)
     assert sols.kind == "line"
     assert sols.contains(2.0, 0.0) and sols.contains(-1.0, 1.0)
+
+
+# sqrt(u^2) - u is zero where u > 0 only: the sampled points split their vote
+SPLIT_VOTE = "sqrt(u^2) - u"
+
+
+@pytest.mark.parametrize("coeffs, kind", [
+    # every coefficient an exact zero: nothing is sampled
+    ({("A", "m"): "0", ("B", "m"): "0", ("C", "m"): "(u+ux)^2 - u^2 - 2*u*ux - ux^2"}, "plane"),
+    # a coefficient of C alone (here of m^2) must vanish on its own
+    ({("A", "m"): "ux", ("B", "m"): "u", ("C", "m"): "0", ("C", "m^2"): "u"}, "empty"),
+    ({("A", "m"): "ux", ("B", "m"): "u", ("C", "m"): "0", ("C", "m^2"): SPLIT_VOTE}, "indeterminate"),
+    # rank 0: A and B vanish, and C decides the whole plane
+    ({("A", "m"): "0", ("B", "m"): "0", ("C", "m"): "exp(u)*exp(-u) - 1"}, "plane"),
+    ({("A", "m"): "0", ("B", "m"): "0", ("C", "m"): "u"}, "empty"),
+    ({("A", "m"): "0", ("B", "m"): "0", ("C", "m"): SPLIT_VOTE}, "indeterminate"),
+    # rank 2: the one candidate fails
+    ({("A", "m"): "u*ux", ("B", "m"): "ux^3", ("C", "m"): "ux"}, "empty"),
+    # rank 1: (mu-2) + 3*nu = 0 fits the m row; C outside the span, or a
+    # split vote in the 1 row that no (mu, nu) reaches
+    ({("A", "m"): "ux", ("B", "m"): "3*ux", ("C", "m"): "u"}, "empty"),
+    ({("A", "m"): "ux", ("B", "m"): "3*ux", ("C", "1"): SPLIT_VOTE}, "indeterminate"),
+])
+def test_each_grad_energy_outcome(coeffs, kind):
+    split = _split(coeffs)
+    sols = conslaw._solve_grad_energy(split, POL)
+    assert sols.kind == kind
+    assert sols.mu is None and sols.nu is None and sols.direction is None
+    if split.verdict("A").status == split.verdict("B").status == "zero":  # rank 0: C's residual
+        assert sols.residual_max == split.verdict("C").residual_max
+
+
+def test_grad_energy_rank_ambiguity_is_indeterminate():
+    # A = ux and B = ux + 1e-7*u: the smaller singular value of the scaled
+    # system lies within a factor 10 of the rank threshold 1e-7 * max(smax, 1)
+    split = _conditions("ux", "ux + 1e-7*u", "0")
+    sols = conslaw._solve_grad_energy(split, POL)
+    assert sols.kind == "indeterminate" and sols.mu is None
+    assert sols.residual_max > 1.0  # the largest singular value, reported as the residual
+
+
+@pytest.mark.parametrize("first, second, kind, residual", [
+    (("zero", 1e-12), ("zero", 3e-12), "line", 3e-12),
+    (("zero", 1.0), ("nonzero", 5.0), "empty", 5.0),
+    (("nonzero", 5.0), ("zero", 1.0), "empty", 5.0),
+    # an indeterminate candidate outranks a nonzero one, and the residual
+    # reported is the first candidate's
+    (("nonzero", 5.0), ("indeterminate", 7.0), "indeterminate", 5.0),
+    (("indeterminate", 7.0), ("nonzero", 5.0), "indeterminate", 7.0),
+    (("zero", 0.0), ("indeterminate", 3.0), "indeterminate", 0.0),
+])
+def test_grad_energy_line_from_its_two_candidates(monkeypatch, first, second, kind, residual):
+    # rank 1 tests the particular solution and one step along the null
+    # direction; the set follows from both verdicts
+    verdicts = iter([ex.ZeroVerdict(*first), ex.ZeroVerdict(*second)])
+    monkeypatch.setattr(conslaw, "_candidate_verdict", lambda *args: next(verdicts))
+    sols = conslaw._solve_grad_energy(_conditions("ux", "3*ux", "u"), POL)
+    assert (sols.kind, sols.residual_max) == (kind, residual)
+    assert (sols.direction is None) is (kind != "line")
+    assert next(verdicts, None) is None
 
 
 def test_solve_grad_energy_reuses_the_fit_samples(monkeypatch):

@@ -494,7 +494,7 @@ def test_read_config_validation(tmp_path):
     for key, value in (("N", 256.7), ("N", 256.0), ("N", "256"), ("N", True), ("L", "40"),
                        ("dt", "0.001"), ("t_final", True), ("energy_mu", "2"),
                        ("min_u_floor", None), ("series_dt", True),
-                       ("output", {"snapshot_times": [True]})):
+                       ("output", {"snapshot_times": [True]}), ("output", ["snapshots.csv"])):
         with pytest.raises(ValueError, match="invalid simulation config"):
             read_config(json.dumps(dict(doc, **{key: value})))
     # a blow-up threshold <= 0 reports wave breaking on any run, and a
@@ -530,6 +530,22 @@ def test_read_config_validation(tmp_path):
                     {"kind": "mollified_peakon", "params": {"mollify_width_dx": "wide"}}):
         with pytest.raises(ValueError, match="invalid simulation config"):
             read_config(json.dumps(dict(doc, initial=initial)))
+
+
+def test_read_config_leaves_the_defaults_to_sim_config():
+    doc = {
+        "L": 40.0, "N": 256, "dt": 1e-3, "t_final": 0.1,
+        "equation": {"f": "ux", "g": "u"},
+        "initial": {"kind": "gaussian", "params": {}},
+    }
+    eq = EquationSpec.from_strings("ux", "u")
+    required = SimConfig(40.0, 256, 1e-3, 0.1, eq, {"kind": "gaussian", "params": {}})
+    assert read_config(json.dumps(doc)) == required
+    assert read_config(json.dumps(dict(doc, series_dt=None, output={}))) == required
+    options = {"dealias": False, "series_dt": 0.01, "energy_mu": 3.0, "energy_nu": 0.5,
+               "blowup_threshold": 50.0, "min_u_floor": 0.0}
+    got = read_config(json.dumps(dict(doc, output={"snapshot_times": [0.05]}, **options)))
+    assert got == SimConfig(40.0, 256, 1e-3, 0.1, eq, doc["initial"], snapshot_times=(0.05,), **options)
 
 
 # the reference runs of criterion 6 at N=512, the solitary wave of

@@ -131,6 +131,17 @@ def test_parse_inverts_to_source(e):
     assert parse(to_source(e), ["a"]) == e
 
 
+def test_a_constant_stays_outside_a_sum_among_other_factors():
+    # parse multiplies a term's factors in one mul, as mul built the
+    # printed product: the 2 is not distributed into the sum
+    u, ux = var("u"), var("ux")
+    e = mul(2.0, add(u, ux), u)
+    assert to_source(e) == "2*(u + ux)*u"
+    assert parse(to_source(e)) == e
+    # alone with the sum, the constant is distributed either way
+    assert parse("2*(u + ux)") == mul(2.0, add(u, ux)) == add(mul(2.0, u), mul(2.0, ux))
+
+
 def test_a_negative_fractional_power_round_trips():
     # in a product, u^(-1/2) prints as a power and (u^(1/2))^-1 as a
     # division, so each parses back to its own tree

@@ -368,6 +368,23 @@ def test_hamiltonian_first_integrals_zero_data():
     assert np.all(mom == 0.0) and np.all(h1 == 0.0) and np.all(comb == 0.0)
 
 
+def test_hamiltonian_first_integrals_on_arbitrary_data():
+    # F1 and G1 are the antiderivatives in y = U^2 - U'^2 of f1 and g1 from
+    # 0, and F1t = F1/y, G1t = G1/y, so the combined expression is
+    # -(U*F1 + G1 - c*y)
+    P = np.polynomial.polynomial
+    U, Up, Upp = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 32))
+    f1, g1, c = [0.5, -1.0, 0.25], [0.3, 2.0], 1.5
+    y = U * U - Up * Up
+    F1, G1, f1y, g1y = P.polyval(y, P.polyint(f1)), P.polyval(y, P.polyint(g1)), P.polyval(y, f1), P.polyval(y, g1)
+    mom, h1, comb = hamiltonian_first_integrals(f1, g1, U, Up, Upp, c)
+    close = dict(rel=1e-12, abs=1e-14)
+    assert mom == pytest.approx(-c * (U - Upp) + 0.5 * F1 + (U - Upp) * (U * f1y + g1y), **close)
+    assert h1 == pytest.approx(-c * (U * U + Up * Up) + 2.0 * c * U * Upp - G1
+                               + 2.0 * U * (U - Upp) * (U * f1y + g1y), **close)
+    assert comb == pytest.approx(-(U * F1 + G1 - c * y), **close)
+
+
 def test_smooth_solitary_analysis():
     # CH: f1 = 1, g1 = 0 -> no smooth solitary waves
     res = smooth_solitary_analysis([1.0], [0.0], 2.0)
