@@ -459,7 +459,10 @@ def check_grad_energy(
     Singular values below 1e-7 of the largest are treated as zero; any
     value within a factor 10 of that threshold makes the rank decision
     ambiguous and the verdict indeterminate.  Each candidate (mu, nu) is
-    then zero-tested as a residual (see _candidate_verdict).  One rule
+    then zero-tested as a residual (see _candidate_verdict); a line is
+    tested at two points, the minimum-norm solution and one unit step
+    along it, and both must hold, combined by _all_zero as the rows of a
+    condition are (a nonzero point outranks an indeterminate one).  One rule
     turns each zero test into the set: the plane, point or line it tests
     where it is zero, empty where it is nonzero, indeterminate otherwise.
     """
@@ -541,12 +544,8 @@ def _solve_grad_energy(split: _SplitConditions, policy: SamplingPolicy) -> GradE
     null = np.array([_snap(null[0]), _snap(null[1])])
     null = null / np.hypot(*null)
     v2 = _candidate_verdict(split, mu + null[0], nu + null[1], policy.rel_tol)
-    # both points must hold; an indeterminate one outranks a nonzero one,
-    # and then the first point's residual is reported
-    pair = (v.status, v2.status)
-    status = "indeterminate" if "indeterminate" in pair else "nonzero" if "nonzero" in pair else "zero"
-    residual = v.residual_max if status == "indeterminate" else max(v.residual_max, v2.residual_max)
-    return _judged(ZeroVerdict(status, residual), "line", mu, nu, (float(null[0]), float(null[1])))
+    # both points of the line must hold
+    return _judged(_all_zero([v, v2]), "line", mu, nu, (float(null[0]), float(null[1])))
 
 
 # ---------------------------------------------------------------------------
@@ -603,53 +602,55 @@ def _pole_coefficient(w: Expr) -> float:
     return est
 
 
-def _poly_in_y_exact(w: Expr) -> list[Fraction] | None:
-    """Exact coefficients c_k with w = ux * sum(c_k * (u^2-ux^2)^k), or None."""
-    nf = ex.poly_normal_form(w)
-    if nf is None or ex.param_names(w):
-        return None
-    # candidate f1 from w's ux*u^(2k) monomials, which are ux*f1(u^2)
+def _coefficients(nf: dict, factor: dict, step: int) -> list[Fraction]:
+    """[c_0, c_1, ...]: c_k is the coefficient of factor * u^(step*k) in the normal form nf.
+
+    factor maps the symbols other than u to their powers ({} for none);
+    the monomials of nf of another form are left out.
+    """
     coeffs: dict[int, Fraction] = {}
     for mono, c in nf.items():
-        d = dict(mono)
-        k = d.get("u", 0)
-        if d.get("ux") == 1 and k % 2 == 0:
-            coeffs[k // 2] = poly._rational(c)
-    clist = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]
-    diff = ex.poly_normal_form(sub(w, mul(_UX, _poly_apply(clist, _Y))))
-    return clist if diff == {} else None
-
-
-def _poly_apply(coeffs, base: Expr) -> Expr:
-    terms = [mul(const(float(c)), pow_(base, k)) if k else const(float(c)) for k, c in enumerate(coeffs)]
-    return add(*terms)
-
-
-def _poly_antiderivative(coeffs) -> list[float]:
-    """Term-wise antiderivative of sum c_k x^k, vanishing at 0."""
-    return [0.0] + [float(c) / (k + 1) for k, c in enumerate(coeffs)]
+        powers = dict(mono)
+        k, rest = divmod(powers.pop("u", 0), step)
+        if not rest and powers == factor:
+            coeffs[k] = poly._rational(c)
+    return [coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]
 
 
 @dataclass(frozen=True)
 class _Recognized:
-    """q(x) of one argument x (u^2-ux^2 or u): sum coeffs[k]*x^k, or c*x^r."""
+    """q(x) of one argument x (u^2-ux^2 or u), as the sum of the terms c*x^r.
+
+    terms holds the (c, r) pairs: (c_k, k) for k = 0, 1, ... of a
+    polynomial, or one (c, r) of a single rational power.  expr() and
+    antiderivative() build from the same list; the antiderivative
+    integrates term by term, c*ln(x) for r = -1, and vanishes at x = 0
+    otherwise.
+    """
 
     arg: Expr
-    coeffs: tuple = ()
-    c: float = 0.0
-    r: Fraction | None = None  # None for the polynomial
+    terms: tuple
+
+    @staticmethod
+    def polynomial(arg: Expr, coeffs: list) -> "_Recognized":
+        return _Recognized(arg, tuple((c, k) for k, c in enumerate(coeffs)))
 
     def expr(self) -> Expr:
-        if self.r is None:
-            return _poly_apply(self.coeffs, self.arg)
-        return mul(const(self.c), pow_(self.arg, self.r))
+        return add(*(mul(const(float(c)), pow_(self.arg, r)) for c, r in self.terms))
 
     def antiderivative(self) -> Expr:
-        if self.r is None:
-            return _poly_apply(_poly_antiderivative(self.coeffs), self.arg)
-        if self.r == -1:
-            return mul(const(self.c), fn("ln", self.arg))
-        return mul(const(self.c / float(self.r + 1)), pow_(self.arg, self.r + 1))
+        return add(*(mul(const(float(c)), fn("ln", self.arg)) if r == -1
+                     else mul(const(float(c) / float(r + 1)), pow_(self.arg, r + 1)) for c, r in self.terms))
+
+
+def _poly_in_y_exact(w: Expr) -> _Recognized | None:
+    """q with w = ux * q(u^2-ux^2) for a polynomial q, exactly; else None."""
+    nf = ex.poly_normal_form(w)
+    if nf is None:
+        return None
+    # candidate q from w's ux*u^(2k) monomials, which are ux*q(u^2)
+    rec = _Recognized.polynomial(_Y, _coefficients(nf, {"ux": 1}, 2))
+    return rec if ex.poly_normal_form(sub(w, mul(_UX, rec.expr()))) == {} else None
 
 
 _VALIDATION_POLICY = SamplingPolicy(seed=1299827)
@@ -693,7 +694,7 @@ def _recognize_y_function(w: Expr) -> _Recognized | None:
     """Recognize w(u, ux) = ux * q(u^2 - ux^2); exact path first, numeric fit after."""
     exact = _poly_in_y_exact(w)
     if exact is not None:
-        return _Recognized(_Y, tuple(exact))
+        return exact
 
     # q = w/ux on the lines ux = 0.7 and ux = 1.1, at the same ten values of y
     ys = np.linspace(0.4, 2.2, 10)
@@ -716,12 +717,12 @@ def _recognize_y_function(w: Expr) -> _Recognized | None:
                 fr = Fraction(float(c)).limit_denominator(10**6)
                 snapped.append(fr if abs(float(fr) - c) <= 1e-10 * max(1.0, abs(c)) else c)
             snapped = [0.0 if abs(float(c)) < 1e-12 * scale else c for c in snapped]
-            return _validated(w, _UX, _Recognized(_Y, tuple(snapped)))
+            return _validated(w, _UX, _Recognized.polynomial(_Y, snapped))
 
     fit = _power_fit(ys, q1)
     if fit is None:
         return None
-    return _validated(w, _UX, _Recognized(_Y, c=fit[0], r=fit[1]))
+    return _validated(w, _UX, _Recognized(_Y, (fit,)))
 
 
 _LN_JUMP = fn("ln", div(sub(_U, _UX), add(_U, _UX)))
@@ -784,19 +785,15 @@ def flux_h1(eq: EquationSpec) -> ConservedCurrent | None:
 
 
 def _integral_in_u(g: Expr) -> Expr | None:
-    """G(u) = integral of g du for polynomial g(u) or a single power c*u^r."""
-    if ex.jet_vars(g) - {ex.U}:
-        return None
+    """G(u) = integral of g du for g(u) polynomial or a single power c*u^r."""
     nf = ex.poly_normal_form(g)
     if nf is not None:
-        coeffs: dict[int, Fraction] = {dict(mono).get("u", 0): poly._rational(c) for mono, c in nf.items()}
-        clist = [coeffs.get(k, Fraction(0)) for k in range(max(coeffs, default=0) + 1)]
-        return _Recognized(_U, tuple(clist)).antiderivative()
+        return _Recognized.polynomial(_U, _coefficients(nf, {}, 1)).antiderivative()
     us = np.linspace(0.5, 2.5, 9)
     fit = _power_fit(us, ex.evaluate(g, {"u": us}))
     if fit is None:
         return None
-    rec = _validated(g, ex.ONE, _Recognized(_U, c=fit[0], r=fit[1]))
+    rec = _validated(g, ex.ONE, _Recognized(_U, (fit,)))
     return None if rec is None else rec.antiderivative()
 
 
@@ -806,12 +803,12 @@ def flux_grad_energy(eq: EquationSpec, mu: float, nu: float) -> ConservedCurrent
     At (mu, nu) = (2, 0) the locally equivalent form T = m^2, Phi = g*m^2
     is emitted; otherwise the full density u_xx^2 + mu*ux^2 + (mu-1)*u^2 +
     2*nu*u (with u_xx = u - m) and its flux, which needs G = integral of
-    g du in closed form.
+    g du in closed form.  Both need g to depend on u alone.
     """
-    f, g = eq.bound_f, eq.bound_g
+    g = eq.bound_g
+    if ex.jet_vars(g) - {ex.U}:
+        return None
     if abs(mu - 2.0) < 1e-12 and abs(nu) < 1e-12:
-        if ex.jet_vars(g) - {ex.U}:
-            return None
         return ConservedCurrent("l2m", pow_(_M, 2), mul(g, pow_(_M, 2)), mul(2.0, _M))
     G = _integral_in_u(g)
     if G is None:
@@ -942,23 +939,13 @@ def classify(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Conserva
 
     wh2 = _wh2_verdict(sols, va, vc)
 
-    fluxes = []
-    if mom.conserved:
-        cur = flux_momentum(eq)
-        if cur is not None:
-            fluxes.append(cur)
-    if h1.conserved:
-        cur = flux_h1(eq)
-        if cur is not None:
-            fluxes.append(cur)
-    if l2m.conserved:
-        cur = flux_grad_energy(eq, 2.0, 0.0)
-        if cur is not None:
-            fluxes.append(cur)
     wh2_mu = _wh2_mu(sols) if wh2.conserved else None
-    if wh2_mu is not None:
-        cur = flux_grad_energy(eq, wh2_mu, 0.0)
-        if cur is not None:
-            fluxes.append(cur)
-
-    return ConservationReport(mom, h1, sols, l2m, wh2, tuple(fluxes))
+    # (the law holds, its builder, the builder's arguments after eq)
+    wanted = (
+        (mom.conserved, flux_momentum, ()),
+        (h1.conserved, flux_h1, ()),
+        (l2m.conserved, flux_grad_energy, (2.0, 0.0)),
+        (wh2_mu is not None, flux_grad_energy, (wh2_mu, 0.0)),
+    )
+    currents = (build(eq, *args) for holds, build, args in wanted if holds)
+    return ConservationReport(mom, h1, sols, l2m, wh2, tuple(cur for cur in currents if cur is not None))

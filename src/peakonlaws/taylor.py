@@ -12,8 +12,6 @@ of its operands, and returns (function of the operand arrays, support).
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 JET = tuple((n - j, j) for n in range(4) for j in range(n + 1))
@@ -35,8 +33,6 @@ def var_jet(v, name: str) -> np.ndarray:
 
 def add(sa: tuple, sb: tuple):
     """a + b: a constant adds to coefficient 0 only."""
-    if sa == sb:
-        return operator.add, sa
     su = tuple(sorted(set(sa) | set(sb)))
     pa, pb = [su.index(k) for k in sa], [su.index(k) for k in sb]
 

@@ -44,10 +44,13 @@ def test_classify_with_parameter(capsys):
     (("a=nan",), "error: parameter 'a' must be finite, got 'nan'"),
     (("a=-inf",), "error: parameter 'a' must be finite, got '-inf'"),
     (("a=one",), "error: parameter 'a' must be a number, got 'one'"),
+    (("a",), "error: expected name=value, got 'a'"),
+    (("=1",), "error: expected name=value, got '=1'"),
 ])
 def test_bad_parameter_is_named(capsys, command, params, message):
-    # a repeated name is refused, not overwritten by its last value, and a
-    # value that is no finite number is refused with the parameter's name
+    # a repeated name is refused, not overwritten by its last value, a
+    # value that is no finite number is refused with the parameter's name,
+    # and an item without a name or an "=" is refused as it was given
     args = ["--T", "u", "--Phi", "a*u*m", "--Q", "1"] if command == "verify" else []
     for p in params:
         args += ["--param", p]

@@ -533,11 +533,11 @@ def test_grad_energy_rank_ambiguity_is_indeterminate():
     (("zero", 1e-12), ("zero", 3e-12), "line", 3e-12),
     (("zero", 1.0), ("nonzero", 5.0), "empty", 5.0),
     (("nonzero", 5.0), ("zero", 1.0), "empty", 5.0),
-    # an indeterminate candidate outranks a nonzero one, and the residual
-    # reported is the first candidate's
-    (("nonzero", 5.0), ("indeterminate", 7.0), "indeterminate", 5.0),
-    (("indeterminate", 7.0), ("nonzero", 5.0), "indeterminate", 7.0),
-    (("zero", 0.0), ("indeterminate", 3.0), "indeterminate", 0.0),
+    # _all_zero combines them: a nonzero candidate outranks an indeterminate
+    # one, and the failing candidate gives the residual
+    (("nonzero", 5.0), ("indeterminate", 7.0), "empty", 5.0),
+    (("indeterminate", 7.0), ("nonzero", 5.0), "empty", 5.0),
+    (("zero", 0.0), ("indeterminate", 3.0), "indeterminate", 3.0),
 ])
 def test_grad_energy_line_from_its_two_candidates(monkeypatch, first, second, kind, residual):
     # rank 1 tests the particular solution and one step along the null

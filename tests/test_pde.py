@@ -202,6 +202,31 @@ def test_unguarded_singular_run_ends_without_a_numpy_warning():
     assert [str(w.message) for w in record] == ["CFL sanity exceeded: dt*max|g|*N/L > 1"]
 
 
+def test_non_finite_step_stops_the_run(monkeypatch):
+    # a step whose spectrum is not finite, with every stage rate finite,
+    # ends the run at the nodal check; the series keeps the steps before it
+    real = pde.Stepper
+
+    class NaNOnThirdStep(real):
+        calls = 0
+
+        def step(self, mh, state, dt):
+            NaNOnThirdStep.calls += 1
+            out = super().step(mh, state, dt)
+            if NaNOnThirdStep.calls == 3:
+                out[1] = np.nan
+            return out
+
+    monkeypatch.setattr(pde, "Stepper", NaNOnThirdStep)
+    cfg = SimConfig(length=2 * math.pi, n=16, dt=1e-3, t_final=1e-2, equation=CH,
+                    initial={"kind": "cosine_offset", "params": {}})
+    res = run(cfg)
+    assert (res.status, res.message) == (STATUS_SINGULAR, "non-finite nodal value")
+    assert NaNOnThirdStep.calls == 3
+    assert res.series.t == pytest.approx([0.0, 1e-3, 2e-3])  # steps 0-2, not the non-finite one
+    assert res.final.t == pytest.approx(2e-3) and np.isfinite(res.final.m).all()
+
+
 @pytest.mark.parametrize("f, g, loci", [
     ("ux/u^3", "1/u^2", ["|u|"]),
     ("ux/u", "u", ["|u|"]),

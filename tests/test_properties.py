@@ -2,8 +2,9 @@
 
 The exact normal forms against the Fraction expansion of tests/conftest.py
 on random polynomial trees, the printer and parser as inverses, the Euler
-operator on total derivatives, and mul as a fixed point of its own
-factors.  Examples are derandomized, so every run draws the same ones.
+operator on total derivatives, to_m_jet as the inverse of to_u_jet, and
+mul as a fixed point of its own factors.  Examples are derandomized, so
+every run draws the same ones.
 """
 
 from fractions import Fraction
@@ -31,7 +32,9 @@ from peakonlaws.expr import (  # noqa: E402
     poly_normal_form,
     pow_,
     sub,
+    to_m_jet,
     to_source,
+    to_u_jet,
     var,
 )
 
@@ -168,6 +171,25 @@ polynomial_trees = _draw_built(st.recursive(
 @hypothesis.given(polynomial_trees)
 def test_euler_u_annihilates_a_total_derivative(theta):
     assert poly_normal_form(euler_u(d_x(theta))) == {}
+
+
+m_jet_trees = _draw_built(st.recursive(
+    st.one_of(st.sampled_from([var("u"), var("ux"), var("m"), var("mx"), var("mxx")]),
+              st.sampled_from([2.0, -1.0, 0.5, 3.0, 0.1]).map(ex.const)),
+    lambda children: st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(lambda ts: add(*ts)),
+        st.lists(children, min_size=2, max_size=3).map(lambda fs: mul(*fs)),
+        st.tuples(children, st.sampled_from([2, 3])).map(lambda t: pow_(*t)),
+    ),
+    max_leaves=6,
+))
+
+
+@_settings(100)
+@hypothesis.given(m_jet_trees)
+def test_to_m_jet_inverts_to_u_jet(e):
+    # m, mx and mxx go to u-jets up to uxxxx, and back
+    assert poly_normal_form(sub(to_m_jet(to_u_jet(e)), e)) == {}
 
 
 # factors as the constructors build them, with powers of powers whose
