@@ -10,58 +10,50 @@ u-jet representation (u, ux, uxx, ... and ut, utx, ...) is reachable via
 to_u_jet / to_m_jet; the spatial Euler operators do not use it, they work
 in the canonical chart.
 
-There is one evaluator: a Program compiles a sequence of expressions, once,
-into one straight-line program that gives the values of each one's
+There is one evaluator: a Program compiles a sequence of expressions,
+once, into one straight-line program that gives the values of each one's
 top-level terms on floats or numpy arrays alike, NaN wherever a power or
-function leaves its domain.  compile_terms is its view for one expression;
-evaluate and evaluate_with_scale sum those terms with fsum.  The solver
-runs f and g as one program, and the sampler the expressions of one call
-as one program.  Program.taylor runs the same straight-line code on
-truncated bivariate Taylor jets in (u, ux) of degree 3, and gives every
-partial derivative up to order 3 of each expression at once, with the
-structurally zero ones exactly 0.  There is one sampler: sample draws
-seeded jet points shared by a sequence of expressions (or rows of a
-block evaluator) and judges the candidates a block at a time;
-sample_points is its view for one expression.  The candidates depend on
-the seed, the bounds and the number of symbols only, so each such stream
-is drawn once per process and kept, read-only, for the calls after it
-(a few streams at most).  singular_loci reads the poles and branch
-points off the tree, for the sampler and the solver; a Program built
-with_loci reads them off the walk that compiles it.
+function leaves its domain.  compile_terms is its view for one
+expression; evaluate and evaluate_with_scale sum those terms with fsum.
+The solver runs f and g as one program (Program.bind), and the sampler
+the expressions of one call as one program.  Program.taylor runs the
+same straight-line code on truncated bivariate Taylor jets in (u, ux) of
+degree 3, and gives every partial derivative up to order 3 of each
+expression at once, with the structurally zero ones exactly 0.  There is
+one sampler: sample draws seeded jet points shared by a sequence of
+expressions (or rows of a block evaluator) and judges the candidates a
+block at a time; sample_points is its view for one expression.
+singular_loci reads the poles and branch points off the tree, for the
+sampler and the solver; a Program built with_loci reads them off the
+walk that compiles it.
 
-Trees share subtrees freely, so the kernel works once per distinct node.
-Each node computes its hash once, when it is built, and == compares the
-fields only of nodes whose hashes agree.  Every traversal (Program, the
+Trees share subtrees freely, so the kernel works once per distinct node
+(hashing each once, when built).  Every traversal (Program, the
 derivatives d_x, d_t, diff and euler_u, substitute, jet_vars,
-param_names, poly_normal_forms) visits each distinct node once per call,
-and a Program computes each distinct node once per call: a subtree shared
-by several parents is compiled, evaluated, derived, expanded or rebuilt
-once.  Nodes hold their fields and hash only; a batch API (Program,
-sample, poly_normal_forms) shares its work across the expressions of one
-call, and nothing is kept between calls but the sampler's candidate
-streams and a bounded table of monomial products.  add and mul keep the
-terms and factors they do not merge as they came, so canonical input
-comes back as the very nodes it was built of, and mul regroups what it
-rebuilds until nothing merges.
+param_names, poly_normal_forms) visits each distinct node once per call:
+a subtree shared by several parents is compiled, evaluated, derived,
+expanded or rebuilt once.  Nodes hold their fields and hash only; a
+batch API (Program, sample, poly_normal_forms) shares its work across
+the expressions of one call, and nothing is kept between calls but the
+sampler's candidate streams and a bounded table of monomial products,
+which change no result.  add and mul keep the terms and factors they do
+not merge as they came, so canonical input comes back as the very nodes
+it was built of, and mul regroups what it rebuilds until nothing merges.
 
-The exact normal forms hold each coefficient as a dyadic rational n*2**e,
-a pair of ints with n odd (module poly, which holds their arithmetic and
-the table of monomial products): every float, integer exponent and
-derivative factor is dyadic, and so are their sums and products, so the
-expansion needs no gcd.  A constant to a negative power that is not
-dyadic has no normal form, and is sampled.  Fraction stays for exponents.
+The exact normal forms hold each coefficient as a dyadic rational n*2**e
+(arithmetic in module poly).  A constant to a negative power that is not
+dyadic has no normal form, and is sampled.  Fraction stays for
+exponents.
 
 Partial is a placeholder for a partial derivative of an unknown function
 of (u, ux).  The derivatives and poly_normal_form know it, so euler_u
 builds a determining condition once for a generic f, whose normal form
-reads off each placeholder's weight.  The evaluator, the printer and the
-parser reject it.
+reads off each placeholder's weight.
 
-Everything here is immutable and side-effect free, the caches of
-candidate streams and monomial products aside, which change no result;
-randomized zero testing takes an explicit SamplingPolicy carrying its own
-seed.  is_zero tries the polynomial normal form first, and vote is its
-verdict rule on sampled values.
+Everything else here is immutable and side-effect free; randomized zero
+testing takes an explicit SamplingPolicy carrying its own seed.  is_zero
+tries the polynomial normal form first, and vote is its verdict rule on
+sampled values.
 """
 
 from __future__ import annotations
@@ -719,8 +711,7 @@ class Program:
     and a node shared by several expressions is computed once per call.
     A sum or product of n parts is n - 1 binary steps left to right, each
     the operation a node by node evaluation would make, so the values are
-    the same to the bit.  np.errstate is entered once per call, and only
-    when a negative or fractional power or a function can leave its domain.
+    the same to the bit.  The caller holds np.errstate.
     With with_loci, a row per singular locus of exprs (singular_loci, read
     off the same walk) follows the rows of exprs; loci lists them.
     """
@@ -730,7 +721,6 @@ class Program:
         self._init: list = []  # slot values before a call: constants, else None
         self._loads: list = []  # (slot, name, kind) read from env
         self._code: list = []  # (function, out slot, arg slot, arg slot or None)
-        self._guarded = False  # needs np.errstate: a pole, root or function
         numbered: dict = {}  # structural key -> slot
         slot_of: dict = {}  # id(node) -> slot
 
@@ -766,13 +756,10 @@ class Program:
                 p = float(n.exp)
                 integer, negative = n.exp.denominator == 1, p < 0
                 out = emit(operator.pow if integer else np.power, args[0], slot((Pow, p), p))
-                if negative or not integer:
-                    self._guarded = True
                 if negative:
                     # b / b is 1 exactly, and NaN at b = 0; one per distinct base
                     out = emit(operator.mul, out, emit(operator.truediv, args[0], args[0]))
             elif isinstance(n, Fn):
-                self._guarded = True
                 out = emit(_FN_UFUNCS[n.name], args[0])
             else:
                 raise ExprError(f"cannot evaluate {type(n).__name__}")
@@ -788,16 +775,33 @@ class Program:
         vals = self._init.copy()
         for s, name, kind in self._loads:
             vals[s] = _env_value(env, name, kind)
-        if self._guarded:
-            with np.errstate(all="ignore"):
-                self._run(vals)
-        else:
-            self._run(vals)
+        _run(self._code, vals)
         return [[vals[s] for s in outs] for outs in self._outputs]
 
-    def _run(self, vals: list):
-        for function, out, a, b in self._code:
-            vals[out] = function(vals[a]) if b is None else function(vals[a], vals[b])
+    def bind(self, names: Sequence[str], env: Mapping) -> Callable:
+        """(*arrays for names) -> each expression's terms summed left to right, as reduce(operator.add) sums __call__'s.
+
+        env gives the other loads, read now; a name the program does not load is ignored.
+        """
+        init, code, sums = self._init.copy(), self._code.copy(), []
+        loads = [(names.index(n), s) for s, n, _ in self._loads if n in names]
+        for s, name, kind in self._loads:
+            if name not in names:
+                init[s] = _env_value(env, name, kind)
+        for out, *rest in self._outputs:
+            for s in rest:
+                code.append((operator.add, len(init), out, s))
+                out = len(init)
+                init.append(None)
+            sums.append(out)
+
+        def evaluate(*values) -> list:
+            vals = init.copy()
+            for i, s in loads:
+                vals[s] = values[i]
+            _run(code, vals)
+            return [vals[s] for s in sums]
+        return evaluate
 
     @property
     def supports(self) -> list:
@@ -862,6 +866,11 @@ class Program:
         supports = [[support[s] for s in outs] for outs in self._outputs]
         self._jets = (code, supports)
         return self._jets
+
+
+def _run(code: list, vals: list):
+    for function, out, a, b in code:
+        vals[out] = function(vals[a]) if b is None else function(vals[a], vals[b])
 
 
 def _env_value(env: Mapping, name: str, kind: str) -> np.ndarray:

@@ -11,18 +11,21 @@ which are dealiased with the 2/3 rule: 8 FFT calls per step.  Every
 transform calls the pocketfft gufuncs that np.fft.rfft and irfft
 dispatch to, with the arguments they pass (_rfft, _irfft): the same bits
 without their per-call checks.  f and g are one expr.Program per
-stepper, the evaluator the verdicts use.  A step runs in buffers the
-Stepper allocates once (products, spectra, the nodal values of stages
-2-4, the stage rates k1-k4 and their sum), by the same floating-point
-operations in the same order as a step that allocates every array, so
-its results are the same to the bit; nothing a Stepper returns shares
-those buffers.  A stage tests its products for non-finite values
-through mode 0 of their spectra, the sum of each row.  The nodal state
-after a step is stage 1 of the next.  Wave breaking is detected, not
-resolved: the run stops when sup|u_x| crosses the configured threshold.
-Equations whose f or g has a singular locus (a pole or branch point,
-expr.singular_loci) get a floor on the value of every locus on the
-grid, read from the same program pass.
+equation, the evaluator the verdicts use; a Stepper binds it, with
+everything else a stage reads, into one stage rate when it is built
+(Program.bind), and its public methods hold np.errstate once per call,
+not once per stage.  A step runs in buffers the Stepper allocates once
+(products, spectra, the nodal values of stages 2-4, the stage rates
+k1-k4 and their sum), by the same floating-point operations in the same
+order as a step that allocates every array, so its results are the same
+to the bit; nothing a Stepper returns shares those buffers.  A stage
+tests its products for non-finite values through mode 0 of their
+spectra, the sum of each row.  The nodal state after a step is stage 1
+of the next.  Wave breaking is detected, not resolved: the run stops
+when sup|u_x| crosses the configured threshold.  Equations whose f or g
+has a singular locus (a pole or branch point, expr.singular_loci) get a
+floor on the value of every locus on the grid, read from the same
+program pass.
 """
 
 from __future__ import annotations
@@ -410,13 +413,17 @@ class Stepper:
     guard_floor of the locus (expr.Locus.distance), naming the locus, or
     when f or g is non-finite on the grid.
 
-    A step runs in buffers allocated here, once: the product block
-    (2, N) and its spectra (2, N/2+1), the lifted spectrum (3, N/2+1)
-    and the nodal block (3, N) of stages 2-4, the stage rates k1-k4, the
-    stage spectrum and the accumulator of the rate sum.  rates(..., out=)
-    writes the rate into out; without out it returns a fresh array.
-    Nothing that rates, state or step returns shares a buffer of the
-    stepper.
+    The stage rate is bound once, here: one closure over the equation's
+    Program bound to (u, u_x) with x read once (Program.bind), the guard's
+    loci and floor, the product block (2, N) and its spectra (2, N/2+1),
+    the dealias weights and the _rfft handle.  rates, step and check_cfl
+    call it, or its bound f and g, and none enters more than one
+    np.errstate per call.  A step runs in buffers allocated here, once:
+    those of the rate, the lifted spectrum (3, N/2+1) and the nodal block
+    (3, N) of stages 2-4, the stage rates k1-k4, the stage spectrum and
+    the accumulator of the rate sum.  rates(..., out=) writes the rate
+    into out; without out it returns a fresh array.  Nothing that rates,
+    state or step returns shares a buffer of the stepper.
     """
 
     def __init__(self, grid: Grid, eq: EquationSpec, dealias: bool = True,
@@ -424,19 +431,49 @@ class Stepper:
         self.grid = grid
         self.program = eq.program
         self.loci = eq.loci
-        self._env = {"u": None, "ux": None, "x": grid.x}
         self.guard_floor = guard_floor
         mask = grid.dealias_mask if dealias else np.ones_like(grid.k)
         # m_hat_t = weights[0]*rfft(f*m) + weights[1]*rfft(g*m)
         self.weights = np.stack([-mask, -mask * grid.ik])
         modes = grid.n // 2 + 1
-        self._products = np.empty((2, grid.n))
-        self._spectra = np.empty((2, modes), dtype=complex)
         self._lifted = np.empty((3, modes), dtype=complex)
         self._nodes = np.empty((3, grid.n))
         self._k = np.empty((4, modes), dtype=complex)
         self._stage = np.empty(modes, dtype=complex)
         self._sum = np.empty(modes, dtype=complex)
+        # f, g and each locus of the equation, summed, at (u, u_x)
+        self._values = self.program.bind(("u", "ux"), {"x": grid.x})
+        self._rate = self._bind_rate()
+
+    def _bind_rate(self):
+        """The stage rate (u, ux, m, out) -> m_hat_t, without np.errstate."""
+        values, weights, x, floor = self._values, self.weights, self.grid.x, self.guard_floor
+        loci = self.loci if floor > 0.0 else ()
+        products = np.empty((2, self.grid.n))
+        spectra = np.empty((2, self.grid.n // 2 + 1), dtype=complex)
+        (f_product, g_product), (f_spectrum, g_spectrum) = products, spectra
+        rfft, multiply, add, isfinite = _rfft, np.multiply, np.add, math.isfinite
+
+        def rate(u, ux, m, out):
+            fv, gv, *on_loci = values(u, ux)
+            for locus, value in zip(loci, on_loci):
+                distance = locus.distance(value)
+                if distance.min() < floor:
+                    raise SingularHit(f"{locus} fell below the floor {floor:g}",
+                                      float(x[distance.argmin()]))
+            multiply(fv, m, out=f_product)
+            multiply(gv, m, out=g_product)
+            rfft(products, spectra)
+            # mode 0 of a row is its sum (real), non-finite whenever one of
+            # its products is; a non-finite f or g makes its product
+            # non-finite, and a finite product that overflows is not a hit
+            if not isfinite(f_spectrum[0].real + g_spectrum[0].real):
+                bad = np.flatnonzero(~(np.isfinite(fv) & np.isfinite(gv)))
+                if bad.size:
+                    raise SingularHit("f or g is non-finite on the grid", float(x[bad[0]]))
+            multiply(weights, spectra, out=spectra)
+            return add(f_spectrum, g_spectrum, out=out)
+        return rate
 
     def _nodal(self, mh: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         return _irfft(np.multiply(self.grid.lift, mh, out=self._lifted), self.grid.n, out)
@@ -446,58 +483,35 @@ class Stepper:
         u, ux, m = self._nodal(mh)
         return GridState(t, m, u, ux)
 
-    def _terms(self, u: np.ndarray, ux: np.ndarray) -> list:
-        """The term values of f, g and each singular locus on the grid."""
-        self._env["u"], self._env["ux"] = u, ux
-        return self.program(self._env)
-
     def rates(self, u: np.ndarray, ux: np.ndarray, m: np.ndarray,
               out: np.ndarray | None = None) -> np.ndarray:
         """m_hat_t at the nodal state (u, u_x, m), written into out if given."""
-        x = self.grid.x
-        f_terms, g_terms, *loci = self._terms(u, ux)
-        if loci and self.guard_floor > 0.0:
-            for locus, terms in zip(self.loci, loci):
-                distance = locus.distance(_sum_terms(terms))
-                if distance.min() < self.guard_floor:
-                    raise SingularHit(f"{locus} fell below the floor {self.guard_floor:g}",
-                                      float(x[distance.argmin()]))
-        fv, gv = _sum_terms(f_terms), _sum_terms(g_terms)
-        products = self._products
-        np.multiply(fv, m, out=products[0])
-        np.multiply(gv, m, out=products[1])
-        spectra = _rfft(products, self._spectra)
-        # mode 0 of a row is its sum (real), non-finite whenever one of
-        # its products is; a non-finite f or g makes its product
-        # non-finite, and a finite product that overflows is not a hit
-        if not math.isfinite(spectra[0, 0].real + spectra[1, 0].real):
-            bad = np.flatnonzero(~(np.isfinite(fv) & np.isfinite(gv)))
-            if bad.size:
-                raise SingularHit("f or g is non-finite on the grid", float(x[bad[0]]))
-        np.multiply(self.weights, spectra, out=spectra)
-        return np.add(spectra[0], spectra[1], out=out)
+        with np.errstate(all="ignore"):
+            return self._rate(u, ux, m, out)
 
     def step(self, mh: np.ndarray, state: GridState, dt: float) -> np.ndarray:
         """m_hat one step on; `state` is the nodal state of mh (stage 1)."""
-        k, stage, total = self._k, self._stage, self._sum
-        self.rates(state.u, state.ux, state.m, out=k[0])
-        # stage i is mh + c*dt*k[i-1], the operations of mh + c * dt * k
-        for i, c in ((1, 0.5), (2, 0.5), (3, 1.0)):
-            np.multiply(k[i - 1], c * dt, out=stage)
-            np.add(mh, stage, out=stage)
-            self.rates(*self._nodal(stage, out=self._nodes), out=k[i])
-        # mh + (dt/6) * (((k1 + 2*k2) + 2*k3) + k4)
-        np.multiply(k[1], 2.0, out=total)
-        np.add(k[0], total, out=total)
-        np.multiply(k[2], 2.0, out=stage)
-        np.add(total, stage, out=total)
-        np.add(total, k[3], out=total)
-        np.multiply(total, dt / 6.0, out=total)
-        return np.add(mh, total)
+        rate, k, stage, total = self._rate, self._k, self._stage, self._sum
+        with np.errstate(all="ignore"):
+            rate(state.u, state.ux, state.m, k[0])
+            # stage i is mh + c*dt*k[i-1], the operations of mh + c * dt * k
+            for i, c in ((1, 0.5), (2, 0.5), (3, 1.0)):
+                np.multiply(k[i - 1], c * dt, out=stage)
+                np.add(mh, stage, out=stage)
+                rate(*self._nodal(stage, out=self._nodes), k[i])
+            # mh + (dt/6) * (((k1 + 2*k2) + 2*k3) + k4)
+            np.multiply(k[1], 2.0, out=total)
+            np.add(k[0], total, out=total)
+            np.multiply(k[2], 2.0, out=stage)
+            np.add(total, stage, out=total)
+            np.add(total, k[3], out=total)
+            np.multiply(total, dt / 6.0, out=total)
+            return np.add(mh, total)
 
     def check_cfl(self, state: GridState, dt: float):
         """Warn when dt*max|g|*N/L > 1, at the line calling run."""
-        gmax = float(np.max(np.abs(_sum_terms(self._terms(state.u, state.ux)[1]))))
+        with np.errstate(all="ignore"):
+            gmax = float(np.max(np.abs(self._values(state.u, state.ux)[1])))
         if dt * gmax * self.grid.n / self.grid.length > 1.0:
             warnings.warn("CFL sanity exceeded: dt*max|g|*N/L > 1", RuntimeWarning, stacklevel=3)
 
@@ -577,7 +591,6 @@ def run(config: SimConfig, *, m0: np.ndarray | None = None) -> SimResult:
     stepper = Stepper(grid, config.equation, config.dealias, config.min_u_floor)
     mh = _rfft(m0)
     state = stepper.state(mh, 0.0)
-    stepper.check_cfl(state, config.dt)
 
     n_steps = int(round(config.t_final / config.dt))
     series_every = 1
@@ -595,9 +608,11 @@ def run(config: SimConfig, *, m0: np.ndarray | None = None) -> SimResult:
         snapshots.append((state.t, state.u.copy(), state.m.copy()))
 
     status, message = STATUS_COMPLETED, ""
-    # a stage transforms its products before it tests them, and a row holding
-    # both +inf and -inf makes rfft warn; the stage then reports the hit
-    with np.errstate(invalid="ignore"):
+    # one errstate for the run: f and g at a pole, the nodal state of a
+    # non-finite spectrum and its series give inf or NaN, which the loop
+    # reports as a status; step and check_cfl hold their own as well
+    with np.errstate(all="ignore"):
+        stepper.check_cfl(state, config.dt)
         for step in range(1, n_steps + 1):
             try:
                 mh = stepper.step(mh, state, config.dt)

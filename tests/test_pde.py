@@ -202,6 +202,35 @@ def test_unguarded_singular_run_ends_without_a_numpy_warning():
     assert [str(w.message) for w in record] == ["CFL sanity exceeded: dt*max|g|*N/L > 1"]
 
 
+@pytest.mark.parametrize("f, g", [("ux/u^3", "1/u^2"), ("ux", "ln(u^2)-ln(u^4)"), ("ux + 0.5*ux/u", "u + 1/u")])
+@pytest.mark.parametrize("floor", [0.0, 1e-3])
+def test_no_numpy_warning_escapes_a_pole(f, g, floor):
+    # f or g at a node with u = 0 divides by zero and makes NaN; rates and
+    # step raise SingularHit, with or without the guard, and neither they
+    # nor run let a numpy RuntimeWarning out
+    eq = EquationSpec.from_strings(f, g)
+    grid = Grid(2 * math.pi, 16)
+    stepper = pde.Stepper(grid, eq, guard_floor=floor)
+    u, ux = np.cos(grid.x), -np.sin(grid.x)
+    u[4] = 0.0
+    state = GridState(0.0, 2.0 * u, u, ux)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: stepper.rates(u, ux, state.m),
+                     lambda: stepper.step(np.fft.rfft(state.m), state, 1e-3)):
+            with pytest.raises(pde.SingularHit):
+                call()
+    cfg = SimConfig(length=1.0, n=16, dt=1e-3, t_final=1e-2, equation=eq, min_u_floor=floor,
+                    initial={"kind": "cosine_offset", "params": {"offset": 0.0, "amplitude": 1e-120}})
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        res = run(cfg)
+    assert [str(w.message) for w in record if "CFL" not in str(w.message)] == []
+    # u ~ 1e-120 is a pole of every f or g here but the guardless sum,
+    # where ux/u stays finite
+    assert res.status == (STATUS_COMPLETED if (floor, g) == (0.0, "u + 1/u") else STATUS_SINGULAR)
+
+
 def test_non_finite_step_stops_the_run(monkeypatch):
     # a step whose spectrum is not finite, with every stage rate finite,
     # ends the run at the nodal check; the series keeps the steps before it
@@ -589,6 +618,12 @@ STEPPER_CASES = {
                          initial={"kind": "cosine_offset", "params": {"offset": 2.0, "amplitude": 0.5}}),
     "camassa_holm_n2048": dict(length=40.0, n=2048, dt=1e-3, equation=CH,
                                initial={"kind": "gaussian", "params": {"center": 17.3}}),
+    # guarded sums, with a guard that never trips: two loci, and terms
+    # summed in f and in g
+    "two_loci": dict(length=40.0, n=128, dt=1e-3, equation=EquationSpec.from_strings("ux", "ln(u^2)-ln(u^4)"),
+                     initial={"kind": "cosine_offset", "params": {"offset": 2.0, "amplitude": 0.5}}),
+    "sums": dict(length=40.0, n=128, dt=1e-3, equation=EquationSpec.from_strings("ux + 0.5*ux/u", "u + 1/u"),
+                 initial={"kind": "cosine_offset", "params": {"offset": 2.0, "amplitude": 0.5}}),
 }
 
 
@@ -597,6 +632,7 @@ STEPPER_CASES = {
     ("singular", True), ("singular", False),
     ("solitary", True), ("peakon", True),
     ("singular_n16", True), ("camassa_holm_n2048", True),
+    ("two_loci", True), ("sums", True), ("sums", False),
 ])
 def test_run_equals_plain_stepper(case, dealias, plain_run):
     steps = 50
