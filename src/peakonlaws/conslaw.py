@@ -43,7 +43,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
@@ -144,6 +143,11 @@ class EquationSpec:
         """f, g and then each of loci as one Program, for the split and the solver."""
         return ex.Program([self.bound_f, self.bound_g], with_loci=True)
 
+    @cached_property
+    def upsilon(self) -> Expr:
+        """The defining expression m_t + f*m + D_x(g*m); zero exactly on solutions."""
+        return add(var("mt"), mul(self.bound_f, _M), d_x(mul(self.bound_g, _M)))
+
     @staticmethod
     def from_strings(f: str, g: str, params: dict | None = None) -> "EquationSpec":
         params = dict(params or {})
@@ -151,8 +155,8 @@ class EquationSpec:
 
 
 def upsilon(eq: EquationSpec) -> Expr:
-    """The defining expression m_t + f*m + D_x(g*m); zero exactly on solutions."""
-    return add(var("mt"), mul(eq.bound_f, _M), d_x(mul(eq.bound_g, _M)))
+    """EquationSpec.upsilon of eq."""
+    return eq.upsilon
 
 
 @dataclass(frozen=True)
@@ -219,9 +223,9 @@ def _templates() -> dict:
 def _weights() -> tuple:
     """The template weights, compiled once per process.
 
-    (program, forms, layout): one Program over the distinct weights, their
-    exact normal forms, and {(condition, m-monomial): ((weight index,
-    (function, i, j)), ...)} in template order.
+    (weights, forms, layout): one Program over the distinct weights, bound
+    to (u, ux), their exact normal forms, and {(condition, m-monomial):
+    ((weight index, (function, i, j)), ...)} in template order.
     """
     weights, index, layout = [], {}, {}
     for name, split in _templates().items():
@@ -231,7 +235,7 @@ def _weights() -> tuple:
                     index[w] = len(weights)
                     weights.append(w)
             layout[name, mono] = tuple((index[w], (p.of, p.i, p.j)) for p, w in pairs)
-    return ex.Program(weights), ex.poly_normal_forms(weights), layout
+    return ex.Program(weights).bind(("u", "ux"), {}), ex.poly_normal_forms(weights), layout
 
 
 def _partial_forms(forms: list, supports: list) -> dict:
@@ -269,9 +273,9 @@ class _SplitConditions:
 
     forms maps (condition, m-monomial) to the coefficient's exact normal
     form: {} for an exact zero, None when it is not polynomial.  The
-    coefficients that are not exact zeros are sampled together, once, and
-    each votes on its own row of samples.values and samples.scales (its
-    largest |weight * partial|).
+    coefficients that are not exact zeros are sampled together, once, as
+    the rows of one stacked block, and one vote decides each row of
+    samples.values and samples.scales (its largest |weight * partial|).
     An equation's split comes from _split_conditions; tested splits
     coefficient expressions given whole, as the synthetic conditions of
     the tests.
@@ -288,9 +292,9 @@ class _SplitConditions:
         pending = [k for k, nf in forms.items() if nf != {}]
         samples = sample(pending) if pending else None
         verdicts = {k: ZeroVerdict("zero", 0.0, None, exact=True) for k in forms}
-        for row, k in enumerate(pending):
-            v = ex.vote(samples, samples.values[row], samples.scales[row], policy.rel_tol)
-            verdicts[k] = _named(v, k[1])
+        if pending:
+            for k, v in zip(pending, ex.vote(samples, samples.values, samples.scales, policy.rel_tol)):
+                verdicts[k] = _named(v, k[1])
         return _SplitConditions(forms, samples, {k: row for row, k in enumerate(pending)}, verdicts)
 
     @staticmethod
@@ -380,15 +384,15 @@ def _split_conditions(eq: EquationSpec, policy: SamplingPolicy) -> _SplitConditi
         jet_of = np.array(["fg".index(of) for _, (of, _, _) in pairs])
         jet_row = np.array([ex.JET.index((i, j)) for _, (_, i, j) in pairs])
         factorial = np.array([math.factorial(i) * math.factorial(j) for _, (_, i, j) in pairs], dtype=float)
-        bounds = np.cumsum([len(live[k]) for k in pending])[:-1]
+        starts = np.cumsum([0] + [len(live[k]) for k in pending[:-1]])
 
         def block(env: dict, count: int) -> tuple:
             f_jet, g_jet, *loci = fg.taylor(env)
             w = np.empty((len(weight_forms), count))
-            for row, ts in zip(w, weights(env)):
-                row[:] = functools.reduce(operator.add, ts)
+            for row, v in zip(w, weights(env["u"], env["ux"])):
+                row[:] = v
             values = w[w_rows] * (np.array([f_jet, g_jet])[jet_of, jet_row] * factorial[:, None])
-            return np.split(values, bounds), [locus.distance(jet[0]) for locus, jet in zip(eq.loci, loci)]
+            return values, starts, [locus.distance(jet[0]) for locus, jet in zip(eq.loci, loci)]
 
         return ex.sample(block, policy, ("u", "ux"))
 
@@ -491,13 +495,13 @@ def _candidate_verdict(split: _SplitConditions, mu: float, nu: float, rel_tol: f
         w_forms = [{(): poly._dyadic(w)} if w else {} for w in weights]
         if not any(functools.reduce(poly._padd, map(poly._pmul, row_forms, w_forms)) for row_forms in forms):
             return ZeroVerdict("zero", 0.0, None, exact=True)
-    verdicts = []
-    for row, keys in zip(_AFFINE_ROWS, rows):
+    values, scales = [], []
+    for keys in rows:
         (a, b, c), (sa, sb, sc) = split.at_points(keys)
-        values = weights[0] * a + weights[1] * b + c
-        scales = np.maximum(np.maximum(abs(weights[0]) * sa, abs(weights[1]) * sb), sc)  # sc >= 1
-        verdicts.append(_named(ex.vote(split.samples, values, scales, rel_tol), row))
-    return _all_zero(verdicts)
+        values.append(weights[0] * a + weights[1] * b + c)
+        scales.append(np.maximum(np.maximum(abs(weights[0]) * sa, abs(weights[1]) * sb), sc))  # sc >= 1
+    verdicts = ex.vote(split.samples, np.array(values), np.array(scales), rel_tol)
+    return _all_zero([_named(v, row) for v, row in zip(verdicts, _AFFINE_ROWS)])
 
 
 def _judged(v: ZeroVerdict, kind: str, mu=None, nu=None, direction=None) -> GradEnergySolutions:
@@ -582,18 +586,23 @@ class ConservedCurrent:
         }
 
 
-def _pole_coefficient(w: Expr) -> float:
+_POLE_U, _POLE_UX = 1.3, 0.6
+# where _pole_coefficient reads w: (u, ux) and (u, -ux), off the loci u = 0 and u^2 = ux^2
+_POLE_POINTS = {"u": np.array([_POLE_U, _POLE_U]), "ux": np.array([_POLE_UX, -_POLE_UX])}
+
+
+def _pole_coefficient(terms: list) -> float:
     """Coefficient f0 of the u/(u^2-ux^2) pole in w = ux*q(u^2-ux^2) + f0*u/(u^2-ux^2).
 
-    The regular part is odd in ux and the pole term even, so f0 is the
-    ux-even part of w times (u^2-ux^2)/u, read at one point off the loci
-    u = 0 and u^2 = ux^2.  Snapped to a nearby small rational when one
-    matches.  For a w of another form the value is meaningless; no current
-    comes of it, because the recognizer rejects what is left.
+    terms are w's top-level terms at _POLE_POINTS, summed by fsum as in
+    ex.evaluate.  The regular part is odd in ux and the pole term even, so
+    f0 is the ux-even part of w times (u^2-ux^2)/u.  Snapped to a nearby
+    small rational when one matches.  For a w of another form the value is
+    meaningless; no current comes of it, because the recognizer rejects
+    what is left.
     """
-    u0, ux0 = 1.3, 0.6
-    plus, minus = ex.evaluate(w, {"u": np.array([u0, u0]), "ux": np.array([ux0, -ux0])})
-    est = 0.5 * float(plus + minus) * (u0 * u0 - ux0 * ux0) / u0
+    plus, minus = (ex._fsum(col) for col in np.array([np.broadcast_to(t, (2,)) for t in terms]).T)
+    est = 0.5 * float(plus + minus) * (_POLE_U * _POLE_U - _POLE_UX * _POLE_UX) / _POLE_U
     if not math.isfinite(est):
         return 0.0
     snapped = Fraction(est).limit_denominator(1000)
@@ -643,6 +652,21 @@ class _Recognized:
                      else mul(const(float(c) / float(r + 1)), pow_(self.arg, r + 1)) for c, r in self.terms))
 
 
+# the normal form of y = u^2 - ux^2
+_Y_FORM = {(("u", 2),): (1, 0), (("ux", 2),): (-1, 0)}
+
+
+def _ux_q_form(rec: _Recognized) -> dict:
+    """The normal form of ux*q(u^2-ux^2) for rec's polynomial q, with the float coefficients rec.expr() holds."""
+    form, power = {}, {(("ux", 1),): (1, 0)}  # power is ux*y^k
+    for c, _ in rec.terms:
+        coeff = poly._dyadic(float(c))
+        if coeff is not None:  # a zero coefficient adds no monomial
+            form = poly._padd(form, poly._pmul(power, {(): coeff}))
+        power = poly._pmul(power, _Y_FORM)
+    return form
+
+
 def _poly_in_y_exact(w: Expr) -> _Recognized | None:
     """q with w = ux * q(u^2-ux^2) for a polynomial q, exactly; else None."""
     nf = ex.poly_normal_form(w)
@@ -650,7 +674,7 @@ def _poly_in_y_exact(w: Expr) -> _Recognized | None:
         return None
     # candidate q from w's ux*u^(2k) monomials, which are ux*q(u^2)
     rec = _Recognized.polynomial(_Y, _coefficients(nf, {"ux": 1}, 2))
-    return rec if ex.poly_normal_form(sub(w, mul(_UX, rec.expr()))) == {} else None
+    return rec if _ux_q_form(rec) == nf else None
 
 
 _VALIDATION_POLICY = SamplingPolicy(seed=1299827)
@@ -734,10 +758,11 @@ def flux_momentum(eq: EquationSpec) -> ConservedCurrent | None:
     Requires f = ux*f1(u^2-ux^2) + f0*u/(u^2-ux^2) with f1 a polynomial or
     a single rational power c*y^r of y = u^2-ux^2 (r = -1 integrates to a
     logarithm).  f0 is read off the ux-parity: the pole term is the
-    ux-even part of f (see _pole_coefficient).
+    ux-even part of f (see _pole_coefficient), read from eq.program.
     """
     f = eq.bound_f
-    f0 = _pole_coefficient(f)
+    with np.errstate(all="ignore"):  # Program enters none
+        f0 = _pole_coefficient(eq.program(_POLE_POINTS)[0])
     f_reg = sub(f, mul(const(f0), div(_U, _Y))) if f0 else f
     rec = _recognize_y_function(f_reg)
     if rec is None:
@@ -757,7 +782,7 @@ def flux_h1(eq: EquationSpec) -> ConservedCurrent | None:
     """
     f, g = eq.bound_f, eq.bound_g
     w = sub(mul(_U, f), mul(_UX, g))
-    h0 = _pole_coefficient(w)
+    h0 = _pole_coefficient(ex.compile_terms(w)(_POLE_POINTS))
     w_reg = sub(w, mul(const(h0), div(_U, _Y))) if h0 else w
     rec = _recognize_y_function(w_reg)
     if rec is None:

@@ -20,9 +20,8 @@ the expressions of one call as one program.  Program.taylor runs the
 same straight-line code on truncated bivariate Taylor jets in (u, ux) of
 degree 3, and gives every partial derivative up to order 3 of each
 expression at once, with the structurally zero ones exactly 0.  There is
-one sampler: sample draws seeded jet points shared by a sequence of
-expressions (or rows of a block evaluator) and judges the candidates a
-block at a time; sample_points is its view for one expression.
+one sampler: sample draws seeded jet points shared by the rows of one
+stacked block; sample_points is its view for one expression.
 singular_loci reads the poles and branch points off the tree, for the
 sampler and the solver; a Program built with_loci reads them off the
 walk that compiles it.
@@ -51,9 +50,8 @@ builds a determining condition once for a generic f, whose normal form
 reads off each placeholder's weight.
 
 Everything else here is immutable and side-effect free; randomized zero
-testing takes an explicit SamplingPolicy carrying its own seed.  is_zero
-tries the polynomial normal form first, and vote is its verdict rule on
-sampled values.
+testing takes an explicit SamplingPolicy carrying its own seed, and
+is_zero tries the polynomial normal form before the vote.
 """
 
 from __future__ import annotations
@@ -919,12 +917,7 @@ def evaluate(e: Expr, point: Mapping) -> float | np.ndarray:
 
 
 def evaluate_with_scale(e: Expr, point: Mapping[str, float]) -> tuple[float, float]:
-    """Value plus cancellation scale.
-
-    The scale is max(1, |largest top-level additive term|); residuals in
-    zero tests are judged relative to it so that massive cancellations do
-    not masquerade as exact zeros.
-    """
+    """The value at point and its scale max(1, |largest top-level term|), as sample gives them."""
     vals = [float(v) for v in compile_terms(e)(point)]
     return _fsum(vals), max(1.0, *map(abs, vals))
 
@@ -1284,36 +1277,39 @@ class Samples(NamedTuple):
 def sample(exprs, policy: SamplingPolicy, names: Sequence[str] = ()) -> Samples:
     """Draw the first n_points admissible points for every symbol of exprs.
 
-    Candidates are read in order from the seeded stream (per candidate,
-    uniform values, then random signs), so the points depend only on the
-    seed, low, high and the number of symbols; the stream is drawn once
-    per process and shared by every call with those four (_candidates).
-    They are judged a block at a time: a candidate is admissible at least
-    delta away from every singular locus (Locus.distance) where every
-    term of every row evaluates finitely.  At most max_tries * n_points
-    candidates are read.  exprs is either a sequence of expressions,
-    compiled with their singular_loci (Program with_loci) as one Program
-    once per call, each a row of its top-level terms; or a block evaluator, a
-    callable (env, count) -> (rows, distances) over the coordinates names:
-    one (terms, count) array per row, one array of distances per locus.
+    Candidates are read in order from the seeded stream (_candidates), so
+    the points depend only on the seed, low, high and the number of
+    symbols.  They are judged a block at a time: a candidate is admissible
+    at least delta away from every singular locus (Locus.distance) where
+    every term of every row evaluates finitely.  At most max_tries *
+    n_points candidates are read.  exprs is either a sequence of
+    expressions, compiled with their singular_loci as one Program, each a
+    row of its top-level terms; or a block evaluator (env, count) ->
+    (terms, starts, distances) over the coordinates names: every row's
+    terms stacked in one (terms, count) array, row r from starts[r] to the
+    next start (one term at least), and an array of distances per locus.
     Either is called once per block.
     """
     if callable(exprs):
         block, names = exprs, list(names)
     else:
         program = Program(exprs, with_loci=True)
-        loci = program.loci
+        loci, rows = program.loci, len(exprs)
+        starts = np.cumsum([0] + [len(e.terms) if isinstance(e, Add) else 1 for e in exprs[:-1]])
         names = []
         for kind in ("variable", "parameter"):
             names += sorted(name for _, name, k in program._loads if k == kind)
 
         def block(env, count):
             values = program(env)
-            rows = [np.array([np.broadcast_to(v, (count,)) for v in ts]) for ts in values[:len(exprs)]]
-            return rows, [locus.distance(reduce(operator.add, ts)) for locus, ts in zip(loci, values[len(exprs):])]
+            flat = [v for ts in values[:rows] for v in ts]
+            terms = np.empty((len(flat), count))
+            for i, v in enumerate(flat):
+                terms[i] = v
+            return terms, starts, [locus.distance(reduce(operator.add, ts)) for locus, ts in zip(loci, values[rows:])]
 
     n, dim, budget = policy.n_points, len(names), policy.max_tries * policy.n_points
-    chosen, terms, found, tries = [], None, 0, 0
+    chosen, taken, found, tries = [], [], 0, 0
     while found < n:
         if tries >= budget:
             raise SingularSamplingError(
@@ -1324,21 +1320,18 @@ def sample(exprs, policy: SamplingPolicy, names: Sequence[str] = ()) -> Samples:
         tries += count
         pts = _candidates(policy, dim, tries, budget)[tries - count:tries]
         with np.errstate(all="ignore"):  # an overflow is inf, and rejects the candidate
-            rows, distances = block(dict(zip(names, pts.T)), count)
-        admissible = np.ones(count, dtype=bool)
+            terms, starts, distances = block(dict(zip(names, pts.T)), count)
+        admissible = np.isfinite(terms).all(axis=0)
         for d in distances:
             admissible &= ~(d < policy.delta)
-        for v in rows:
-            admissible &= np.isfinite(v).all(axis=0)
         take = np.flatnonzero(admissible)[: n - found]
         found += len(take)
         chosen.append(pts[take])
-        terms = terms or [[] for _ in rows]
-        for cols, v in zip(terms, rows):
-            cols.append(v[:, take])
-    rows = [np.concatenate(cols, axis=1) for cols in terms]  # (terms, n_points) per row
-    values = np.array([[_fsum(col) for col in r.T.tolist()] for r in rows])
-    scales = np.array([np.maximum(1.0, np.abs(r).max(axis=0)) for r in rows])
+        taken.append(terms[:, take])
+    terms = np.concatenate(taken, axis=1)
+    columns, ends = terms.T.tolist(), [*starts[1:], len(terms)]
+    values = np.array([[_fsum(col[a:b]) for col in columns] for a, b in zip(starts, ends)])
+    scales = np.maximum(1.0, np.maximum.reduceat(np.abs(terms), starts, axis=0))
     return Samples(names, np.concatenate(chosen).reshape(n, dim), values, scales)
 
 
@@ -1351,25 +1344,25 @@ def sample_points(e: Expr, policy: SamplingPolicy) -> list[dict]:
     ]
 
 
-def vote(samples: Samples, values: np.ndarray, scales: np.ndarray, rel_tol: float) -> ZeroVerdict:
-    """The zero-test verdict of values, one per point of samples.
+def vote(samples: Samples, values: np.ndarray, scales: np.ndarray, rel_tol: float) -> list:
+    """The zero-test verdict of each row of values, a (rows, points) block over the points of samples.
 
-    A point votes "zero" when |value| <= rel_tol * scale.  All points must
-    agree; a split vote is reported as indeterminate, never resolved
-    silently.  residual_max is the largest |value| / scale, and the
-    witness of a verdict other than zero is the last point attaining it,
-    with its value and scale.
+    A point votes "zero" when |value| <= rel_tol * scale.  All points of a
+    row must agree; a split vote is reported as indeterminate, never
+    resolved silently.  residual_max is the row's largest |value| / scale,
+    and the witness of a verdict other than zero is the last point
+    attaining it, with its value and scale.  Every row is decided at once.
     """
     rel = np.abs(values) / scales
-    votes_zero = int(np.count_nonzero(rel <= rel_tol))
-    worst = len(rel) - 1 - int(np.argmax(rel[::-1]))
-    res_max = float(rel[worst])
-    if votes_zero == len(rel):
-        return ZeroVerdict("zero", res_max, None)
-    witness = dict(zip(samples.names, samples.points[worst]))
-    witness["value"] = float(values[worst])
-    witness["scale"] = float(scales[worst])
-    return ZeroVerdict("nonzero" if votes_zero == 0 else "indeterminate", res_max, witness)
+    n, rows = rel.shape[1], range(len(rel))
+    worst = n - 1 - np.argmax(rel[:, ::-1], axis=1)
+    out = []
+    for r, w, res_max, zeros in zip(rows, worst.tolist(), rel[rows, worst].tolist(),
+                                    np.count_nonzero(rel <= rel_tol, axis=1).tolist()):
+        witness = None if zeros == n else {**dict(zip(samples.names, samples.points[w])),
+                                           "value": float(values[r, w]), "scale": float(scales[r, w])}
+        out.append(ZeroVerdict("zero" if zeros == n else "indeterminate" if zeros else "nonzero", res_max, witness))
+    return out
 
 
 def is_zero(e: Expr, policy: SamplingPolicy | None = None) -> ZeroVerdict:
@@ -1384,7 +1377,7 @@ def is_zero(e: Expr, policy: SamplingPolicy | None = None) -> ZeroVerdict:
     if nf is not None and not nf:
         return ZeroVerdict("zero", 0.0, None, exact=True)
     s = sample([e], policy)
-    return vote(s, s.values[0], s.scales[0], policy.rel_tol)
+    return vote(s, s.values, s.scales, policy.rel_tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -226,9 +227,11 @@ def test_split_takes_no_diff_and_builds_no_tree(monkeypatch, f, g, generic):
     assert len(forms) == 1 and [id(e) for e in forms[0]] == [id(t) for t in terms]
     assert count["taylor"] == count["block"] >= 1
     sampled = [k for k, nf in split.forms.items() if nf != {}]
-    # a row per sampled coefficient, and the distances from the singular
-    # loci of f and g, read from the same Taylor pass
-    rows, distances = blocks[0]
+    # a row per sampled coefficient, stacked in one block from its start,
+    # and the distances from the singular loci of f and g, read from the
+    # same Taylor pass
+    terms, starts, distances = blocks[0]
+    rows = np.split(terms, starts[1:])
     assert len(rows) == len(sampled) and len(distances) == len(eq.loci)
     if generic:  # no partial of f up to order 2 or of g up to order 3 is zero
         assert sampled == list(split.forms)
@@ -867,7 +870,37 @@ def test_power_family_momentum_flux(f):
 @pytest.mark.parametrize("f0", ["0", "1", "-1/2", "2/3"])
 def test_pole_coefficient_reads_the_even_part(f1, f0):
     w = parse(f"{f1} + ({f0})*u/(u^2-ux^2)")
-    assert conslaw._pole_coefficient(w) == float(Fraction(f0))
+    assert conslaw._pole_coefficient(ex.compile_terms(w)(conslaw._POLE_POINTS)) == float(Fraction(f0))
+
+
+@pytest.mark.parametrize("f", ["ux*(0.7-1.3*(u^2-ux^2)+0.4*(u^2-ux^2)^2)", "ux + u/(u^2-ux^2)",
+                               "-2*ux*(u^2-ux^2) - 0.5*u/(u^2-ux^2)"])
+def test_warm_flux_momentum_compiles_no_program(monkeypatch, f):
+    # f0 is read from the equation's Program, and q is checked on the
+    # normal form already taken: a warm momentum current compiles nothing
+    eq = EquationSpec.from_strings(f, "u^2")
+    assert classify(eq, POL).momentum.conserved is True
+    built = []
+
+    class CountingProgram(ex.Program):
+        def __init__(self, exprs, **kwargs):
+            built.append(list(exprs))
+            super().__init__(exprs, **kwargs)
+
+    monkeypatch.setattr(ex, "Program", CountingProgram)
+    cur = flux_momentum(eq)
+    monkeypatch.undo()
+    assert cur is not None and built == []
+    assert characteristic_check(cur, eq, POL).conserved is True
+
+
+@pytest.mark.parametrize("f", ["ux*sqrt(ux)", "ux + 1/(u - 1.3)"])
+def test_flux_momentum_lets_no_numpy_warning_out(f):
+    # the pole points (1.3, +-0.6) meet a domain edge or a pole of these f
+    eq = EquationSpec.from_strings(f, "u")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert flux_momentum(eq) is None
 
 
 @pytest.mark.parametrize("h", ["exp(u^2-ux^2)", "(u^2-ux^2)^2", "(u^2-ux^2)^-2", "1+u^2-ux^2"])
@@ -969,6 +1002,20 @@ def test_upsilon_shape():
 
     vars_present = {v.name for v in jet_vars(upsilon(CH))}
     assert "mt" in vars_present and "mx" in vars_present
+
+
+def test_upsilon_is_built_once_per_equation(monkeypatch):
+    # two characteristic checks on one equation take D_x(g*m) once
+    eq = EquationSpec.from_strings("ux*(u^2-ux^2) + u/(u^2-ux^2)", "u^2 - ux^2")
+    cur = flux_momentum(eq)
+    gm = ex.mul(eq.bound_g, ex.var("m"))
+    taken, real_dx = [], conslaw.d_x
+    monkeypatch.setattr(conslaw, "d_x", lambda e: taken.append(e) or real_dx(e))
+    for _ in range(2):
+        assert characteristic_check(cur, eq, POL).conserved is True
+    monkeypatch.undo()
+    assert taken.count(gm) == 1 and len(taken) == 3
+    assert upsilon(eq) is eq.upsilon
 
 
 # ---------------------------------------------------------------------------

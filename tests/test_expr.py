@@ -809,17 +809,47 @@ def test_sample_builds_one_program_per_call(monkeypatch, full_conditions):
 
 
 def test_vote_equals_the_point_loop(plain_vote):
-    # all zero, all nonzero, split votes, and ties for the largest residual
+    # all zero, all nonzero, split votes, and ties for the largest residual,
+    # each row of one block voted at once and one at a time
     rng = np.random.default_rng(8)
     s = expr.sample([parse("u*ux + a", ["a"])], SamplingPolicy(n_points=12, seed=8))
     scales = np.exp(rng.uniform(0.0, 3.0, 12))
-    for values in (np.zeros(12), 1e-12 * scales, rng.uniform(-1, 1, 12),
-                   np.where(np.arange(12) % 3, 1e-13, 0.5) * scales,
-                   np.where(np.arange(12) % 4, 0.25, -0.25) * scales):
-        got = expr.vote(s, values, scales, 1e-9)
+    block = np.array([np.zeros(12), 1e-12 * scales, rng.uniform(-1, 1, 12),
+                      np.where(np.arange(12) % 3, 1e-13, 0.5) * scales,
+                      np.where(np.arange(12) % 4, 0.25, -0.25) * scales])
+    batched = expr.vote(s, block, np.tile(scales, (len(block), 1)), 1e-9)
+    assert [v.status for v in batched] == ["zero", "zero", "nonzero", "indeterminate", "nonzero"]
+    for values, got in zip(block, batched, strict=True):
         want = plain_vote(s.names, s.points, values, scales, 1e-9)
-        assert got == want
+        assert got == want and expr.vote(s, values[None], scales[None], 1e-9) == [want]
         assert got.witness is None or all(type(got.witness[k]) is type(want.witness[k]) for k in want.witness)
+
+
+def test_sample_stacks_its_rows_in_one_block(plain_vote):
+    # rows of 1 (a constant, broadcast to every point), 2 and 5 top-level
+    # terms, and a locus |u^2 - ux^2| that rejects some of the candidates
+    exprs = [const(2.5), parse("u^2*ux - 1/ux"), parse("u + ux^3 - 2*u*ux + exp(u) + ux/(u^2 - ux^2)")]
+    assert [len(e.terms) if isinstance(e, Add) else 1 for e in exprs] == [1, 2, 5]
+    policy = SamplingPolicy(n_points=30, seed=6, delta=0.5)
+    s = expr.sample(exprs, policy)
+    u, ux = s.points.T
+    assert np.abs(u * u - ux * ux).min() >= policy.delta
+    stream = expr._candidates(policy, 2, policy.n_points, policy.max_tries * policy.n_points)
+    assert not _same_bits(s.points, stream[:policy.n_points])  # some candidates were rejected
+    # the reference: each row's terms from the Program at the points, one point at a time
+    with np.errstate(all="ignore"):
+        rows = expr.Program(exprs)(dict(zip(s.names, s.points.T)))
+    cols = [np.array([np.broadcast_to(t, (policy.n_points,)) for t in ts]).T for ts in rows]
+    assert _same_bits(s.values, np.array([[math.fsum(c) for c in r] for r in cols]))
+    assert _same_bits(s.scales, np.array([[max(1.0, *map(abs, c)) for c in r] for r in cols]))
+    assert _same_bits(s.values[0], np.full(policy.n_points, 2.5))
+    # one vote over a zero, a nonzero and a split row equals a vote per row
+    split = np.where(np.arange(policy.n_points) % 2, 0.0, s.values[2])
+    values = np.array([1e-12 * s.scales[0], s.values[1], split])
+    verdicts = expr.vote(s, values, s.scales, 1e-9)
+    assert [v.status for v in verdicts] == ["zero", "nonzero", "indeterminate"]
+    for row, got in enumerate(verdicts):
+        assert got == plain_vote(s.names, s.points, values[row], s.scales[row], 1e-9)
 
 
 
@@ -1062,18 +1092,20 @@ def _assert_forms_equal_as_rationals(got: list, want: list):
         assert {m: poly._rational(c) for m, c in g.items()} == w and list(g) == list(w)
 
 
-def _verdicts_pass_inputs(monkeypatch, cases) -> list:
-    """The inputs of every poly_normal_forms call of one verdicts pass: classify, then characteristic_check."""
-    calls = []
-    real = expr.poly_normal_forms
+def _verdicts_pass_inputs(monkeypatch, cases) -> tuple:
+    """The inputs of every poly_normal_forms call of one verdicts pass (classify, then
+    characteristic_check), and each q the momentum recognizer tried with its form of ux*q(y)."""
+    calls, built = [], []
+    real, real_built = expr.poly_normal_forms, conslaw._ux_q_form
     monkeypatch.setattr(expr, "poly_normal_forms", lambda exprs: calls.append(list(exprs)) or real(calls[-1]))
+    monkeypatch.setattr(conslaw, "_ux_q_form", lambda rec: built.append((rec, real_built(rec))) or built[-1][1])
     policy = SamplingPolicy(seed=42)
     for f, g in cases:
         eq = EquationSpec.from_strings(f, g)
         for cur in classify(eq, policy).fluxes:
             conslaw.characteristic_check(cur, eq, policy)
     monkeypatch.undo()
-    return calls
+    return calls, built
 
 
 @pytest.mark.parametrize("seed", [1, 4242])
@@ -1085,10 +1117,15 @@ def test_normal_forms_equal_the_fraction_oracle_on_a_verdicts_pass(seed, monkeyp
     finally:
         sys.path.remove(bench)
     cases = [(c.f, c.g) for c in workloads.reference_cases() + workloads.family_cases(seed)]
-    calls = _verdicts_pass_inputs(monkeypatch, cases)
-    assert len(calls) > 300
+    calls, built = _verdicts_pass_inputs(monkeypatch, cases)
+    assert len(calls) + len(built) > 300 and built
     for exprs in calls:
         _assert_forms_equal_as_rationals(expr.poly_normal_forms(exprs), fraction_normal_forms(exprs))
+    # the momentum recognizer builds the form of ux*q(y) from q's terms as
+    # dicts, and compares it with ==, so its monomial order is free
+    for rec, form in built:
+        (want,) = fraction_normal_forms([mul(var("ux"), rec.expr())])
+        _assert_forms_equal_as_rationals([dict(sorted(form.items()))], [dict(sorted(want.items()))])
 
 
 def test_normal_forms_equal_the_fraction_oracle_on_the_templates(fraction_normal_forms):

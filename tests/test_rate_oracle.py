@@ -24,12 +24,15 @@ leaves a residual of at most 3.6e-17 where it does, and of at least
 """
 
 import importlib
+import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from peakonlaws import conslaw
 from peakonlaws import expr as ex
 from peakonlaws.conslaw import EquationSpec, classify
 
@@ -125,3 +128,48 @@ def test_verdicts_agree_with_the_quadrature_rates(f, g):
         oracle_wh2 = bool(residual <= CONSERVED and abs(shift) > 1e-6)
         assert residual <= CONSERVED or residual >= NOT_CONSERVED_FIT
     assert rep.weighted_h2.conserved is oracle_wh2
+
+
+def _pole_coefficient_by_evaluate(w: ex.Expr) -> float:
+    """The pole coefficient of w as ex.evaluate reads it, a Program compiled for w alone."""
+    u0, ux0 = 1.3, 0.6
+    plus, minus = ex.evaluate(w, {"u": np.array([u0, u0]), "ux": np.array([ux0, -ux0])})
+    est = 0.5 * float(plus + minus) * (u0 * u0 - ux0 * ux0) / u0
+    if not math.isfinite(est):
+        return 0.0
+    snapped = Fraction(est).limit_denominator(1000)
+    return float(snapped) if abs(float(snapped) - est) <= 1e-6 * max(1.0, abs(est)) else est
+
+
+def test_momentum_recognizer_reads_what_a_fresh_expansion_reads(monkeypatch):
+    # f0 read from the equation's Program equals, to the bit, f0 read by
+    # evaluating f alone; and the recognizer's dict comparison of w with
+    # ux*q(y) accepts and rejects what a normal form of w - ux*q(y) does
+    seen = []
+    real = conslaw._poly_in_y_exact
+    monkeypatch.setattr(conslaw, "_poly_in_y_exact", lambda w: seen.append((w, real(w))) or seen[-1][1])
+    poles = []
+    for f, g in EQUATIONS:
+        eq = EquationSpec.from_strings(f, g)
+        with np.errstate(all="ignore"):
+            got = conslaw._pole_coefficient(eq.program(conslaw._POLE_POINTS)[0])
+        want = _pole_coefficient_by_evaluate(eq.bound_f)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), f
+        poles.append(want)
+        conslaw.flux_momentum(eq)
+        conslaw.flux_h1(eq)
+    monkeypatch.undo()
+    assert all(f0 for (f, _), f0 in zip(EQUATIONS, poles) if POLE in f) and len(seen) == 2 * len(EQUATIONS)
+    accepted = 0
+    for w, rec in seen:
+        nf = ex.poly_normal_form(w)
+        if nf is None:
+            assert rec is None
+            continue
+        want = conslaw._Recognized.polynomial(conslaw._Y, conslaw._coefficients(nf, {"ux": 1}, 2))
+        if ex.poly_normal_form(ex.sub(w, ex.mul(conslaw._UX, want.expr()))) == {}:
+            assert rec == want
+            accepted += 1
+        else:
+            assert rec is None
+    assert 0 < accepted < len(seen)
