@@ -705,13 +705,13 @@ def _power_fit(xs: np.ndarray, vals: np.ndarray) -> tuple[float, Fraction] | Non
     sgn = 1.0 if vals[0] > 0 else -1.0
     logs = np.log(sgn * vals)
     slopes = np.diff(logs) / np.diff(np.log(xs))
-    r = float(np.median(slopes))
+    r = ex._median(slopes)
     if np.max(np.abs(slopes - r)) > 1e-6 * max(1.0, abs(r)):
         return None
     rfrac = Fraction(r).limit_denominator(12)
     if abs(float(rfrac) - r) > 1e-6:
         return None
-    return sgn * float(np.median(np.exp(logs - float(rfrac) * np.log(xs)))), rfrac
+    return sgn * ex._median(np.exp(logs - float(rfrac) * np.log(xs))), rfrac
 
 
 def _recognize_y_function(w: Expr) -> _Recognized | None:

@@ -60,7 +60,7 @@ import math
 import numbers
 import operator
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -69,7 +69,8 @@ import numpy as np
 
 from . import taylor
 from .poly import _UNIT_COEFF, _accumulate, _dyadic, _pmul, _PolyT
-from .taylor import JET
+from .taylor import FN_NAMES, JET
+from .taylor import FN_UFUNCS as _FN_UFUNCS
 
 __all__ = [
     "ExprError",
@@ -127,8 +128,6 @@ __all__ = [
 # 4 x-derivatives of m and a single t-derivative
 MAX_M_XORDER = 4
 MAX_UJET_XORDER = 12
-
-FN_NAMES = ("exp", "ln", "sqrt", "sin", "cos", "arctanh")
 
 
 class ExprError(ValueError):
@@ -218,19 +217,21 @@ _PARSE_VARS = {
 # expression nodes
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Expr:
     """A node of an immutable expression tree.
 
     Nodes compare and hash by their fields, as a frozen dataclass does, but
     each node hashes its fields once, when it is built (its children have
     done so before it), and == returns at once on identity or on unequal
-    hashes, comparing the fields only when the hashes agree.
+    hashes, comparing the fields only when the hashes agree.  A node holds
+    slots for its fields and that hash, and no instance dict.
     """
 
+    _hash: int = field(init=False, repr=False)
+
     def __post_init__(self):
-        # until now the instance dict holds the fields alone, in order
-        object.__setattr__(self, "_hash", hash(tuple(self.__dict__.values())))
+        object.__setattr__(self, "_hash", hash(self._fields()))
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
@@ -284,7 +285,7 @@ class Expr:
         return to_source(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Const(Expr):
     value: float
 
@@ -292,20 +293,20 @@ class Const(Expr):
         object.__setattr__(self, "value", float(self.value))
         if not math.isfinite(self.value):
             raise ExprError("non-finite constant")
-        super().__post_init__()
+        Expr.__post_init__(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Param(Expr):
     name: str
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Var(Expr):
     v: JetVar
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Partial(Expr):
     """Placeholder for the partial d^i/du^i d^j/dux^j of an unknown function of (u, ux).
 
@@ -324,17 +325,17 @@ class Partial(Expr):
         return f"{self.of}_{self.i}{self.j}"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Add(Expr):
     terms: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Mul(Expr):
     factors: tuple
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Pow(Expr):
     base: Expr
     exp: Fraction
@@ -344,10 +345,10 @@ class Pow(Expr):
             object.__setattr__(self, "exp", Fraction(self.exp))
         if self.exp.denominator == 0:  # pragma: no cover - Fraction forbids this
             raise ExprError("zero-denominator exponent")
-        super().__post_init__()
+        Expr.__post_init__(self)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Fn(Expr):
     name: str
     arg: Expr
@@ -355,7 +356,7 @@ class Fn(Expr):
     def __post_init__(self):
         if self.name not in FN_NAMES:
             raise ExprError(f"unknown function {self.name!r}")
-        super().__post_init__()
+        Expr.__post_init__(self)
 
 
 ZERO = Const(0.0)
@@ -688,17 +689,6 @@ def substitute(e: Expr, table: Mapping[JetVar, Expr]) -> Expr:
 # evaluation
 
 
-# ufuncs on the domain of each function; NaN outside it
-_FN_UFUNCS = {
-    "exp": np.exp,
-    "ln": lambda x: np.log(np.where(x > 0, x, np.nan)),
-    "sqrt": np.sqrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "arctanh": lambda x: np.arctanh(np.where(np.abs(x) < 1, x, np.nan)),
-}
-
-
 class Program:
     """One straight-line evaluator for a sequence of expressions.
 
@@ -803,66 +793,31 @@ class Program:
 
     @property
     def supports(self) -> list:
-        """Per expression, per top-level term: the JET indices of its structurally nonzero Taylor coefficients."""
+        """Per expression, per top-level term: the JET indices of its structurally nonzero Taylor coefficients.
+
+        Made with the Taylor code's tables, on the first call of this or taylor.
+        """
         return self._taylor_code()[1]
 
     def taylor(self, env: Mapping) -> list:
         """The truncated Taylor jets in (u, ux) of each expression at env: one (10, n) array each.
 
         Row k holds d^i/du^i d^j/dux^j / (i! j!) of the expression at the
-        points of env, (i, j) = JET[k].  The same straight-line code runs on
-        jets (see _taylor_code): + and * by truncated Taylor arithmetic,
-        powers and functions by their derivatives at the value.  A row that
-        is structurally zero (as d/dux of exp(u)) is exactly 0.
+        points of env, (i, j) = JET[k]; a row that is structurally zero (as
+        d/dux of exp(u)) is exactly 0.  The same straight-line code runs on
+        jets, as the flat index tables of taylor.Code that one loop reads.
         """
         code, supports = self._taylor_code()
         vals = [None if v is None else taylor.const_jet(v) for v in self._init]
         for s, name, kind in self._loads:
             vals[s] = taylor.var_jet(_env_value(env, name, kind), name)
-        with np.errstate(all="ignore"):
-            for rule, out, a, b in code:
-                vals[out] = rule(vals[a], None if b is None else vals[b])
-        width = max([1] + [vals[s].shape[1] for outs in self._outputs for s in outs])
-        jets = []
-        for outs, sups in zip(self._outputs, supports):
-            total = np.zeros((len(JET), width))
-            for s, support in zip(outs, sups):
-                total[list(support)] += vals[s]
-            jets.append(total)
-        return jets
+        return taylor.run(code, vals, self._outputs, supports)
 
     def _taylor_code(self) -> tuple:
-        """The code as Taylor rules, with the support of every slot; made once per Program.
-
-        A slot holds the rows of its structurally nonzero coefficients only,
-        in JET order; its support lists them.  A constant's support is its
-        value, or nothing for 0; u and ux add their first-order row.
-        """
-        if self._jets is not None:
-            return self._jets
-        support = [None if v is None else ((0,) if v else ()) for v in self._init]
-        for s, name, _ in self._loads:
-            support[s] = taylor.VAR_SUPPORT.get(name, (0,))
-        fn_of = {f: name for name, f in _FN_UFUNCS.items()}
-        code = []
-        for function, out, a, b in self._code:
-            if function in (operator.add, operator.mul):
-                rule, support[out] = (taylor.add if function is operator.add else taylor.mul)(support[a], support[b])
-            elif function is operator.truediv:  # only b / b, the mask of a negative power
-                rule, support[out] = taylor.unit(support[a])
-            else:
-                if function in (operator.pow, np.power):
-                    p = float(self._init[b])
-                    # a non-negative integer power p has no derivative above order p
-                    order = min(3, int(p)) if function is operator.pow and p >= 0 else 3
-                    derivatives = taylor.pow_derivatives(p, function, order)
-                else:
-                    rules = taylor.FN_DERIVATIVES[fn_of[function]]
-                    order, derivatives = 3, lambda a0, f=function, rules=rules: rules(a0, f(a0))
-                rule, support[out] = taylor.compose(support[a], order, derivatives)
-            code.append((rule, out, a, b))
-        supports = [[support[s] for s in outs] for outs in self._outputs]
-        self._jets = (code, supports)
+        """The Taylor code (taylor.Code) and the supports of the outputs; made once per Program."""
+        if self._jets is None:
+            code, support = taylor.compile_code(self._init, self._loads, self._code)
+            self._jets = code, [[support[s] for s in outs] for outs in self._outputs]
         return self._jets
 
 
@@ -898,6 +853,19 @@ def _fsum(terms) -> float:
         return math.fsum(terms)
     except (ValueError, OverflowError):
         return sum(map(float, terms))
+
+
+def _median(a: np.ndarray) -> float:
+    """np.median of a 1-D array, bit for bit, from np.sort; np.median imports numpy.ma on its first call.
+
+    The mean of the middle element or pair, as np.median takes it: a sum
+    from 0.0 (so -0.0 reads 0.0) over the count; NaN where a holds one.
+    """
+    s = np.sort(a)
+    h = len(s) // 2
+    if np.isnan(s[-1]):
+        return float(s[-1])
+    return float(0.0 + s[h]) if len(s) % 2 else float((0.0 + s[h - 1] + s[h]) / 2)
 
 
 def evaluate(e: Expr, point: Mapping) -> float | np.ndarray:

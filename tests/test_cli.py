@@ -342,6 +342,10 @@ COLD_START = textwrap.dedent("""
 
     out = Path(sys.argv[1])
     assert cli.main(["classify", "--f", "ux", "--g", "u"]) == 0
+    # the weighted-H2 current of singular_overlap fits a power law by a
+    # median, which np.median would take with an import of numpy.ma
+    assert cli.main(["classify", "--f", "ux/u^3", "--g", "1/u^2"]) == 0
+    assert "numpy.ma" not in sys.modules
     # the solver loads numpy.fft on its first transform
     assert "numpy.fft" not in sys.modules
     assert cli.main(["--out", str(out), "twave", "solitary", "--b", "0.5", "--c", "1"]) == 0
@@ -364,7 +368,7 @@ COLD_START = textwrap.dedent("""
 
 def test_cold_start_loads_no_scipy(tmp_path):
     # classify, twave and simulate run without scipy, and classify without
-    # numpy.fft; only twave.quadrature_crosscheck imports scipy
+    # numpy.fft or numpy.ma; only twave.quadrature_crosscheck imports scipy
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", COLD_START, str(tmp_path)], env=env,
                           capture_output=True, text=True)

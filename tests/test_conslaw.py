@@ -10,7 +10,7 @@ import pytest
 
 from peakonlaws import conslaw
 from peakonlaws import expr as ex
-from peakonlaws import poly
+from peakonlaws import poly, taylor
 from peakonlaws.conslaw import (
     ConservedCurrent,
     EquationSpec,
@@ -626,8 +626,17 @@ def test_nodes_hold_only_their_fields():
               for pw in weights for e in pw]
     roots += [e for cur in currents if cur is not None for e in (cur.T, cur.Phi, cur.Q)]
     assert len(roots) > 2 * len(CANDIDATE_EQUATIONS) + 14
+    # nodes are slotted: no instance dict, and the slots over each class's
+    # MRO are its fields and the hash (3.10 re-declares inherited slots)
+    slots = {}
     for n, _ in ex._nodes(roots):
-        assert set(vars(n)) == {f.name for f in dataclasses.fields(n)} | {"_hash"}, n
+        assert not hasattr(n, "__dict__"), n
+        cls = type(n)
+        if cls not in slots:
+            slots[cls] = set().union(*(c.__dict__.get("__slots__", ()) for c in cls.__mro__))
+            assert slots[cls] == {f.name for f in dataclasses.fields(n)} | {"_hash"}, cls
+        assert all(hasattr(n, s) for s in slots[cls]), n
+    assert {cls.__name__ for cls in slots} >= {"Const", "Var", "Add", "Mul", "Pow"}
 
 
 def _keep(fn, out: list):
@@ -811,6 +820,23 @@ def test_taylor_partials_equal_the_diff_trees(source):
         got = jet[k] * math.factorial(i) * math.factorial(j)
         assert np.all(np.isfinite(want))
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (i, j, np.max(np.abs(got - want)))
+
+
+def test_taylor_code_is_a_fixed_set_of_flat_arrays():
+    # a program's Taylor code is the same four numeric arrays whatever its
+    # step count, one row of steps per step, and no Python function
+    programs = [ex.Program([parse(s)]) for s in ("u", "u*ux", "exp(u*ux) + ux^(3/2)/u")]
+    programs += [eq.program for eq in CANDIDATE_EQUATIONS]
+    shapes = set()
+    for program in programs:
+        code, supports = program._taylor_code()
+        assert program._taylor_code()[0] is code  # made once
+        assert isinstance(code, taylor.Code) and len(code) == 4
+        assert all(isinstance(a, np.ndarray) and a.dtype.kind in "if" for a in code)
+        assert len(code.steps) == len(code.exponents) == len(program._code)
+        assert code.bounds[-1] == len(code.index) and supports == program.supports
+        shapes.add(len(program._code))
+    assert len(shapes) >= 4 and min(shapes) == 0
 
 
 # ---------------------------------------------------------------------------

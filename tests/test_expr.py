@@ -1,3 +1,4 @@
+import copy
 import importlib
 import math
 import operator
@@ -289,6 +290,21 @@ def test_scale_tracks_cancellation():
     assert abs(val - 0.4) < 1e-1
 
 
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 9])
+def test_median_equals_numpy_median_bit_for_bit(n):
+    # conslaw's power fit takes its medians so, without numpy.ma; odd and
+    # even lengths, ties, signed zeros, infinities and NaN
+    rng = np.random.default_rng(n)
+    pools = [rng.normal(size=64), np.array([-0.0, 0.0]), np.array([-0.0, 0.0, 1.0, -1.0]),
+             np.array([1.7e308, -1.7e308, 1.7e308]), np.array([np.nan, 1.0, -0.0, np.inf, -np.inf])]
+    for pool in pools:
+        for _ in range(200):
+            a = rng.choice(pool, size=n)
+            with np.errstate(all="ignore"):
+                got, want = expr._median(a), np.median(a)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
+
+
 def test_evaluate_never_raises():
     # fsum raises on inf - inf and on an intermediate overflow; the plain
     # sum is NaN or inf there, and finite sums keep fsum's bits.  An
@@ -520,6 +536,36 @@ def test_hash_and_equality_contract():
     assert c == a and hash(c) == hash(a)
     point = {"u": 1.5, "ux": 0.5, "mx": 0.2, "mxx": 0.1}
     assert evaluate(c, point) == evaluate(a, point)
+
+
+NODE_KINDS = {
+    "Const": const(2.5),
+    "Param": parse("a*u", ["a"]).factors[0],
+    "Var": var("ux"),
+    "Partial": expr.Partial("g", 1, 2),
+    "Add": parse("u + ux"),
+    "Mul": parse("u*ux*m"),
+    "Pow": parse("(u^2 - ux^2)^(-3/2)"),
+    "Fn": parse("arctanh(u*ux)"),
+}
+
+
+def test_node_kinds_cover_every_node_class():
+    assert {type(n).__name__ for n in NODE_KINDS.values()} == set(NODE_KINDS) == {
+        c.__name__ for c in vars(expr).values() if isinstance(c, type) and issubclass(c, expr.Expr) and c is not expr.Expr}
+
+
+@pytest.mark.parametrize("kind", sorted(NODE_KINDS))
+def test_node_round_trips_with_its_hash(kind):
+    # a slotted node is rebuilt from its fields by pickle, copy and
+    # deepcopy, and hashes its fields as a tuple does
+    node = NODE_KINDS[kind]
+    assert not hasattr(node, "__dict__")
+    assert hash(node) == hash(node._fields())
+    for again in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+        assert type(again) is type(node) and again == node and hash(again) == hash(node)
+        assert again._fields() == node._fields()
+    assert const(0.0) == const(-0.0) and hash(const(0.0)) == hash(const(-0.0)) == hash(const(0.0)._fields())
 
 
 def _distinct_nodes(e) -> int:
