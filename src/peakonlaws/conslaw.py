@@ -6,10 +6,12 @@ gradient energy over the two-parameter density u_xx^2 + mu*u_x^2 +
 that admit them, the off-shell characteristic-equation checker, and the
 multiplier conditions.
 
-The momentum and H1 currents need f (for H1, u*f - ux*g) of the form
-ux*f1(y) + f0*u/y, y = u^2 - ux^2, with f1 a polynomial or a single
+The momentum and H1 currents are one construction (_current) over their
+multipliers lam = 1 and 2u: lam*Upsilon = D_t T + D_x(lam*g*m - lam*utx)
++ w*m with w = lam*f - lam_u*ux*g, and a current needs w of the form
+ux*q(y) + w0*u/y, y = u^2 - ux^2, with q a polynomial or a single
 rational power of y.  The regular part is odd in ux and the pole term
-even, so f0 is read off the ux-even part at one point; f1 is then
+even, so w0 is read off the ux-even part at one point; q is then
 recognized from what is left, and a reconstruction that does not match
 it on the whole sampling box builds no current.
 
@@ -592,11 +594,11 @@ _POLE_POINTS = {"u": np.array([_POLE_U, _POLE_U]), "ux": np.array([_POLE_UX, -_P
 
 
 def _pole_coefficient(terms: list) -> float:
-    """Coefficient f0 of the u/(u^2-ux^2) pole in w = ux*q(u^2-ux^2) + f0*u/(u^2-ux^2).
+    """Coefficient w0 of the u/(u^2-ux^2) pole in w = ux*q(u^2-ux^2) + w0*u/(u^2-ux^2).
 
-    terms are w's top-level terms at _POLE_POINTS, summed by fsum as in
-    ex.evaluate.  The regular part is odd in ux and the pole term even, so
-    f0 is the ux-even part of w times (u^2-ux^2)/u.  Snapped to a nearby
+    terms are the values of w's terms at _POLE_POINTS, summed by fsum as
+    in ex.evaluate.  The regular part is odd in ux and the pole term even,
+    so w0 is the ux-even part of w times (u^2-ux^2)/u.  Snapped to a nearby
     small rational when one matches.  For a w of another form the value is
     meaningless; no current comes of it, because the recognizer rejects
     what is left.
@@ -752,61 +754,46 @@ def _recognize_y_function(w: Expr) -> _Recognized | None:
 _LN_JUMP = fn("ln", div(sub(_U, _UX), add(_U, _UX)))
 
 
-def flux_momentum(eq: EquationSpec) -> ConservedCurrent | None:
-    """Closed-form momentum current (T = u); None when not constructible.
+def _current(eq: EquationSpec, name: str, T: Expr, lam0: float, lam_u: float) -> ConservedCurrent | None:
+    """The current of density T and multiplier lam = lam0 + lam_u*u; None when not constructible.
 
-    Requires f = ux*f1(u^2-ux^2) + f0*u/(u^2-ux^2) with f1 a polynomial or
-    a single rational power c*y^r of y = u^2-ux^2 (r = -1 integrates to a
-    logarithm).  f0 is read off the ux-parity: the pole term is the
-    ux-even part of f (see _pole_coefficient), read from eq.program.
+    T must have D_t T = lam*ut + lam_u*ux*utx (T = u for lam = 1, ux^2 + u^2
+    for lam = 2u); then lam*Upsilon = D_t T + D_x(lam*g*m - lam*utx) + w*m with
+    w = lam*f - lam_u*ux*g.  As D_x y = 2*ux*m for y = u^2-ux^2, a
+    w = ux*q(y) + w0*u/y gives w*m = D_x(Q(y)/2 + w0/2*ln((u-ux)/(u+ux)) + w0*x)
+    with Q' = q.  So Phi = lam*g*m - lam*utx + Q(y)/2 plus the two pole
+    terms, and lam is the current's multiplier.  q is a polynomial or a
+    single rational power c*y^r of y (r = -1 integrates to a logarithm);
+    w0 is read off the ux-parity (see _pole_coefficient) from the values
+    of f and g that eq.program gives.
     """
-    f = eq.bound_f
+    lam = add(const(lam0), mul(const(lam_u), _U))
+    lam_at = lam0 + lam_u * _POLE_U  # lam at _POLE_POINTS, where u = _POLE_U
+    w = mul(lam, eq.bound_f)
     with np.errstate(all="ignore"):  # Program enters none
-        f0 = _pole_coefficient(eq.program(_POLE_POINTS)[0])
-    f_reg = sub(f, mul(const(f0), div(_U, _Y))) if f0 else f
-    rec = _recognize_y_function(f_reg)
+        f_terms, g_terms = eq.program(_POLE_POINTS)[:2]
+        terms = [lam_at * t for t in f_terms]
+        if lam_u:  # else g does not enter: 0*g is NaN at a pole of g
+            w = sub(w, mul(const(lam_u), _UX, eq.bound_g))
+            terms += [-lam_u * _POLE_POINTS["ux"] * t for t in g_terms]
+    w0 = _pole_coefficient(terms)
+    rec = _recognize_y_function(sub(w, mul(const(w0), div(_U, _Y))) if w0 else w)
     if rec is None:
         return None
-    phi = add(mul(eq.bound_g, _M), neg(_UTX), mul(0.5, rec.antiderivative()))
-    if f0:
-        phi = add(phi, mul(const(0.5 * f0), _LN_JUMP), mul(const(f0), _X))
-    return ConservedCurrent("momentum", _U, phi, ex.ONE)
+    phi = add(mul(lam, eq.bound_g, _M), neg(mul(lam, _UTX)), mul(0.5, rec.antiderivative()))
+    if w0:
+        phi = add(phi, mul(const(0.5 * w0), _LN_JUMP), mul(const(w0), _X))
+    return ConservedCurrent(name, T, phi, lam)
+
+
+def flux_momentum(eq: EquationSpec) -> ConservedCurrent | None:
+    """Closed-form momentum current, T = u and multiplier 1 (_current); None when not constructible."""
+    return _current(eq, "momentum", _U, 1.0, 0.0)
 
 
 def flux_h1(eq: EquationSpec) -> ConservedCurrent | None:
-    """Closed-form H1 current (T = ux^2 + u^2); None when not constructible.
-
-    Requires w = u*f - ux*g = ux*h1(u^2-ux^2) + h0*u/(u^2-ux^2), with h1
-    as f1 of flux_momentum and h0 the ux-even part of w times
-    (u^2-ux^2)/u.
-    """
-    f, g = eq.bound_f, eq.bound_g
-    w = sub(mul(_U, f), mul(_UX, g))
-    h0 = _pole_coefficient(ex.compile_terms(w)(_POLE_POINTS))
-    w_reg = sub(w, mul(const(h0), div(_U, _Y))) if h0 else w
-    rec = _recognize_y_function(w_reg)
-    if rec is None:
-        return None
-    h1 = rec.expr()
-    # split f = ux*h + ux*h1/(2u) + h0/(2y); h absorbs whatever remains
-    known = mul(0.5, div(mul(_UX, h1), _U))
-    if h0:
-        known = add(known, div(const(0.5 * h0), _Y))
-    h = div(sub(f, known), _UX)
-    phi = add(
-        mul(-2.0, _U, _UTX),
-        mul(2.0, pow_(_U, 2), h, _M),
-        neg(mul(_U, h1, _M)),
-        rec.antiderivative(),
-    )
-    if h0:
-        phi = add(
-            phi,
-            neg(mul(const(h0), div(mul(pow_(_U, 2), _M), mul(_UX, _Y)))),
-            mul(const(h0), _LN_JUMP),
-            mul(const(2.0 * h0), _X),
-        )
-    return ConservedCurrent("h1", add(pow_(_UX, 2), pow_(_U, 2)), phi, mul(2.0, _U))
+    """Closed-form H1 current, T = ux^2 + u^2 and multiplier 2u (_current); None when not constructible."""
+    return _current(eq, "h1", add(pow_(_UX, 2), pow_(_U, 2)), 0.0, 2.0)
 
 
 def _integral_in_u(g: Expr) -> Expr | None:

@@ -248,10 +248,11 @@ class SimConfig:
         _shared_grid(self.length, self.n)
         if not isinstance(self.dealias, bool):
             raise ValueError(f"dealias must be true or false, got {self.dealias!r}")
-        if self.series_dt is not None and not self.series_dt > 0:
-            raise ValueError("series_dt must be positive")
-        if any(not t >= 0 for t in self.snapshot_times):
-            raise ValueError("snapshot times must be non-negative")
+        # an infinite step or time would overflow run's step count
+        if self.series_dt is not None and not 0 < self.series_dt < math.inf:
+            raise ValueError(f"series_dt must be a positive finite number, got {self.series_dt!r}")
+        if any(not 0 <= t < math.inf for t in self.snapshot_times):
+            raise ValueError("snapshot times must be non-negative finite numbers")
         kind = self.initial.get("kind")
         if kind not in _INITIAL_KINDS:
             raise ValueError(f"unknown initial-data kind {kind!r}")

@@ -880,9 +880,10 @@ def test_pole_family_momentum_flux():
 POWER_F1 = ("ux/(u^2-ux^2)", "ux*(u^2-ux^2)^(-1/2)", "ux*(u^2-ux^2)^(1/2)")
 
 
-@pytest.mark.parametrize("f", list(POWER_F1) + [
-    f1 + pole for f1 in POWER_F1[1:] for pole in ("+u/(u^2-ux^2)", "+0.5*u/(u^2-ux^2)")
-])
+POWER_FAMILY = list(POWER_F1) + [f1 + pole for f1 in POWER_F1[1:] for pole in ("+u/(u^2-ux^2)", "+0.5*u/(u^2-ux^2)")]
+
+
+@pytest.mark.parametrize("f", POWER_FAMILY)
 def test_power_family_momentum_flux(f):
     eq = EquationSpec.from_strings(f, "u")
     assert check_momentum(eq, POL).conserved is True
@@ -899,13 +900,21 @@ def test_pole_coefficient_reads_the_even_part(f1, f0):
     assert conslaw._pole_coefficient(ex.compile_terms(w)(conslaw._POLE_POINTS)) == float(Fraction(f0))
 
 
-@pytest.mark.parametrize("f", ["ux*(0.7-1.3*(u^2-ux^2)+0.4*(u^2-ux^2)^2)", "ux + u/(u^2-ux^2)",
-                               "-2*ux*(u^2-ux^2) - 0.5*u/(u^2-ux^2)"])
-def test_warm_flux_momentum_compiles_no_program(monkeypatch, f):
-    # f0 is read from the equation's Program, and q is checked on the
-    # normal form already taken: a warm momentum current compiles nothing
-    eq = EquationSpec.from_strings(f, "u^2")
-    assert classify(eq, POL).momentum.conserved is True
+@pytest.mark.parametrize("law, f, g", [
+    ("momentum", f, "u^2") for f in ("ux*(0.7-1.3*(u^2-ux^2)+0.4*(u^2-ux^2)^2)", "ux + u/(u^2-ux^2)",
+                                     "-2*ux*(u^2-ux^2) - 0.5*u/(u^2-ux^2)")
+] + [
+    # CH, MCH, Novikov and the momentum-H1 overlap
+    ("h1", f, g) for f, g in (("ux", "u"), ("0", "u^2-ux^2"), ("u*ux", "u^2"),
+                              ("ux*(u^2-ux^2)", "u*(u^2-ux^2)+(u^2-ux^2)"))
+])
+def test_warm_flux_compiles_no_program(monkeypatch, law, f, g):
+    # w0 is read from the values of the equation's Program, and q is
+    # checked on the normal form already taken: a warm momentum or H1
+    # current of a polynomial w compiles nothing
+    eq = EquationSpec.from_strings(f, g)
+    assert getattr(classify(eq, POL), law).conserved is True
+    build = getattr(conslaw, f"flux_{law}")
     built = []
 
     class CountingProgram(ex.Program):
@@ -914,7 +923,7 @@ def test_warm_flux_momentum_compiles_no_program(monkeypatch, f):
             super().__init__(exprs, **kwargs)
 
     monkeypatch.setattr(ex, "Program", CountingProgram)
-    cur = flux_momentum(eq)
+    cur = build(eq)
     monkeypatch.undo()
     assert cur is not None and built == []
     assert characteristic_check(cur, eq, POL).conserved is True
@@ -936,15 +945,70 @@ def test_no_pole_form_builds_no_current(h):
     assert flux_h1(EquationSpec.from_strings(h, "0")) is None
 
 
+# the pole branch of H1: f = h0/(2y), g = -h0*u/(2*ux*y) with h0 = 1, so w = 2*(u*f - ux*g) = 2*u/y
+H1_POLE = ("0.5/(u^2-ux^2)", "-0.5*u/(ux*(u^2-ux^2))")
+
+
 def test_h1_pole_family_flux():
-    # h0 != 0 branch: f = h0/(2y), g = -h0*u/(2*ux*y) with h0 = 1
-    eq = EquationSpec.from_strings(
-        "0.5/(u^2-ux^2)", "-0.5*u/(ux*(u^2-ux^2))"
-    )
+    eq = EquationSpec.from_strings(*H1_POLE)
     assert check_h1(eq, POL).conserved is True
     cur = flux_h1(eq)
     assert cur is not None
     assert characteristic_check(cur, eq, POL).conserved is True
+
+
+def test_polynomial_equations_get_polynomial_currents(monkeypatch):
+    # for polynomial f and g (the reference equations among them), the
+    # momentum and H1 currents have a polynomial Phi, and their
+    # characteristic check is an exact zero
+    verdicts = []
+    monkeypatch.setattr(conslaw, "is_zero", lambda e, policy=None: verdicts.append(is_zero(e, policy)) or verdicts[-1])
+    checked = 0
+    for f, g in POLYNOMIAL_GOLDEN:
+        eq = EquationSpec.from_strings(f, g)
+        for cur in classify(eq, POL).fluxes:
+            if cur.name in ("momentum", "h1"):
+                assert ex.poly_normal_form(cur.Phi) is not None, (f, g, cur.name)
+                assert characteristic_check(cur, eq, POL).conserved is True
+                assert verdicts[-1].exact and verdicts[-1].residual_max == 0.0, (f, g, cur.name)
+                checked += 1
+    assert checked >= 10
+
+
+CURRENT_EQUATIONS = GOLDEN_EQUATIONS + [(f, "u") for f in POWER_FAMILY] + [H1_POLE]
+
+
+def _sympy_residual(sp, cur: dict, f: str, g: str):
+    """D_t T + D_x Phi - Q*(m_t + f*m + D_x(g*m)) by sympy, from the printed strings, with u = u(x, t)."""
+    x, t = sp.symbols("x t")
+    u = sp.Function("u")(x, t)
+    m = u - u.diff(x, 2)
+    names = {"x": x, "u": u, "ux": u.diff(x), "m": m, "ut": u.diff(t), "utx": u.diff(x, t),
+             "exp": sp.exp, "ln": sp.log, "sqrt": sp.sqrt, "sin": sp.sin, "cos": sp.cos, "arctanh": sp.atanh}
+
+    def read(source: str):
+        # float constants such as 1.1/3 leave residues of 1e-17 unless snapped
+        return sp.nsimplify(sp.sympify(source.replace("^", "**"), locals=names), tolerance=1e-12, rational=True)
+
+    T, Phi, Q, f_s, g_s = map(read, (cur["T"], cur["Phi"], cur["Q"], f, g))
+    return sp.simplify(T.diff(t) + Phi.diff(x) - Q * (m.diff(t) + f_s * m + (g_s * m).diff(x)))
+
+
+@pytest.mark.parametrize("f, g", CURRENT_EQUATIONS)
+def test_currents_satisfy_the_sympy_characteristic_form(f, g):
+    # an oracle that shares no code with the builders or with
+    # characteristic_check: the printed current, read back by sympy
+    sp = pytest.importorskip("sympy")
+    for cur in classify(EquationSpec.from_strings(f, g), SamplingPolicy(seed=42)).fluxes:
+        assert _sympy_residual(sp, cur.to_json(), f, g) == 0, cur.name
+
+
+def test_sympy_characteristic_form_rejects_a_wrong_current():
+    sp = pytest.importorskip("sympy")
+    cur = flux_momentum(CH).to_json()
+    assert _sympy_residual(sp, cur, "ux", "u") == 0
+    assert _sympy_residual(sp, dict(cur, Phi=cur["Phi"] + " + 0.001*u"), "ux", "u") != 0
+    assert _sympy_residual(sp, cur, "2*ux", "u") != 0
 
 
 def test_grad_energy_general_flux_on_line_family():

@@ -532,10 +532,11 @@ def test_read_config_validation(tmp_path):
     with pytest.raises(ValueError):
         read_config(json.dumps([doc]))
     # a non-finite number is a config error: NaN passes every comparison,
-    # and an infinite end time overflows the step count
+    # and an infinite end time, series step or snapshot time overflows a step count
     for key, value in (("L", math.nan), ("dt", math.nan), ("t_final", math.inf),
                        ("blowup_threshold", math.nan), ("min_u_floor", math.inf),
-                       ("energy_mu", math.nan), ("energy_nu", -math.inf)):
+                       ("energy_mu", math.nan), ("energy_nu", -math.inf),
+                       ("series_dt", math.inf), ("output", {"snapshot_times": [math.inf]})):
         with pytest.raises(ValueError, match="invalid simulation config"):
             read_config(json.dumps(dict(doc, **{key: value})))
     # a grid the solver cannot use is a config error, not a failure inside run
