@@ -70,6 +70,16 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, output
     return path
 
 
+def _made_dir(path: Path) -> bool:
+    """Make the output directory path; False, with the error printed, when it cannot be made."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return False
+    return True
+
+
 def _policy(args) -> SamplingPolicy:
     return SamplingPolicy(seed=args.seed)
 
@@ -88,10 +98,10 @@ def cmd_classify(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     text = report.to_json_str()
-    print(text)
     if args.out:
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if not _made_dir(out_dir):
+            return 1
         report_path = out_dir / "classify_report.json"
         report_path.write_text(text + "\n")
         _write_manifest(
@@ -99,6 +109,7 @@ def cmd_classify(args) -> int:
             {"f": args.f, "g": args.g, "params": params},
             args.seed, [report_path],
         )
+    print(text)
     return 0 if report.determinate else 2
 
 
@@ -111,7 +122,8 @@ def cmd_simulate(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     out_dir = Path(args.out) if args.out else cfg_path.parent
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _made_dir(out_dir):
+        return 1
 
     out_spec = raw.get("output", {})
     series_path = out_dir / out_spec.get("series_path", "series.csv")
@@ -167,7 +179,8 @@ def cmd_twave(args) -> int:
         return 1
 
     out_dir = Path(args.out) if args.out else Path(".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not _made_dir(out_dir):
+        return 1
     csv_path = out_dir / f"twave_{args.mode}.csv"
     with open(csv_path, "w") as fh:
         fh.write("xi,U,Uprime\n")

@@ -12,8 +12,11 @@ multipliers lam = 1 and 2u: lam*Upsilon = D_t T + D_x(lam*g*m - lam*utx)
 ux*q(y) + w0*u/y, y = u^2 - ux^2, with q a polynomial or a single
 rational power of y.  The regular part is odd in ux and the pole term
 even, so w0 is read off the ux-even part at one point; q is then
-recognized from what is left, and a reconstruction that does not match
-it on the whole sampling box builds no current.
+recognized from what is left.  The gradient-energy current holds
+nu*G(u), G = integral of g du, and reads g = q(u) only for nu != 0.  One
+recognizer (_recognize) reads q(y) and q(u): exactly off a polynomial
+normal form, else by a fit on a probe that must then hold on the whole
+sampling box, or no current is built.
 
 The determining conditions are split by m-monomials.  A (H1), B
 (momentum) and C (the m^2 part of the gradient energy) are linear in f
@@ -654,31 +657,6 @@ class _Recognized:
                      else mul(const(float(c) / float(r + 1)), pow_(self.arg, r + 1)) for c, r in self.terms))
 
 
-# the normal form of y = u^2 - ux^2
-_Y_FORM = {(("u", 2),): (1, 0), (("ux", 2),): (-1, 0)}
-
-
-def _ux_q_form(rec: _Recognized) -> dict:
-    """The normal form of ux*q(u^2-ux^2) for rec's polynomial q, with the float coefficients rec.expr() holds."""
-    form, power = {}, {(("ux", 1),): (1, 0)}  # power is ux*y^k
-    for c, _ in rec.terms:
-        coeff = poly._dyadic(float(c))
-        if coeff is not None:  # a zero coefficient adds no monomial
-            form = poly._padd(form, poly._pmul(power, {(): coeff}))
-        power = poly._pmul(power, _Y_FORM)
-    return form
-
-
-def _poly_in_y_exact(w: Expr) -> _Recognized | None:
-    """q with w = ux * q(u^2-ux^2) for a polynomial q, exactly; else None."""
-    nf = ex.poly_normal_form(w)
-    if nf is None:
-        return None
-    # candidate q from w's ux*u^(2k) monomials, which are ux*q(u^2)
-    rec = _Recognized.polynomial(_Y, _coefficients(nf, {"ux": 1}, 2))
-    return rec if _ux_q_form(rec) == nf else None
-
-
 _VALIDATION_POLICY = SamplingPolicy(seed=1299827)
 
 
@@ -716,39 +694,65 @@ def _power_fit(xs: np.ndarray, vals: np.ndarray) -> tuple[float, Fraction] | Non
     return sgn * ex._median(np.exp(logs - float(rfrac) * np.log(xs))), rfrac
 
 
-def _recognize_y_function(w: Expr) -> _Recognized | None:
-    """Recognize w(u, ux) = ux * q(u^2 - ux^2); exact path first, numeric fit after."""
-    exact = _poly_in_y_exact(w)
-    if exact is not None:
-        return exact
+# the normal forms of y = u^2 - ux^2 and of u
+_Y_FORM = {(("u", 2),): (1, 0), (("ux", 2),): (-1, 0)}
+_U_FORM = {(("u", 1),): (1, 0)}
+# the probe of the numeric path: ten values of x on the lines ux = 0.7 and ux = 1.1
+_PROBE_X = np.linspace(0.4, 2.2, 10)
+_PROBE_UX = np.repeat([0.7, 1.1], len(_PROBE_X))
 
-    # q = w/ux on the lines ux = 0.7 and ux = 1.1, at the same ten values of y
-    ys = np.linspace(0.4, 2.2, 10)
-    uxs = np.repeat([0.7, 1.1], len(ys))
-    u0s = np.sqrt(np.tile(ys, 2) + uxs * uxs)
-    q1, q2 = (ex.evaluate(w, {"u": u0s, "ux": uxs}) / uxs).reshape(2, -1)
+
+def _recognize(w: Expr, arg: Expr) -> _Recognized | None:
+    """q with w = factor*q(x), where x = arg is u^2-ux^2 (factor ux) or u (factor 1); else None.
+
+    Exact path: where w has a normal form, q's coefficients are those of
+    its factor*u^(2k) (or u^k) monomials, and q is accepted only if the
+    form of factor*q(x), built as dicts with the float coefficients
+    q.expr() holds, equals w's.  Otherwise q = w/factor is probed at ten
+    values of x on two lines of ux, where it must agree, and fitted by a
+    polynomial of rising degree, else by a single power; a fit is used only
+    if _validated accepts it.
+    """
+    on_y = arg is _Y
+    factor, powers, step, x_form = (_UX, {"ux": 1}, 2, _Y_FORM) if on_y else (ex.ONE, {}, 1, _U_FORM)
+    nf = ex.poly_normal_form(w)
+    if nf is not None:
+        rec = _Recognized.polynomial(arg, _coefficients(nf, powers, step))
+        form, power = {}, {tuple(powers.items()): (1, 0)}  # power is factor*x^k
+        for c, _ in rec.terms:
+            coeff = poly._dyadic(float(c))
+            if coeff is not None:  # a zero coefficient adds no monomial
+                form = poly._padd(form, poly._pmul(power, {(): coeff}))
+            power = poly._pmul(power, x_form)
+        if form == nf:
+            return rec
+
+    xs = np.tile(_PROBE_X, 2)
+    at = ex.evaluate(w, {"u": np.sqrt(xs + _PROBE_UX * _PROBE_UX) if on_y else xs, "ux": _PROBE_UX})
+    q1, q2 = (at / _PROBE_UX if on_y else at).reshape(2, -1)
     if not (np.all(np.isfinite(q1)) and np.all(np.isfinite(q2))):
         return None
     scale = max(1.0, float(np.max(np.abs(q1))))
     if np.max(np.abs(q1 - q2)) > 1e-8 * scale:
-        return None  # depends on more than y
+        return None  # depends on more than x
 
-    # polynomial fit with increasing degree
+    # polynomial fit with increasing degree, else a single power
     for deg in range(0, 9):
-        V = np.vander(ys, deg + 1, increasing=True)
+        V = np.vander(_PROBE_X, deg + 1, increasing=True)
         coef, *_ = np.linalg.lstsq(V, q1, rcond=None)
         if np.max(np.abs(V @ coef - q1)) <= 1e-9 * scale:
             snapped = []
             for c in coef:
                 fr = Fraction(float(c)).limit_denominator(10**6)
                 snapped.append(fr if abs(float(fr) - c) <= 1e-10 * max(1.0, abs(c)) else c)
-            snapped = [0.0 if abs(float(c)) < 1e-12 * scale else c for c in snapped]
-            return _validated(w, _UX, _Recognized.polynomial(_Y, snapped))
-
-    fit = _power_fit(ys, q1)
-    if fit is None:
-        return None
-    return _validated(w, _UX, _Recognized(_Y, (fit,)))
+            cand = _Recognized.polynomial(arg, [0.0 if abs(float(c)) < 1e-12 * scale else c for c in snapped])
+            break
+    else:
+        fit = _power_fit(_PROBE_X, q1)
+        if fit is None:
+            return None
+        cand = _Recognized(arg, (fit,))
+    return _validated(w, factor, cand)
 
 
 _LN_JUMP = fn("ln", div(sub(_U, _UX), add(_U, _UX)))
@@ -777,7 +781,7 @@ def _current(eq: EquationSpec, name: str, T: Expr, lam0: float, lam_u: float) ->
             w = sub(w, mul(const(lam_u), _UX, eq.bound_g))
             terms += [-lam_u * _POLE_POINTS["ux"] * t for t in g_terms]
     w0 = _pole_coefficient(terms)
-    rec = _recognize_y_function(sub(w, mul(const(w0), div(_U, _Y))) if w0 else w)
+    rec = _recognize(sub(w, mul(const(w0), div(_U, _Y))) if w0 else w, _Y)
     if rec is None:
         return None
     phi = add(mul(lam, eq.bound_g, _M), neg(mul(lam, _UTX)), mul(0.5, rec.antiderivative()))
@@ -796,35 +800,26 @@ def flux_h1(eq: EquationSpec) -> ConservedCurrent | None:
     return _current(eq, "h1", add(pow_(_UX, 2), pow_(_U, 2)), 0.0, 2.0)
 
 
-def _integral_in_u(g: Expr) -> Expr | None:
-    """G(u) = integral of g du for g(u) polynomial or a single power c*u^r."""
-    nf = ex.poly_normal_form(g)
-    if nf is not None:
-        return _Recognized.polynomial(_U, _coefficients(nf, {}, 1)).antiderivative()
-    us = np.linspace(0.5, 2.5, 9)
-    fit = _power_fit(us, ex.evaluate(g, {"u": us}))
-    if fit is None:
-        return None
-    rec = _validated(g, ex.ONE, _Recognized(_U, (fit,)))
-    return None if rec is None else rec.antiderivative()
-
-
 def flux_grad_energy(eq: EquationSpec, mu: float, nu: float) -> ConservedCurrent | None:
     """Gradient-energy current at a given (mu, nu); None when not constructible.
 
     At (mu, nu) = (2, 0) the locally equivalent form T = m^2, Phi = g*m^2
     is emitted; otherwise the full density u_xx^2 + mu*ux^2 + (mu-1)*u^2 +
-    2*nu*u (with u_xx = u - m) and its flux, which needs G = integral of
-    g du in closed form.  Both need g to depend on u alone.
+    2*nu*u (with u_xx = u - m) and its flux, which holds nu*G: for nu != 0
+    it needs G = integral of g du, with g = q(u) read by _recognize.  Both
+    need g to depend on u alone.
     """
     g = eq.bound_g
     if ex.jet_vars(g) - {ex.U}:
         return None
     if abs(mu - 2.0) < 1e-12 and abs(nu) < 1e-12:
         return ConservedCurrent("l2m", pow_(_M, 2), mul(g, pow_(_M, 2)), mul(2.0, _M))
-    G = _integral_in_u(g)
-    if G is None:
-        return None
+    nu_G = ex.ZERO
+    if nu:
+        rec = _recognize(g, _U)
+        if rec is None:
+            return None
+        nu_G = mul(const(nu), rec.antiderivative())
     uxx = sub(_U, _M)
     T = add(pow_(uxx, 2), mul(const(mu), pow_(_UX, 2)), mul(const(mu - 1.0), pow_(_U, 2)), mul(const(2.0 * nu), _U))
     g_u = ex.diff(g, ex.U)
@@ -835,7 +830,7 @@ def flux_grad_energy(eq: EquationSpec, mu: float, nu: float) -> ConservedCurrent
         mul(add(mul(2.0, shift), _M), _M, g),
         mul(sub(mul(const(2.0 - mu), _Y), mul(const(nu), _U)), g),
         mul(0.5, shift, pow_(_UX, 2), g_u),
-        mul(const(nu), G),
+        nu_G,
     )
     Q = mul(2.0, add(_M, shift))
     return ConservedCurrent(f"grad_energy(mu={mu:g},nu={nu:g})", T, phi, Q)

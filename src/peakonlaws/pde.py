@@ -306,6 +306,9 @@ def read_config(source: str | dict) -> SimConfig:
         out = cfg.get("output", {})
         if not isinstance(out, dict):
             raise ValueError(f"output must be a JSON object, got {out!r}")
+        for key in ("series_path", "snapshot_path"):
+            if not isinstance(out.get(key, ""), str):
+                raise ValueError(f"{key} must be a string, got {out[key]!r}")
         n = cfg["N"]
         # a fractional or quoted N would silently run on another grid
         if isinstance(n, bool) or not isinstance(n, int):

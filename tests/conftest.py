@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from peakonlaws import conslaw
 from peakonlaws import expr as ex
 from peakonlaws import pde
 
@@ -496,3 +497,24 @@ def fraction_normal_forms():
     None, and the sampler decides).
     """
     return _fraction_normal_forms
+
+
+@pytest.fixture
+def recognized(monkeypatch):
+    """A spy on conslaw._recognize: one (w, arg, q, exact) per call, in call order.
+
+    exact is True when q came from the exact path: the call evaluated no
+    probe (ex.evaluate, which only the numeric path calls).
+    """
+    calls, probes = [], []
+    real_recognize, real_evaluate = conslaw._recognize, ex.evaluate
+
+    def recognize(w, arg):
+        before = len(probes)
+        q = real_recognize(w, arg)
+        calls.append((w, arg, q, len(probes) == before))
+        return q
+
+    monkeypatch.setattr(ex, "evaluate", lambda e, point: probes.append(e) or real_evaluate(e, point))
+    monkeypatch.setattr(conslaw, "_recognize", recognize)
+    return calls

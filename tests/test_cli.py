@@ -309,11 +309,26 @@ def test_simulate_bad_config(tmp_path, capsys):
     # and sizes that are not JSON numbers
     for key, value in (("N", 100), ("L", 0.0), ("L", -40.0), ("dealias", "false"),
                        ("N", 256.7), ("N", "256"), ("L", "40"), ("dt", "0.001"),
-                       ("energy_mu", "2")):
+                       ("energy_mu", "2"), ("output", {"series_path": 5})):
         path = _sim_config(tmp_path, **{key: value})
         code, _, err = run_cli(capsys, "simulate", str(path))
         assert code == 1
         assert err.startswith("error: invalid simulation config"), (key, err)
+
+
+@pytest.mark.parametrize("command", [("classify", "--f", "ux", "--g", "u"),
+                                     ("twave", "peakon", "--a", "2", "--n-points", "11"),
+                                     ("simulate",)])
+def test_out_that_is_a_file_is_an_error(tmp_path, capsys, command):
+    # an --out that names an existing file is bad input, not a traceback
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if command == ("simulate",):
+        command += (str(_sim_config(tmp_path)),)
+    code, out, err = run_cli(capsys, "--out", str(taken), *command)
+    assert code == 1
+    assert err.startswith("error:") and "taken" in err
+    assert out == "" and taken.read_text() == ""
 
 
 def test_simulate_wave_breaking_exit(tmp_path, capsys):
@@ -342,9 +357,10 @@ COLD_START = textwrap.dedent("""
 
     out = Path(sys.argv[1])
     assert cli.main(["classify", "--f", "ux", "--g", "u"]) == 0
-    # the weighted-H2 current of singular_overlap fits a power law by a
-    # median, which np.median would take with an import of numpy.ma
     assert cli.main(["classify", "--f", "ux/u^3", "--g", "1/u^2"]) == 0
+    # the momentum current of a power-family member fits a power law by a
+    # median, which np.median would take with an import of numpy.ma
+    assert cli.main(["classify", "--f", "ux*(u^2-ux^2)^(1/2)", "--g", "u"]) == 0
     assert "numpy.ma" not in sys.modules
     # the solver loads numpy.fft on its first transform
     assert "numpy.fft" not in sys.modules

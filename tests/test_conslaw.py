@@ -957,6 +957,68 @@ def test_h1_pole_family_flux():
     assert characteristic_check(cur, eq, POL).conserved is True
 
 
+def _validations(monkeypatch) -> list:
+    """A spy on conslaw._validated: what each call accepted (None when it rejected the fit)."""
+    seen, real = [], conslaw._validated
+    monkeypatch.setattr(conslaw, "_validated", lambda *args: seen.append(real(*args)) or seen[-1])
+    return seen
+
+
+@pytest.mark.parametrize("w, q", [("ux*(u^4-ux^4)/(u^2+ux^2)", "u^2-ux^2"), ("3*ux*exp(u)*exp(-u)", "3"),
+                                  ("2*ux/u^2 - 2*u*ux/u^3", "0"), ("ux*ln(4+u^2-ux^2)", None)])
+def test_recognizer_fits_q_where_w_has_no_normal_form(monkeypatch, w, q):
+    # no normal form, so the numeric path fits q on its probe; a fit that
+    # only matches there (ln(4+y)) is rejected by the off-shell validation
+    w = parse(w)
+    assert ex.poly_normal_form(w) is None
+    validations = _validations(monkeypatch)
+    rec = conslaw._recognize(w, conslaw._Y)
+    assert len(validations) == 1 and validations[0] is rec
+    if q is None:
+        assert rec is None
+    else:
+        assert ex.poly_normal_form(sub(rec.expr(), parse(q))) == {}
+    # the momentum builder reads the same q: a current that verifies, or none
+    eq = EquationSpec(w, parse("u"))
+    assert check_momentum(eq, POL).conserved is True
+    cur = flux_momentum(eq)
+    assert (cur is None) is (q is None)
+    if cur is not None:
+        assert characteristic_check(cur, eq, POL).conserved is True
+
+
+@pytest.mark.parametrize("g, G", [("1/u^2", "-1/u"), ("(u^3+u)/u", "u + 0.3333333333333333*u^3")])
+def test_recognizer_reads_g_of_u_by_the_same_path(monkeypatch, g, G):
+    # G = integral of g du, for a g with no normal form: a single power, or
+    # a polynomial that only the degree ladder finds
+    g = parse(g)
+    assert ex.poly_normal_form(g) is None
+    validations = _validations(monkeypatch)
+    rec = conslaw._recognize(g, conslaw._U)
+    assert len(validations) == 1 and validations[0] is rec is not None
+    assert to_source(rec.antiderivative()) == G
+    assert is_zero(sub(ex.diff(rec.antiderivative(), ex.U), g), POL).is_zero
+    assert flux_grad_energy(EquationSpec(parse("ux"), g), 3.0, 0.5) is not None
+
+
+def test_gradient_energy_current_needs_g_only_where_nu_is_not_zero(recognized):
+    # G enters Phi as nu*G: at nu = 0 no G is read, so a g with no closed-form
+    # integral still gives the current; at nu != 0 it gives none
+    eq = EquationSpec.from_strings("ux", "exp(u)")
+    assert flux_grad_energy(eq, 3.0, 0.5) is None
+    assert [arg for _, arg, _, _ in recognized] == [conslaw._U]
+    assert flux_grad_energy(eq, 3.0, 0.0) is not None and len(recognized) == 1
+    # the singular equation's weighted-H2 current is built at nu = 0
+    recognized.clear()
+    eq = EquationSpec.from_strings("ux/u^3", "1/u^2")
+    rep = classify(eq, POL)
+    assert rep.weighted_h2.conserved is True
+    (cur,) = [c for c in rep.fluxes if c.name.startswith("grad_energy")]
+    assert cur.name == "grad_energy(mu=3,nu=0)"
+    assert characteristic_check(cur, eq, POL).conserved is True
+    assert recognized and all(arg is conslaw._Y for _, arg, _, _ in recognized)
+
+
 def test_polynomial_equations_get_polynomial_currents(monkeypatch):
     # for polynomial f and g (the reference equations among them), the
     # momentum and H1 currents have a polynomial Phi, and their

@@ -1138,24 +1138,26 @@ def _assert_forms_equal_as_rationals(got: list, want: list):
         assert {m: poly._rational(c) for m, c in g.items()} == w and list(g) == list(w)
 
 
-def _verdicts_pass_inputs(monkeypatch, cases) -> tuple:
+def _verdicts_pass_inputs(monkeypatch, recognized, cases) -> tuple:
     """The inputs of every poly_normal_forms call of one verdicts pass (classify, then
-    characteristic_check), and each q the momentum recognizer tried with its form of ux*q(y)."""
-    calls, built = [], []
-    real, real_built = expr.poly_normal_forms, conslaw._ux_q_form
+    characteristic_check), and each q the recognizer's exact path accepted, with the
+    normal form of w it matched: its form of factor*q(x), built as dicts."""
+    calls = []
+    real = expr.poly_normal_forms
     monkeypatch.setattr(expr, "poly_normal_forms", lambda exprs: calls.append(list(exprs)) or real(calls[-1]))
-    monkeypatch.setattr(conslaw, "_ux_q_form", lambda rec: built.append((rec, real_built(rec))) or built[-1][1])
     policy = SamplingPolicy(seed=42)
     for f, g in cases:
         eq = EquationSpec.from_strings(f, g)
         for cur in classify(eq, policy).fluxes:
             conslaw.characteristic_check(cur, eq, policy)
     monkeypatch.undo()
+    factors = {conslaw._Y: var("ux"), conslaw._U: expr.ONE}
+    built = [(factors[arg], rec, expr.poly_normal_form(w)) for w, arg, rec, exact in recognized if exact]
     return calls, built
 
 
 @pytest.mark.parametrize("seed", [1, 4242])
-def test_normal_forms_equal_the_fraction_oracle_on_a_verdicts_pass(seed, monkeypatch, fraction_normal_forms):
+def test_normal_forms_equal_the_fraction_oracle_on_a_verdicts_pass(seed, monkeypatch, recognized, fraction_normal_forms):
     bench = str(Path(__file__).resolve().parent.parent / "bench")
     sys.path.insert(0, bench)
     try:
@@ -1163,14 +1165,14 @@ def test_normal_forms_equal_the_fraction_oracle_on_a_verdicts_pass(seed, monkeyp
     finally:
         sys.path.remove(bench)
     cases = [(c.f, c.g) for c in workloads.reference_cases() + workloads.family_cases(seed)]
-    calls, built = _verdicts_pass_inputs(monkeypatch, cases)
+    calls, built = _verdicts_pass_inputs(monkeypatch, recognized, cases)
     assert len(calls) + len(built) > 300 and built
     for exprs in calls:
         _assert_forms_equal_as_rationals(expr.poly_normal_forms(exprs), fraction_normal_forms(exprs))
-    # the momentum recognizer builds the form of ux*q(y) from q's terms as
+    # the recognizer builds the form of factor*q(x) from q's terms as
     # dicts, and compares it with ==, so its monomial order is free
-    for rec, form in built:
-        (want,) = fraction_normal_forms([mul(var("ux"), rec.expr())])
+    for factor, rec, form in built:
+        (want,) = fraction_normal_forms([mul(factor, rec.expr())])
         _assert_forms_equal_as_rationals([dict(sorted(form.items()))], [dict(sorted(want.items()))])
 
 

@@ -549,7 +549,8 @@ def test_read_config_validation(tmp_path):
     for key, value in (("N", 256.7), ("N", 256.0), ("N", "256"), ("N", True), ("L", "40"),
                        ("dt", "0.001"), ("t_final", True), ("energy_mu", "2"),
                        ("min_u_floor", None), ("series_dt", True),
-                       ("output", {"snapshot_times": [True]}), ("output", ["snapshots.csv"])):
+                       ("output", {"snapshot_times": [True]}), ("output", ["snapshots.csv"]),
+                       ("output", {"series_path": 5}), ("output", {"snapshot_path": ["snaps.csv"]})):
         with pytest.raises(ValueError, match="invalid simulation config"):
             read_config(json.dumps(dict(doc, **{key: value})))
     # a blow-up threshold <= 0 reports wave breaking on any run, and a

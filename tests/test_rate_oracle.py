@@ -141,13 +141,10 @@ def _pole_coefficient_by_evaluate(w: ex.Expr) -> float:
     return float(snapped) if abs(float(snapped) - est) <= 1e-6 * max(1.0, abs(est)) else est
 
 
-def test_momentum_recognizer_reads_what_a_fresh_expansion_reads(monkeypatch):
+def test_momentum_recognizer_reads_what_a_fresh_expansion_reads(monkeypatch, recognized):
     # f0 read from the equation's Program equals, to the bit, f0 read by
-    # evaluating f alone; and the recognizer's dict comparison of w with
+    # evaluating f alone; and the exact path's dict comparison of w with
     # ux*q(y) accepts and rejects what a normal form of w - ux*q(y) does
-    seen = []
-    real = conslaw._poly_in_y_exact
-    monkeypatch.setattr(conslaw, "_poly_in_y_exact", lambda w: seen.append((w, real(w))) or seen[-1][1])
     poles = []
     for f, g in EQUATIONS:
         eq = EquationSpec.from_strings(f, g)
@@ -159,7 +156,9 @@ def test_momentum_recognizer_reads_what_a_fresh_expansion_reads(monkeypatch):
         conslaw.flux_momentum(eq)
         conslaw.flux_h1(eq)
     monkeypatch.undo()
-    assert all(f0 for (f, _), f0 in zip(EQUATIONS, poles) if POLE in f) and len(seen) == 2 * len(EQUATIONS)
+    assert all(f0 for (f, _), f0 in zip(EQUATIONS, poles) if POLE in f) and len(recognized) == 2 * len(EQUATIONS)
+    assert all(arg is conslaw._Y for _, arg, _, _ in recognized)
+    seen = [(w, rec if exact else None) for w, _, rec, exact in recognized]  # what the exact path accepted
     accepted = 0
     for w, rec in seen:
         nf = ex.poly_normal_form(w)
