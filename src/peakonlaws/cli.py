@@ -70,16 +70,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, output
     return path
 
 
-def _made_dir(path: Path) -> bool:
-    """Make the output directory path; False, with the error printed, when it cannot be made."""
-    try:
-        path.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return False
-    return True
-
-
 def _policy(args) -> SamplingPolicy:
     return SamplingPolicy(seed=args.seed)
 
@@ -100,29 +90,31 @@ def cmd_classify(args) -> int:
     text = report.to_json_str()
     if args.out:
         out_dir = Path(args.out)
-        if not _made_dir(out_dir):
-            return 1
         report_path = out_dir / "classify_report.json"
-        report_path.write_text(text + "\n")
-        _write_manifest(
-            out_dir, "classify",
-            {"f": args.f, "g": args.g, "params": params},
-            args.seed, [report_path],
-        )
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            report_path.write_text(text + "\n")
+            _write_manifest(
+                out_dir, "classify",
+                {"f": args.f, "g": args.g, "params": params},
+                args.seed, [report_path],
+            )
+        except OSError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
     print(text)
     return 0 if report.determinate else 2
 
 
 def cmd_simulate(args) -> int:
     cfg_path = Path(args.config)
+    out_dir = Path(args.out) if args.out else cfg_path.parent
     try:
         raw = json.loads(cfg_path.read_text())
         config = pde.read_config(raw)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError, ParseError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
-    out_dir = Path(args.out) if args.out else cfg_path.parent
-    if not _made_dir(out_dir):
         return 1
 
     out_spec = raw.get("output", {})
@@ -130,12 +122,16 @@ def cmd_simulate(args) -> int:
     snapshot_path = out_dir / out_spec.get("snapshot_path", "snapshots.csv")
 
     result = pde.run(config)
-    pde.write_series_csv(series_path, result.series)
-    outputs = [series_path]
-    if result.snapshots:
-        pde.write_snapshots_csv(snapshot_path, config.grid, result.snapshots)
-        outputs.append(snapshot_path)
-    _write_manifest(out_dir, "simulate", raw, args.seed, outputs)
+    try:
+        pde.write_series_csv(series_path, result.series)
+        outputs = [series_path]
+        if result.snapshots:
+            pde.write_snapshots_csv(snapshot_path, config.grid, result.snapshots)
+            outputs.append(snapshot_path)
+        _write_manifest(out_dir, "simulate", raw, args.seed, outputs)
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
     print(f"status: {result.status}")
     if result.message:
@@ -179,17 +175,20 @@ def cmd_twave(args) -> int:
         return 1
 
     out_dir = Path(args.out) if args.out else Path(".")
-    if not _made_dir(out_dir):
-        return 1
     csv_path = out_dir / f"twave_{args.mode}.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("xi,U,Uprime\n")
-        for xi_i, u_i, up_i in zip(profile.xi, profile.U, profile.Uprime):
-            fh.write(f"{_fmt(xi_i)},{_fmt(u_i)},{_fmt(up_i)}\n")
     json_path = out_dir / f"twave_{args.mode}.json"
-    json_path.write_text(json.dumps(sidecar, indent=2) + "\n")
-    _write_manifest(out_dir, f"twave {args.mode}", vars(args) | {"func": None},
-                    args.seed, [csv_path, json_path])
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        with open(csv_path, "w") as fh:
+            fh.write("xi,U,Uprime\n")
+            for xi_i, u_i, up_i in zip(profile.xi, profile.U, profile.Uprime):
+                fh.write(f"{_fmt(xi_i)},{_fmt(u_i)},{_fmt(up_i)}\n")
+        json_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+        _write_manifest(out_dir, f"twave {args.mode}", vars(args) | {"func": None},
+                        args.seed, [csv_path, json_path])
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     print(json.dumps(sidecar, indent=2))
     return 0
 

@@ -41,6 +41,10 @@ verdict names the m-monomial whose coefficient failed.  A
 gradient-energy candidate (mu, nu) is judged by the same rule without
 building its residual: exactly from the coefficients' normal forms, else
 at the shared points.
+
+Every verdict is the expr.ZeroVerdict of its zero test, exact flag and
+witness included, from check_momentum, check_h1 and characteristic_check
+to the report, whose JSON prints its conserved view (ZeroVerdict.to_json).
 """
 
 from __future__ import annotations
@@ -80,7 +84,6 @@ from .expr import (
 
 __all__ = [
     "EquationSpec",
-    "Verdict",
     "GradEnergySolutions",
     "ConservedCurrent",
     "ConservationReport",
@@ -162,24 +165,6 @@ class EquationSpec:
 def upsilon(eq: EquationSpec) -> Expr:
     """EquationSpec.upsilon of eq."""
     return eq.upsilon
-
-
-@dataclass(frozen=True)
-class Verdict:
-    conserved: bool | None  # None = indeterminate
-    residual_max: float
-    witness: dict | None = None
-
-    @staticmethod
-    def from_zero(v: ZeroVerdict) -> "Verdict":
-        conserved = {"zero": True, "nonzero": False, "indeterminate": None}[v.status]
-        return Verdict(conserved, v.residual_max, v.witness)
-
-    def to_json(self) -> dict:
-        out = {"conserved": self.conserved, "residual_max": self.residual_max}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +389,14 @@ def _split_conditions(eq: EquationSpec, policy: SamplingPolicy) -> _SplitConditi
     return _SplitConditions.voted(forms, sample, policy)
 
 
-def check_momentum(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Verdict:
-    """Momentum density T = m (equivalently T = u) is conserved iff E_u(f*m) = 0."""
-    return Verdict.from_zero(_split_conditions(eq, policy or SamplingPolicy()).verdict("B"))
+def check_momentum(eq: EquationSpec, policy: SamplingPolicy | None = None) -> ZeroVerdict:
+    """Momentum density T = m (equivalently T = u) is conserved iff E_u(f*m) = 0: the ZeroVerdict of B."""
+    return _split_conditions(eq, policy or SamplingPolicy()).verdict("B")
 
 
-def check_h1(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Verdict:
-    """H1 density T = ux^2 + u^2 is conserved iff E_u((u*f - ux*g)*m) = 0."""
-    return Verdict.from_zero(_split_conditions(eq, policy or SamplingPolicy()).verdict("A"))
+def check_h1(eq: EquationSpec, policy: SamplingPolicy | None = None) -> ZeroVerdict:
+    """H1 density T = ux^2 + u^2 is conserved iff E_u((u*f - ux*g)*m) = 0: the ZeroVerdict of A."""
+    return _split_conditions(eq, policy or SamplingPolicy()).verdict("A")
 
 
 @dataclass(frozen=True)
@@ -531,7 +516,7 @@ def _solve_grad_energy(split: _SplitConditions, policy: SamplingPolicy) -> GradE
         blocks.append(np.column_stack([a / top, b / top]))
         rhs.append(-c / top)
     mat, rhs = np.vstack(blocks), np.concatenate(rhs)
-    svals = np.linalg.svd(mat, compute_uv=False)
+    left, svals, vt = np.linalg.svd(mat, full_matrices=False)
     smax = svals[0]
     # column magnitudes are O(1) after scale normalization, so compare the
     # rank threshold against max(smax, 1)
@@ -542,13 +527,13 @@ def _solve_grad_energy(split: _SplitConditions, policy: SamplingPolicy) -> GradE
     if rank == 0:
         return _judged(split.verdict("C"), "plane")
 
-    # the minimum-norm solution: the point, or the line's particular solution
-    sol, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
+    # the minimum-norm solution of the system truncated at that rank: the
+    # point, or the line's particular solution (Golub & Van Loan, 5.5)
+    sol = vt[:rank].T @ ((left[:, :rank].T @ rhs) / svals[:rank])
     mu, nu = _snap(float(sol[0]) + 2.0), _snap(float(sol[1]))
     v = _candidate_verdict(split, mu, nu, policy.rel_tol)
     if rank == 2:
         return _judged(v, "point", mu, nu)
-    _, _, vt = np.linalg.svd(mat)
     null = vt[1] / np.hypot(*vt[1])
     null = np.array([_snap(null[0]), _snap(null[1])])
     null = null / np.hypot(*null)
@@ -838,10 +823,10 @@ def flux_grad_energy(eq: EquationSpec, mu: float, nu: float) -> ConservedCurrent
 
 def characteristic_check(
     cur: ConservedCurrent, eq: EquationSpec, policy: SamplingPolicy | None = None
-) -> Verdict:
-    """Off-shell test of D_t T + D_x Phi - Q * Upsilon = 0 (u arbitrary)."""
+) -> ZeroVerdict:
+    """Off-shell test of D_t T + D_x Phi - Q * Upsilon = 0 (u arbitrary): the ZeroVerdict of is_zero."""
     resid = sub(add(d_t(cur.T), d_x(cur.Phi)), mul(cur.Q, upsilon(eq)))
-    return Verdict.from_zero(is_zero(resid, policy))
+    return is_zero(resid, policy)
 
 
 def multiplier_conditions(T: Expr, Q: Expr, eq: EquationSpec) -> tuple[Expr, Expr]:
@@ -856,22 +841,17 @@ def multiplier_conditions(T: Expr, Q: Expr, eq: EquationSpec) -> tuple[Expr, Exp
 
 @dataclass(frozen=True)
 class ConservationReport:
-    momentum: Verdict
-    h1: Verdict
+    momentum: ZeroVerdict
+    h1: ZeroVerdict
     grad_energy: GradEnergySolutions
-    l2m: Verdict
-    weighted_h2: Verdict
+    l2m: ZeroVerdict
+    weighted_h2: ZeroVerdict
     fluxes: tuple = ()
 
     @property
     def determinate(self) -> bool:
-        return (
-            self.momentum.conserved is not None
-            and self.h1.conserved is not None
-            and self.grad_energy.kind != "indeterminate"
-            and self.l2m.conserved is not None
-            and self.weighted_h2.conserved is not None
-        )
+        verdicts = (self.momentum, self.h1, self.l2m, self.weighted_h2)
+        return self.grad_energy.kind != "indeterminate" and all(v.conserved is not None for v in verdicts)
 
     def to_json(self) -> dict:
         return {
@@ -907,19 +887,19 @@ def _wh2_mu(sols: GradEnergySolutions) -> float | None:
     return None
 
 
-def _wh2_verdict(sols: GradEnergySolutions, va: ZeroVerdict, vc: ZeroVerdict) -> Verdict:
+def _wh2_verdict(sols: GradEnergySolutions, va: ZeroVerdict, vc: ZeroVerdict) -> ZeroVerdict:
     """Conserved weighted-H2 norm: some (mu != 2, nu = 0) solves the condition.
 
-    va and vc are the zero tests of the coefficients A and C.
+    va and vc are the zero tests of A and C.  A nonzero A admits at most
+    one mu at nu = 0, read off sols: zero where the set meets nu = 0 at
+    some mu != 2, indeterminate where the set is, else nonzero.
     """
-    if va.status == "indeterminate":
-        return Verdict(None, va.residual_max, va.witness)
-    if va.status == "zero":
-        return Verdict.from_zero(vc)
-    # A nonzero: at nu=0 the residual (mu-2)*A + C admits at most one mu
+    if va.status != "nonzero":
+        return vc if va.is_zero else va
     if _wh2_mu(sols) is not None:
-        return Verdict(True, sols.residual_max)
-    return Verdict(False, max(va.residual_max, sols.residual_max))
+        return ZeroVerdict("zero", sols.residual_max)
+    status = "indeterminate" if sols.kind == "indeterminate" else "nonzero"
+    return ZeroVerdict(status, max(va.residual_max, sols.residual_max))
 
 
 def classify(eq: EquationSpec, policy: SamplingPolicy | None = None) -> ConservationReport:
@@ -936,23 +916,21 @@ def classify(eq: EquationSpec, policy: SamplingPolicy | None = None) -> Conserva
     policy = policy or SamplingPolicy()
     split = _split_conditions(eq, policy)
     va, vb, vc = (split.verdict(name) for name in "ABC")
-    mom, h1 = Verdict.from_zero(vb), Verdict.from_zero(va)
     sols = _solve_grad_energy(split, policy)
 
     # the direct test of C and the solution set must agree, else indeterminate
     l2m_set = sols.contains(2.0, 0.0) if sols.kind != "indeterminate" else None
-    conserved = l2m_set if Verdict.from_zero(vc).conserved == l2m_set else None
-    l2m = Verdict(conserved, vc.residual_max, None if conserved else vc.witness)
+    l2m = vc if vc.conserved == l2m_set else ZeroVerdict("indeterminate", vc.residual_max, vc.witness)
 
     wh2 = _wh2_verdict(sols, va, vc)
 
     wh2_mu = _wh2_mu(sols) if wh2.conserved else None
     # (the law holds, its builder, the builder's arguments after eq)
     wanted = (
-        (mom.conserved, flux_momentum, ()),
-        (h1.conserved, flux_h1, ()),
+        (vb.conserved, flux_momentum, ()),
+        (va.conserved, flux_h1, ()),
         (l2m.conserved, flux_grad_energy, (2.0, 0.0)),
         (wh2_mu is not None, flux_grad_energy, (wh2_mu, 0.0)),
     )
     currents = (build(eq, *args) for holds, build, args in wanted if holds)
-    return ConservationReport(mom, h1, sols, l2m, wh2, tuple(cur for cur in currents if cur is not None))
+    return ConservationReport(vb, va, sols, l2m, wh2, tuple(cur for cur in currents if cur is not None))

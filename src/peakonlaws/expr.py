@@ -1193,8 +1193,17 @@ class ZeroVerdict:
     def is_zero(self) -> bool:
         return self.status == "zero"
 
+    @property
+    def conserved(self) -> bool | None:
+        """The law the test decides: True where zero, False where nonzero, None where indeterminate."""
+        return {"zero": True, "nonzero": False}.get(self.status)
+
     def __bool__(self) -> bool:
         return self.is_zero
+
+    def to_json(self) -> dict:
+        out = {"conserved": self.conserved, "residual_max": self.residual_max}
+        return out if self.witness is None else {**out, "witness": self.witness}
 
 
 _SIGNS = np.array([-1.0, 1.0])

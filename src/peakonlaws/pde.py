@@ -66,7 +66,13 @@ STATUS_COMPLETED = "completed"
 STATUS_WAVE_BREAKING = "wave-breaking detected"
 STATUS_SINGULAR = "singularity guard triggered"
 
-_INITIAL_KINDS = ("gaussian", "cosine_offset", "mollified_peakon", "solitary_wave")
+# each initial-data kind and the parameters initial_data reads for it
+_INITIAL_PARAMS = {
+    "gaussian": ("amplitude", "center", "width"),
+    "cosine_offset": ("offset", "amplitude", "mode"),
+    "mollified_peakon": ("amplitude", "center", "mollify_width_dx"),
+    "solitary_wave": ("b", "c", "center"),
+}
 
 
 @dataclass(frozen=True)
@@ -254,26 +260,30 @@ class SimConfig:
         if any(not 0 <= t < math.inf for t in self.snapshot_times):
             raise ValueError("snapshot times must be non-negative finite numbers")
         kind = self.initial.get("kind")
-        if kind not in _INITIAL_KINDS:
+        if kind not in _INITIAL_PARAMS:
             raise ValueError(f"unknown initial-data kind {kind!r}")
         p = self.initial.get("params", {})
         if not isinstance(p, dict):
             raise ValueError("initial-data params must be an object")
-        # the parameters initial_data reads, converted as it converts them;
-        # b and c of a solitary wave are checked below
-        for key in ("amplitude", "center", "width", "offset", "mollify_width_dx"):
-            if key in p:
+        # each parameter converted as initial_data converts it; a name the
+        # kind does not read would be ignored without a word, and b and c
+        # of a solitary wave are checked below
+        names = _INITIAL_PARAMS[kind]
+        for key, value in p.items():
+            if key not in names:
+                raise ValueError(f"unknown {kind} parameter {key!r}; it takes {', '.join(names)}")
+            if key == "mode":
                 try:
-                    finite = math.isfinite(float(p[key]))
+                    operator.index(value)
+                except TypeError:
+                    raise ValueError(f"initial-data parameter mode must be an integer, got {value!r}") from None
+            elif key not in ("b", "c"):
+                try:
+                    finite = math.isfinite(float(value))
                 except (TypeError, ValueError):
                     finite = False
                 if not finite:
-                    raise ValueError(f"initial-data parameter {key} must be a finite number, got {p[key]!r}")
-        if "mode" in p:
-            try:
-                operator.index(p["mode"])
-            except TypeError:
-                raise ValueError(f"initial-data parameter mode must be an integer, got {p['mode']!r}") from None
+                    raise ValueError(f"initial-data parameter {key} must be a finite number, got {value!r}")
         if kind == "solitary_wave":
             if "b" not in p or "c" not in p:
                 raise ValueError("solitary_wave initial data needs params b and c")

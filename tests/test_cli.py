@@ -331,6 +331,19 @@ def test_out_that_is_a_file_is_an_error(tmp_path, capsys, command):
     assert out == "" and taken.read_text() == ""
 
 
+@pytest.mark.parametrize("output", [
+    {"series_path": ""},  # the output directory itself
+    {"snapshot_times": [0.0], "snapshot_path": "missing/snaps.csv"},
+])
+def test_simulate_output_that_cannot_be_written_is_an_error(tmp_path, capsys, output):
+    # the run completes; the failed write is bad input, not a traceback
+    path = _sim_config(tmp_path, output=output)
+    code, out, err = run_cli(capsys, "--out", str(tmp_path), "simulate", str(path))
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "status:" not in out
+
+
 def test_simulate_wave_breaking_exit(tmp_path, capsys):
     path = _sim_config(tmp_path, t_final=5.0, blowup_threshold=1.0, N=256)
     code, out, _ = run_cli(capsys, "--out", str(tmp_path), "simulate", str(path))

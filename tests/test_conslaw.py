@@ -532,6 +532,46 @@ def test_grad_energy_rank_ambiguity_is_indeterminate():
     assert sols.residual_max > 1.0  # the largest singular value, reported as the residual
 
 
+def test_grad_energy_line_through_the_minimum_norm_point(monkeypatch):
+    # 1e-10*u^2 leaves the second singular value under the rank threshold:
+    # rank 1, and the line nu = 0 through the minimum-norm solution of the
+    # system truncated at that rank, (2, 0), all read off one SVD
+    calls = []
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+
+    spy("svd")
+    spy("lstsq")
+    sols = check_grad_energy(EquationSpec.from_strings("ux/u^3 + 1e-10*u^2", "1/u^2"), POL)
+    assert calls == ["svd"]
+    assert sols.kind == "line" and sols.direction == (1.0, 0.0)
+    assert (sols.mu, sols.nu) == pytest.approx((2.0, 0.0), abs=1e-9)
+
+
+@pytest.mark.parametrize("f, g", [("-u*ux + 1e-9*u^2", "u^2"), ("-u*ux", "u^2 + 1e-9*u")])
+def test_weighted_h2_is_indeterminate_where_the_set_is(f, g):
+    # A is nonzero, so only the (mu, nu) set can say whether some mu != 2
+    # holds at nu = 0; an indeterminate set says neither yes nor no
+    rep = classify(EquationSpec.from_strings(f, g), POL)
+    assert rep.h1.conserved is False and rep.grad_energy.kind == "indeterminate"
+    assert rep.weighted_h2.conserved is None
+    assert not rep.determinate
+
+
+def test_report_keeps_the_exact_flags():
+    # the report holds the zero tests that ran, flag and all; its JSON
+    # prints what it printed before
+    rep = classify(CH, POL)
+    assert rep.momentum.exact and rep.h1.exact
+    checks = [characteristic_check(cur, CH, POL) for cur in rep.fluxes]
+    assert [cur.name for cur in rep.fluxes] == ["momentum", "h1"]
+    assert all(v.is_zero and v.exact for v in checks)
+    assert rep.to_json()["momentum"] == {"conserved": True, "residual_max": 0.0}
+    assert not rep.l2m.exact and set(rep.to_json()["l2m"]) == {"conserved", "residual_max", "witness"}
+
+
 @pytest.mark.parametrize("first, second, kind, residual", [
     (("zero", 1e-12), ("zero", 3e-12), "line", 3e-12),
     (("zero", 1.0), ("nonzero", 5.0), "empty", 5.0),

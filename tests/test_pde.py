@@ -586,6 +586,14 @@ def test_read_config_validation(tmp_path):
                     {"kind": "mollified_peakon", "params": {"mollify_width_dx": "wide"}}):
         with pytest.raises(ValueError, match="invalid simulation config"):
             read_config(json.dumps(dict(doc, initial=initial)))
+    # a parameter its kind does not read is an error, not a silent default
+    for initial, name in (({"kind": "gaussian", "params": {"amplitdue": 5.0, "offset": 3}}, "amplitdue"),
+                          ({"kind": "cosine_offset", "params": {"width": 1.0}}, "width"),
+                          ({"kind": "mollified_peakon", "params": {"mode": 2}}, "mode"),
+                          ({"kind": "solitary_wave", "params": {"b": 0.5, "c": 1.0, "amplitude": 1.0}},
+                           "amplitude")):
+        with pytest.raises(ValueError, match=f"invalid simulation config: unknown {initial['kind']} parameter '{name}'"):
+            read_config(json.dumps(dict(doc, initial=initial)))
 
 
 def test_read_config_leaves_the_defaults_to_sim_config():
