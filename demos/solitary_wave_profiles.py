@@ -1,8 +1,10 @@
 """Smooth solitary waves of the singular equation, next to its peakons.
 
-The closed-form quadrature is inverted by bisection, cross-checked by
-direct integration of the first-order ODE, and the two first integrals
-are evaluated along the profile (they pin c2 = 2 - b^2, c1 = c2^2/4).
+The closed-form quadrature is explicit in a variable y >= 0; Newton in y
+gives U(xi) with no further inversion, and direct integration of the
+first-order ODE cross-checks it.  The first integrals of the H1 and
+L2(m) currents that classify builds are evaluated along the profile
+(they pin c2 = 2 - b^2, c1 = c2^2/4).
 The solitary peak b*sqrt(2-b^2)/sqrt(c) always stays below the peakon
 peak 1/sqrt(c) at equal speed.
 """

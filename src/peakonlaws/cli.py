@@ -113,13 +113,16 @@ def cmd_simulate(args) -> int:
         raw = json.loads(cfg_path.read_text())
         config = pde.read_config(raw)
         out_dir.mkdir(parents=True, exist_ok=True)
+        out_spec = raw.get("output", {})
+        series_path = out_dir / out_spec.get("series_path", "series.csv")
+        snapshot_path = out_dir / out_spec.get("snapshot_path", "snapshots.csv")
+        # an output file that cannot be written stops the command before the run
+        for path in (series_path, snapshot_path) if config.snapshot_times else (series_path,):
+            if path.is_dir() or not path.parent.is_dir():
+                raise OSError(f"cannot write {path}: it is a directory, or its directory is missing")
     except (OSError, ValueError, ParseError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-
-    out_spec = raw.get("output", {})
-    series_path = out_dir / out_spec.get("series_path", "series.csv")
-    snapshot_path = out_dir / out_spec.get("snapshot_path", "snapshots.csv")
 
     result = pde.run(config)
     try:

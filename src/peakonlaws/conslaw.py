@@ -405,7 +405,8 @@ class GradEnergySolutions:
 
     kind is one of empty / point / line / plane / indeterminate; for a
     point (mu, nu) is the solution, for a line it is a representative
-    point with `direction` spanning the line.
+    point with `direction` spanning the line.  residual_max and exact are
+    those of the zero test that decided the set.
     """
 
     kind: str
@@ -413,6 +414,7 @@ class GradEnergySolutions:
     nu: float | None = None
     direction: tuple[float, float] | None = None
     residual_max: float = 0.0
+    exact: bool = False
 
     def contains(self, mu: float, nu: float, tol: float = 1e-6) -> bool:
         if self.kind == "plane":
@@ -497,7 +499,7 @@ def _candidate_verdict(split: _SplitConditions, mu: float, nu: float, rel_tol: f
 def _judged(v: ZeroVerdict, kind: str, mu=None, nu=None, direction=None) -> GradEnergySolutions:
     """The solution set kind where the zero test v is zero, empty where it is nonzero, else indeterminate."""
     if v.status == "zero":
-        return GradEnergySolutions(kind, mu, nu, direction, v.residual_max)
+        return GradEnergySolutions(kind, mu, nu, direction, v.residual_max, v.exact)
     return GradEnergySolutions("empty" if v.status == "nonzero" else "indeterminate", residual_max=v.residual_max)
 
 
@@ -892,12 +894,13 @@ def _wh2_verdict(sols: GradEnergySolutions, va: ZeroVerdict, vc: ZeroVerdict) ->
 
     va and vc are the zero tests of A and C.  A nonzero A admits at most
     one mu at nu = 0, read off sols: zero where the set meets nu = 0 at
-    some mu != 2, indeterminate where the set is, else nonzero.
+    some mu != 2 (exact where the set's zero test was), indeterminate
+    where the set is, else nonzero.
     """
     if va.status != "nonzero":
         return vc if va.is_zero else va
     if _wh2_mu(sols) is not None:
-        return ZeroVerdict("zero", sols.residual_max)
+        return ZeroVerdict("zero", sols.residual_max, exact=sols.exact)
     status = "indeterminate" if sols.kind == "indeterminate" else "nonzero"
     return ZeroVerdict(status, max(va.residual_max, sols.residual_max))
 

@@ -26,6 +26,11 @@ rather than return an unconverged value.  U comes out within about
 2*(1 + ln(peak/U)) ulps, far down the tail included.  The closed form in
 U (_xi_of_U) is kept for the ODE cross-check.
 
+Every current with no explicit x gives a first integral Phi - c*T of the
+travelling-wave ODE (first_integral), read off the currents that conslaw
+builds; the solitary wave's c2 = 2 - b^2 and c1 = c2^2/4 are those of
+the singular equation's H1 and L2(m) currents.
+
 Peakons u = a*exp(-|x - c t|) travel with c = 1/a^2.
 
 scipy is imported only by quadrature_crosscheck, on its first call.
@@ -38,6 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import conslaw
+from . import expr as ex
+
 __all__ = [
     "WaveProfile",
     "SolitaryResiduals",
@@ -46,9 +54,7 @@ __all__ = [
     "solitary_ode_residual",
     "quadrature_crosscheck",
     "peakon",
-    "first_integral_l2",
-    "first_integral_h1",
-    "hamiltonian_first_integrals",
+    "first_integral",
     "smooth_solitary_analysis",
 ]
 
@@ -301,18 +307,20 @@ class SolitaryResiduals:
     peak_excluded: bool
 
 
-def first_integral_l2(U, Upp, c):
-    """Co-moving flux of the m^2 density: (U - U'')^2 (1/U^2 - c).
+def first_integral(cur: conslaw.ConservedCurrent, c: float, U, Up, Upp):
+    """The first integral Phi - c*T of a current along u = U(x - c*t).
 
-    Constant along travelling waves; equals c2^2/4 = (2-b^2)^2/4 for the
-    decaying solitary wave.
+    On a travelling wave u_t = -c*U', u_tx = -c*U'' and m = U - U'', so
+    D_t T + D_x Phi = 0 reads d/dxi (Phi - c*T) = 0.  Phi - c*T is
+    evaluated by ex.evaluate at U, U', U'' (floats or 1-D arrays), which
+    need not lie on a wave.  A Phi that holds x, as a pole-family
+    current's does, gives no first integral: ValueError.
     """
-    return (U - Upp) ** 2 * (1.0 / U**2 - c)
-
-
-def first_integral_h1(U, Up, Upp, c):
-    """-c(U^2 + U'^2) + 2cUU'' + 2(U - U'')/U; constant (= c2 = 2 - b^2)."""
-    return -c * (U * U + Up * Up) + 2.0 * c * U * Upp + 2.0 * (U - Upp) / U
+    if ex.X in ex.jet_vars(cur.Phi):
+        raise ValueError(f"the {cur.name} current's flux holds x, so Phi - c*T is no first integral")
+    U, Up, Upp = (np.asarray(a, dtype=float) for a in (U, Up, Upp))
+    point = {"u": U, "ux": Up, "m": U - Upp, "ut": -c * Up, "utx": -c * Upp}
+    return ex.evaluate(ex.sub(cur.Phi, ex.mul(c, cur.T)), point)
 
 
 def solitary_ode_residual(
@@ -330,7 +338,8 @@ def solitary_ode_residual(
     fresh grid.  A small peak neighborhood is excluded only if the
     finite-difference noise there exceeds the quoted tolerance.
 
-    Also evaluates both first integrals along the profile and compares
+    Also evaluates the first integrals of the singular equation's H1 and
+    L2(m) currents along the profile (first_integral) and compares them
     with c2 = 2 - b^2, c1 = c2^2/4.
     """
     if profile.kind != "solitary":
@@ -376,8 +385,10 @@ def solitary_ode_residual(
     Ug = _solitary_U(b, c, xig)
     Upg = _uprime_branch(Ug, xig, b, c)
     Uppg = _usecond(Ug, b, c)
-    c1_vals = first_integral_l2(Ug, Uppg, c)
-    c2_vals = first_integral_h1(Ug, Upg, Uppg, c)
+    eq = conslaw.EquationSpec.from_strings("ux/u^3", "1/u^2")
+    c1_vals, c2_vals = (
+        first_integral(cur, c, Ug, Upg, Uppg) for cur in (conslaw.flux_grad_energy(eq, 2.0, 0.0), conslaw.flux_h1(eq))
+    )
     c2_expected = 2.0 - b * b
     c1_expected = 0.25 * c2_expected**2
     return SolitaryResiduals(
@@ -444,39 +455,6 @@ def quadrature_crosscheck(
 # f = ux*f1(u^2-ux^2), g = u*f1(u^2-ux^2) + g1(u^2-ux^2)
 
 
-def _poly_eval(coeffs, y):
-    out = np.zeros_like(np.asarray(y, dtype=float))
-    for k in range(len(coeffs) - 1, -1, -1):
-        out = out * y + coeffs[k]
-    return out
-
-
-def hamiltonian_first_integrals(f1_coeffs, g1_coeffs, U, Up, Upp, c):
-    """Evaluate the co-moving first integrals along travelling-wave data.
-
-    f1, g1 are polynomial coefficient sequences (low order first) in the
-    argument y = U^2 - U'^2.  Returns the momentum first integral (its
-    constant c1), the H1 first integral (constant c2), and the combined
-    expression (U'^2 - U^2)(U*F1t + G1t - c), which equals c2 - 2*c1*U
-    along any travelling wave; F1t, G1t are the term-wise slope functions
-    F1/y, G1/y.  Decaying solitary tails force c1 = c2 = 0, making the
-    combined expression vanish identically.
-    """
-    U = np.asarray(U, dtype=float)
-    Up = np.asarray(Up, dtype=float)
-    Upp = np.asarray(Upp, dtype=float)
-    y = U * U - Up * Up
-    f1 = _poly_eval(f1_coeffs, y)
-    g1 = _poly_eval(g1_coeffs, y)
-    F1t = _poly_eval([ck / (k + 1.0) for k, ck in enumerate(f1_coeffs)], y)
-    G1t = _poly_eval([ck / (k + 1.0) for k, ck in enumerate(g1_coeffs)], y)
-    F1, G1 = y * F1t, y * G1t
-    mom = -c * (U - Upp) + 0.5 * F1 + (U - Upp) * (U * f1 + g1)
-    h1 = -c * (U * U + Up * Up) + 2.0 * c * U * Upp - G1 + 2.0 * U * (U - Upp) * (U * f1 + g1)
-    comb = (Up * Up - U * U) * (U * F1t + G1t - c)
-    return mom, h1, comb
-
-
 @dataclass(frozen=True)
 class SolitaryExistence:
     possible: bool
@@ -487,7 +465,10 @@ class SolitaryExistence:
 def smooth_solitary_analysis(f1_coeffs, g1_coeffs, c: float) -> SolitaryExistence:
     """Decay analysis for smooth solitary waves of the Hamiltonian family.
 
-    With decaying tails both first-integral constants vanish, forcing
+    The first integrals of the momentum and H1 currents (first_integral)
+    satisfy h1 - 2*U*mom = (U'^2 - U^2)(U*F1t + G1t - c), with F1t, G1t
+    the antiderivatives in y = U^2 - U'^2 of f1 and g1 from 0, over y.
+    With decaying tails both constants vanish, forcing
     (U'^2 - U^2)(U*F1t + G1t - c) = 0.  U'^2 = U^2 admits only U = 0, and
     the second factor at U -> 0 requires g1(0) = c, so a smooth solitary
     wave could at best exist at that one fixed speed, and none exists when

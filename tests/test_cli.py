@@ -335,8 +335,13 @@ def test_out_that_is_a_file_is_an_error(tmp_path, capsys, command):
     {"series_path": ""},  # the output directory itself
     {"snapshot_times": [0.0], "snapshot_path": "missing/snaps.csv"},
 ])
-def test_simulate_output_that_cannot_be_written_is_an_error(tmp_path, capsys, output):
-    # the run completes; the failed write is bad input, not a traceback
+def test_simulate_output_that_cannot_be_written_is_an_error(tmp_path, capsys, monkeypatch, output):
+    # the path is checked before the run, which never starts; the failed
+    # check is bad input, not a traceback
+    def no_run(config):
+        raise AssertionError("the solver ran before the output paths were checked")
+
+    monkeypatch.setattr(cli.pde, "run", no_run)
     path = _sim_config(tmp_path, output=output)
     code, out, err = run_cli(capsys, "--out", str(tmp_path), "simulate", str(path))
     assert code == 1

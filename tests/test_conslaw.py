@@ -464,7 +464,11 @@ def test_weighted_h2_at_a_point(A, B, C, mu):
     sols = conslaw._solve_grad_energy(split, POL)
     assert sols.kind == "point"
     assert conslaw._wh2_mu(sols) == (None if mu is None else pytest.approx(mu, abs=1e-9))
-    assert conslaw._wh2_verdict(sols, split.verdict("A"), split.verdict("C")).conserved is (mu is not None)
+    wh2 = conslaw._wh2_verdict(sols, split.verdict("A"), split.verdict("C"))
+    assert wh2.conserved is (mu is not None)
+    # polynomial conditions: the set comes from an exact zero test, and a
+    # conserved weighted-H2 verdict keeps its exact flag
+    assert wh2.exact is (mu is not None) and sols.exact
 
 
 @pytest.mark.parametrize("sols, mu", [

@@ -11,14 +11,13 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from peakonlaws import pde, twave
-from peakonlaws.conslaw import EquationSpec
+from peakonlaws.conslaw import EquationSpec, classify
 from peakonlaws.pde import Grid, SimConfig, run
 from peakonlaws.twave import (
     SolitaryExistence,
+    _usecond,
     _xi_of_U,
-    first_integral_h1,
-    first_integral_l2,
-    hamiltonian_first_integrals,
+    first_integral,
     peakon,
     quadrature_crosscheck,
     smooth_solitary_analysis,
@@ -215,7 +214,58 @@ def test_tail_log_slope():
         assert slope == pytest.approx(-b / np.sqrt(2.0), rel=0.01)
 
 
+# ---------------------------------------------------------------------------
+# hand-derived first integrals: oracles for first_integral that share no
+# code with conslaw
+
+
+def _l2m_oracle(U, Upp, c):
+    """Co-moving flux of the singular equation's m^2 density: (U - U'')^2 (1/U^2 - c)."""
+    return (U - Upp) ** 2 * (1.0 / U**2 - c)
+
+
+def _h1_oracle(U, Up, Upp, c):
+    """The singular equation's H1 first integral: -c(U^2 + U'^2) + 2cUU'' + 2(U - U'')/U."""
+    return -c * (U * U + Up * Up) + 2.0 * c * U * Upp + 2.0 * (U - Upp) / U
+
+
+def _hamiltonian_oracle(f1, g1, U, Up, Upp, c):
+    """First integrals of f = ux*f1(y), g = u*f1(y) + g1(y), y = U^2 - U'^2.
+
+    f1 and g1 are coefficient lists, low order first; F1 and G1 are their
+    antiderivatives in y from 0, and F1t = F1/y, G1t = G1/y term by term.
+    Returns the momentum and H1 integrals and the combined expression
+    (U'^2 - U^2)(U*F1t + G1t - c), which equals h1 - 2*U*mom.
+    """
+    P = np.polynomial.polynomial
+    y = U * U - Up * Up
+    f1y, g1y = P.polyval(y, f1), P.polyval(y, g1)
+    F1, G1 = P.polyval(y, P.polyint(f1)), P.polyval(y, P.polyint(g1))
+    F1t = P.polyval(y, [ck / (k + 1.0) for k, ck in enumerate(f1)])
+    G1t = P.polyval(y, [ck / (k + 1.0) for k, ck in enumerate(g1)])
+    mom = -c * (U - Upp) + 0.5 * F1 + (U - Upp) * (U * f1y + g1y)
+    h1 = -c * (U * U + Up * Up) + 2.0 * c * U * Upp - G1 + 2.0 * U * (U - Upp) * (U * f1y + g1y)
+    return mom, h1, (Up * Up - U * U) * (U * F1t + G1t - c)
+
+
+def _currents(f, g):
+    """The currents classify builds for m_t + f*m + (g*m)_x = 0, by name."""
+    return {cur.name: cur for cur in classify(EquationSpec.from_strings(f, g)).fluxes}
+
+
+def _family(f1, g1):
+    """f and g of the momentum/H1 family member with coefficient lists f1, g1 (low order first)."""
+    def poly(coeffs):
+        return " + ".join(f"({ck!r})*(u^2-ux^2)^{k}" for k, ck in enumerate(coeffs))
+    return f"ux*({poly(f1)})", f"u*({poly(f1)}) + {poly(g1)}"
+
+
+SINGULAR = ("ux/u^3", "1/u^2")
+
+
 def test_ode_residuals_and_first_integrals():
+    cur = _currents(*SINGULAR)
+    xi = np.linspace(0.05, 10.0, 400)
     for b, c in ((0.3, 1.0), (0.5, 1.0), (0.9, 2.0)):
         p = solitary_profile(b, c, XI)
         r = solitary_ode_residual(p)
@@ -223,6 +273,37 @@ def test_ode_residuals_and_first_integrals():
         assert r.c2 == pytest.approx(2.0 - b * b, abs=1e-8)
         assert r.c1 == pytest.approx(0.25 * (2.0 - b * b) ** 2, abs=1e-8)
         assert r.c1_spread < 1e-8 and r.c2_spread < 1e-8
+        # the currents classify builds give the hand-derived integrals
+        q = solitary_profile(b, c, xi)
+        Upp = _usecond(q.U, b, c)
+        l2m = first_integral(cur["l2m"], c, q.U, q.Uprime, Upp)
+        h1 = first_integral(cur["h1"], c, q.U, q.Uprime, Upp)
+        assert l2m == pytest.approx(_l2m_oracle(q.U, Upp, c), rel=1e-12, abs=1e-14)
+        assert h1 == pytest.approx(_h1_oracle(q.U, q.Uprime, Upp, c), rel=1e-12, abs=1e-14)
+
+
+def test_every_x_free_current_gives_a_first_integral():
+    # along the decaying solitary wave, m/U -> 1 - b^2/2 and U'^2/U^2 -> b^2/2,
+    # which sets each constant; the grad_energy(mu=3,nu=0) current has no
+    # hand formula.  Spreads measured: 1.1e-15, 5.6e-16 and 1.8e-15
+    b, c = 0.6, 1.3
+    k2 = 0.5 * b * b
+    expected = {"h1": 2.0 * (1.0 - k2), "l2m": (1.0 - k2) ** 2, "grad_energy(mu=3,nu=0)": (3.0 - k2) * (1.0 - k2) - 1.0}
+    cur = _currents(*SINGULAR)
+    assert set(cur) == set(expected)
+    p = solitary_profile(b, c, np.linspace(0.05, 10.0, 400))
+    for name, value in expected.items():
+        I = first_integral(cur[name], c, p.U, p.Uprime, _usecond(p.U, b, c))
+        assert np.ptp(I) < 1e-13, name
+        assert float(np.mean(I)) == pytest.approx(value, abs=1e-13), name
+    assert expected["grad_energy(mu=3,nu=0)"] == pytest.approx(1.3124, abs=1e-15)
+
+
+def test_first_integral_rejects_a_flux_that_holds_x():
+    # the pole family's momentum flux holds w0*x: Phi - c*T is no first integral
+    cur = _currents("ux + 0.5*u/(u^2-ux^2)", "u")["momentum"]
+    with pytest.raises(ValueError, match="holds x"):
+        first_integral(cur, 1.0, 1.0, 0.5, 0.2)
 
 
 def test_third_order_residual_at_noise_optimal_step():
@@ -252,10 +333,10 @@ def test_quadrature_crosscheck():
 
 def test_first_integral_detects_perturbation():
     p = solitary_profile(0.5, 1.0, np.linspace(0.05, 10.0, 300))
-    from peakonlaws.twave import _usecond
-
-    vals = first_integral_l2(p.U * (1.0 + 1e-4), _usecond(p.U, 0.5, 1.0), 1.0)
+    U, Upp = p.U * (1.0 + 1e-4), _usecond(p.U, 0.5, 1.0)
+    vals = first_integral(_currents(*SINGULAR)["l2m"], 1.0, U, p.Uprime, Upp)
     assert np.ptp(vals) > 1e-6
+    assert vals == pytest.approx(_l2m_oracle(U, Upp, 1.0), rel=1e-12, abs=1e-14)
 
 
 def test_peakon_relation():
@@ -310,9 +391,11 @@ def test_ch_first_integral_constant_along_numerical_wave():
     assert res.status == "completed"
     st = res.final
 
-    mom, h1, comb = hamiltonian_first_integrals(
-        [1.0], [0.0], st.u, st.ux, st.u - st.m, c
-    )
+    cur = _currents("ux", "u")
+    mom, h1 = (first_integral(cur[name], c, st.u, st.ux, st.u - st.m) for name in ("momentum", "h1"))
+    mom_oracle, h1_oracle, comb = _hamiltonian_oracle([1.0], [0.0], st.u, st.ux, st.u - st.m, c)
+    assert mom == pytest.approx(mom_oracle, rel=1e-12, abs=1e-14)
+    assert h1 == pytest.approx(h1_oracle, rel=1e-12, abs=1e-14)
     # U'^2 = (U-r1)(U-r2)(r3-U)/(c-U) pins the first-integral constants:
     # mom = -(r1 r2 + r1 r3 + r2 r3)/2, h1 = -r1 r2 r3, and
     # (U'^2 - U^2)(U*F1t + G1t - c) = -(2*mom*U - h1) along the wave
@@ -364,25 +447,30 @@ def test_solitary_wave_transport_in_simulator():
 
 def test_hamiltonian_first_integrals_zero_data():
     z = np.zeros(16)
-    mom, h1, comb = hamiltonian_first_integrals([1.0, 0.5], [0.3], z, z, z, 2.0)
+    cur = _currents(*_family([1.0, 0.5], [0.3]))
+    mom, h1 = (first_integral(cur[name], 2.0, z, z, z) for name in ("momentum", "h1"))
+    comb = _hamiltonian_oracle([1.0, 0.5], [0.3], z, z, z, 2.0)[2]
     assert np.all(mom == 0.0) and np.all(h1 == 0.0) and np.all(comb == 0.0)
 
 
 def test_hamiltonian_first_integrals_on_arbitrary_data():
     # F1 and G1 are the antiderivatives in y = U^2 - U'^2 of f1 and g1 from
     # 0, and F1t = F1/y, G1t = G1/y, so the combined expression is
-    # -(U*F1 + G1 - c*y)
+    # -(U*F1 + G1 - c*y); off-shell it equals h1 - 2*U*mom
     P = np.polynomial.polynomial
     U, Up, Upp = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 32))
     f1, g1, c = [0.5, -1.0, 0.25], [0.3, 2.0], 1.5
     y = U * U - Up * Up
     F1, G1, f1y, g1y = P.polyval(y, P.polyint(f1)), P.polyval(y, P.polyint(g1)), P.polyval(y, f1), P.polyval(y, g1)
-    mom, h1, comb = hamiltonian_first_integrals(f1, g1, U, Up, Upp, c)
+    cur = _currents(*_family(f1, g1))
+    mom, h1 = (first_integral(cur[name], c, U, Up, Upp) for name in ("momentum", "h1"))
+    comb = _hamiltonian_oracle(f1, g1, U, Up, Upp, c)[2]
     close = dict(rel=1e-12, abs=1e-14)
     assert mom == pytest.approx(-c * (U - Upp) + 0.5 * F1 + (U - Upp) * (U * f1y + g1y), **close)
     assert h1 == pytest.approx(-c * (U * U + Up * Up) + 2.0 * c * U * Upp - G1
                                + 2.0 * U * (U - Upp) * (U * f1y + g1y), **close)
     assert comb == pytest.approx(-(U * F1 + G1 - c * y), **close)
+    assert h1 - 2.0 * U * mom == pytest.approx(comb, **close)
 
 
 def test_smooth_solitary_analysis():
