@@ -56,6 +56,13 @@ def _parse_params(items) -> dict:
     return out
 
 
+def _finite(text: str) -> float:
+    """A number of a JSON document; NaN, Infinity and overflow to inf raise ValueError."""
+    if not math.isfinite(value := float(text)):
+        raise ValueError(f"invalid simulation config: {text} is not a finite number")
+    return value
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, outputs: list):
     manifest = {
         "subcommand": command,
@@ -66,7 +73,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict, seed: int, output
         "outputs": [str(p) for p in outputs],
     }
     path = out_dir / "run_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
     return path
 
 
@@ -84,10 +91,10 @@ def cmd_classify(args) -> int:
         return 1
     try:
         report = classify(eq, policy)
-    except SingularSamplingError as err:
+        text = json.dumps(report.to_json(), indent=2, allow_nan=False)
+    except (SingularSamplingError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    text = report.to_json_str()
     if args.out:
         out_dir = Path(args.out)
         report_path = out_dir / "classify_report.json"
@@ -110,7 +117,7 @@ def cmd_simulate(args) -> int:
     cfg_path = Path(args.config)
     out_dir = Path(args.out) if args.out else cfg_path.parent
     try:
-        raw = json.loads(cfg_path.read_text())
+        raw = json.loads(cfg_path.read_text(), parse_float=_finite, parse_constant=_finite)
         config = pde.read_config(raw)
         out_dir.mkdir(parents=True, exist_ok=True)
         out_spec = raw.get("output", {})
@@ -149,8 +156,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_twave(args) -> int:
     try:
-        if not 0.0 < args.xi_max < np.inf:
-            raise ValueError(f"--xi-max must be positive and finite, got {args.xi_max}")
+        if not 0.0 < args.xi_max <= sys.float_info.max / 2.0:
+            raise ValueError(f"--xi-max must be positive with 2*xi_max finite, got {args.xi_max}")
         if args.n_points < 1:
             raise ValueError(f"--n-points must be at least 1, got {args.n_points}")
         xi = np.linspace(-args.xi_max, args.xi_max, args.n_points)
@@ -173,6 +180,7 @@ def cmd_twave(args) -> int:
                 "c": profile.c,
                 "peak_height": profile.peak_height,
             }
+        text = json.dumps(sidecar, indent=2, allow_nan=False)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -186,13 +194,13 @@ def cmd_twave(args) -> int:
             fh.write("xi,U,Uprime\n")
             for xi_i, u_i, up_i in zip(profile.xi, profile.U, profile.Uprime):
                 fh.write(f"{_fmt(xi_i)},{_fmt(u_i)},{_fmt(up_i)}\n")
-        json_path.write_text(json.dumps(sidecar, indent=2) + "\n")
+        json_path.write_text(text + "\n")
         _write_manifest(out_dir, f"twave {args.mode}", vars(args) | {"func": None},
                         args.seed, [csv_path, json_path])
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    print(json.dumps(sidecar, indent=2))
+    print(text)
     return 0
 
 

@@ -96,7 +96,6 @@ __all__ = [
     "flux_grad_energy",
     "characteristic_check",
     "multiplier_conditions",
-    "upsilon",
 ]
 
 _U = var("u")
@@ -160,11 +159,6 @@ class EquationSpec:
     def from_strings(f: str, g: str, params: dict | None = None) -> "EquationSpec":
         params = dict(params or {})
         return EquationSpec(parse(f, params), parse(g, params), params)
-
-
-def upsilon(eq: EquationSpec) -> Expr:
-    """EquationSpec.upsilon of eq."""
-    return eq.upsilon
 
 
 # ---------------------------------------------------------------------------
@@ -827,13 +821,13 @@ def characteristic_check(
     cur: ConservedCurrent, eq: EquationSpec, policy: SamplingPolicy | None = None
 ) -> ZeroVerdict:
     """Off-shell test of D_t T + D_x Phi - Q * Upsilon = 0 (u arbitrary): the ZeroVerdict of is_zero."""
-    resid = sub(add(d_t(cur.T), d_x(cur.Phi)), mul(cur.Q, upsilon(eq)))
+    resid = sub(add(d_t(cur.T), d_x(cur.Phi)), mul(cur.Q, eq.upsilon))
     return is_zero(resid, policy)
 
 
 def multiplier_conditions(T: Expr, Q: Expr, eq: EquationSpec) -> tuple[Expr, Expr]:
     """The pair (E_u(D_t T - Q*Upsilon), E_ut(D_t T - Q*Upsilon)) for zero-testing."""
-    E = sub(d_t(T), mul(Q, upsilon(eq)))
+    E = sub(d_t(T), mul(Q, eq.upsilon))
     return euler_u(E), euler_ut(E)
 
 

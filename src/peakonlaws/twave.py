@@ -26,10 +26,11 @@ rather than return an unconverged value.  U comes out within about
 2*(1 + ln(peak/U)) ulps, far down the tail included.  The closed form in
 U (_xi_of_U) is kept for the ODE cross-check.
 
-Every current with no explicit x gives a first integral Phi - c*T of the
-travelling-wave ODE (first_integral), read off the currents that conslaw
-builds; the solitary wave's c2 = 2 - b^2 and c1 = c2^2/4 are those of
-the singular equation's H1 and L2(m) currents.
+Only that profile and the peakon are derived here by hand; Upsilon, the
+first integrals and the decay speed are read off conslaw.EquationSpec.
+Every current with no explicit x gives a first integral Phi - c*T
+(first_integral); the solitary wave's c2 = 2 - b^2 and c1 = c2^2/4 are
+those of the singular equation's H1 and L2(m) currents.
 
 Peakons u = a*exp(-|x - c t|) travel with c = 1/a^2.
 
@@ -249,16 +250,17 @@ def _solitary_U(b: float, c: float, xi: np.ndarray) -> np.ndarray:
 
 
 def peakon(a: float, xi: np.ndarray | None = None) -> WaveProfile:
-    """Peaked travelling wave u = a*exp(-|xi|) with speed c = 1/a^2."""
-    if a == 0.0 or not math.isfinite(a):
-        raise ValueError(f"peakon amplitude must be nonzero and finite, got {a}")
+    """Peaked travelling wave u = a*exp(-|xi|) with speed c = 1/a^2, a positive finite float."""
+    c = 1.0 / (a * a) if a * a else math.inf
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"peakon amplitude a must give a positive finite speed 1/a^2, got a = {a}")
     if xi is None:
         xi = np.linspace(-15.0, 15.0, 3001)
     xi = np.asarray(xi, dtype=float)
     U = a * np.exp(-np.abs(xi))
     return WaveProfile(
         kind="peakon",
-        c=1.0 / (a * a),
+        c=c,
         a=a,
         xi=xi,
         U=U,
@@ -323,6 +325,7 @@ def first_integral(cur: conslaw.ConservedCurrent, c: float, U, Up, Upp):
     return ex.evaluate(ex.sub(cur.Phi, ex.mul(c, cur.T)), point)
 
 
+@np.errstate(all="ignore")
 def solitary_ode_residual(
     profile: WaveProfile,
     xi_max: float = 15.0,
@@ -333,19 +336,21 @@ def solitary_ode_residual(
     (i) first-order: U'^2 - U^2 (b^2-1+s)/(1+s) with U' from the implicit
     derivative of the closed form (not the ODE branch, which would be
     circular);
-    (ii) third-order: -c(U'-U''') + U'(U-U'')U^-3 + ((U-U'')U^-2)' with
-    all derivatives from 8th-order central finite differences on a fine
-    fresh grid.  A small peak neighborhood is excluded only if the
+    (ii) third-order: the singular equation's EquationSpec.upsilon at
+    u = U, ux = U', m = U - U'', mx = U' - U''', mt = -c*(U' - U'''), with
+    U' and U''' by 8th-order central differences on a fine fresh grid and
+    U'' in closed form.  A small peak neighborhood is excluded only if the
     finite-difference noise there exceeds the quoted tolerance.
 
     Also evaluates the first integrals of the singular equation's H1 and
     L2(m) currents along the profile (first_integral) and compares them
-    with c2 = 2 - b^2, c1 = c2^2/4.
+    with c2 = 2 - b^2, c1 = c2^2/4.  A reported value that is not finite,
+    as where U^3 overflows at c near 0, raises ValueError.
     """
     if profile.kind != "solitary":
         raise ValueError("residual diagnostics expect a solitary profile")
     b, c = profile.b, profile.c
-
+    eq = conslaw.EquationSpec.from_strings("ux/u^3", "1/u^2")
     # (i) on the profile's own grid, away from the exact peak point
     mask = np.abs(profile.xi) > 1e-12
     U, xi = profile.U[mask], profile.xi[mask]
@@ -366,43 +371,39 @@ def solitary_ode_residual(
     Up1 = sum(w * Uf[idx + j] for j, w in zip(offsets, w1))
     Up3 = sum(w * Uf[idx + j] for j, w in zip(offsets, w3))
     Uc = Uf[idx]
-    Upp = _usecond(Uc, b, c)
     xic = xif[idx]
     Up1 = np.where(np.abs(xic) < 0.5 * dxi, 0.0, Up1)
-    r3 = -c * (Up1 - Up3) + Up1 * (Uc - Upp) / Uc**3 + (
-        (Up1 - Up3) / Uc**2 - 2.0 * Up1 * (Uc - Upp) / Uc**3
-    )
+    mx = Up1 - Up3
+    point = {"u": Uc, "ux": Up1, "m": Uc - _usecond(Uc, b, c), "mx": mx, "mt": -c * mx}
+    r3 = sum(ex.compile_terms(eq.upsilon)(point))
     peak_zone = np.abs(xic) < 0.05
-    peak_excluded = False
-    if np.any(np.abs(r3[peak_zone]) > 1e-6):
+    peak_excluded = bool(np.any(np.abs(r3[peak_zone]) > 1e-6))
+    if peak_excluded:
         r3 = r3[~peak_zone]
-        peak_excluded = True
-    third_rms = float(np.sqrt(np.mean(r3 * r3)))
-    third_max = float(np.max(np.abs(r3)))
 
     # first integrals on a moderate grid away from the tail underflow
-    xig = np.linspace(0.05, min(xi_max, 10.0), 400)
-    Ug = _solitary_U(b, c, xig)
-    Upg = _uprime_branch(Ug, xig, b, c)
-    Uppg = _usecond(Ug, b, c)
-    eq = conslaw.EquationSpec.from_strings("ux/u^3", "1/u^2")
+    wave = solitary_profile(b, c, np.linspace(0.05, min(xi_max, 10.0), 400))
     c1_vals, c2_vals = (
-        first_integral(cur, c, Ug, Upg, Uppg) for cur in (conslaw.flux_grad_energy(eq, 2.0, 0.0), conslaw.flux_h1(eq))
+        first_integral(cur, c, wave.U, wave.Uprime, _usecond(wave.U, b, c))
+        for cur in (conslaw.flux_grad_energy(eq, 2.0, 0.0), conslaw.flux_h1(eq))
     )
     c2_expected = 2.0 - b * b
-    c1_expected = 0.25 * c2_expected**2
-    return SolitaryResiduals(
+    res = SolitaryResiduals(
         first_order_max=first_order_max,
-        third_order_rms=third_rms,
-        third_order_max=third_max,
+        third_order_rms=float(np.sqrt(np.mean(r3 * r3))),
+        third_order_max=float(np.max(np.abs(r3))),
         c1=float(np.mean(c1_vals)),
-        c1_expected=c1_expected,
+        c1_expected=0.25 * c2_expected**2,
         c2=float(np.mean(c2_vals)),
         c2_expected=c2_expected,
         c1_spread=float(np.ptp(c1_vals)),
         c2_spread=float(np.ptp(c2_vals)),
         peak_excluded=peak_excluded,
     )
+    bad = [name for name, v in vars(res).items() if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"solitary residuals at b = {b:g}, c = {c:g} are not finite: {', '.join(bad)}")
+    return res
 
 
 def quadrature_crosscheck(
@@ -425,18 +426,12 @@ def quadrature_crosscheck(
     _check_bc(b, c)
     umax = solitary_peak_height(b, c)
 
-    def rhs(xi, y):
-        U = y[0]
-        s = math.sqrt(max(1.0 - c * U * U, 0.0))
-        B = max(b * b - 1.0 + s, 0.0)
-        return [-U * math.sqrt(B / (1.0 + s))]
-
     offset = start_offset
     for _ in range(6):
         u0 = umax * (1.0 - offset)
         xi0 = float(_xi_of_U(np.array([u0]), b, c)[0])
         sol = solve_ivp(
-            rhs, [xi0, xi_hi * 1.02], [u0],
+            lambda xi, y: _uprime_branch(y, xi, b, c), [xi0, xi_hi * 1.02], [u0],
             method="DOP853", rtol=1e-12, atol=1e-15, dense_output=True,
         )
         if sol.success:
@@ -462,25 +457,27 @@ class SolitaryExistence:
     reason: str
 
 
-def smooth_solitary_analysis(f1_coeffs, g1_coeffs, c: float) -> SolitaryExistence:
+def smooth_solitary_analysis(eq: conslaw.EquationSpec, c: float) -> SolitaryExistence:
     """Decay analysis for smooth solitary waves of the Hamiltonian family.
 
-    The first integrals of the momentum and H1 currents (first_integral)
-    satisfy h1 - 2*U*mom = (U'^2 - U^2)(U*F1t + G1t - c), with F1t, G1t
-    the antiderivatives in y = U^2 - U'^2 of f1 and g1 from 0, over y.
-    With decaying tails both constants vanish, forcing
-    (U'^2 - U^2)(U*F1t + G1t - c) = 0.  U'^2 = U^2 admits only U = 0, and
-    the second factor at U -> 0 requires g1(0) = c, so a smooth solitary
-    wave could at best exist at that one fixed speed, and none exists when
-    g1(0) = 0.
+    eq is in the family f = ux*f1(y), g = u*f1(y) + g1(y), y = u^2 - ux^2,
+    when flux_momentum and flux_h1 both build a current whose flux holds
+    no x; else ValueError.  Their first integrals (first_integral) satisfy
+    h1 - 2*U*mom = (U'^2 - U^2)(U*F1t + G1t - c), with F1t, G1t the
+    antiderivatives in y = U^2 - U'^2 of f1 and g1 from 0, over y.  With
+    decaying tails both constants vanish, and U'^2 = U^2 admits only
+    U = 0, so U -> 0 requires c = g1(0) = g(0, 0): a smooth solitary wave
+    could at best exist at that one speed, and none exists when it is 0.
     """
-    g10 = float(g1_coeffs[0]) if len(g1_coeffs) else 0.0
-    if g10 == 0.0:
-        return SolitaryExistence(False, None, "g1(0) = 0: no smooth solitary wave at any speed")
-    if abs(g10 - c) <= 1e-12 * max(1.0, abs(c)):
-        return SolitaryExistence(
-            True, g10, f"decay is consistent only at the fixed speed c = g1(0) = {g10:g}"
-        )
-    return SolitaryExistence(
-        False, g10, f"decay requires c = g1(0) = {g10:g}, but c = {c:g}"
-    )
+    currents = {"momentum": conslaw.flux_momentum(eq), "H1": conslaw.flux_h1(eq)}
+    missing = [name for name, cur in currents.items() if cur is None or ex.X in ex.jet_vars(cur.Phi)]
+    if missing:
+        raise ValueError(f"not in the Hamiltonian family: no {' and no '.join(missing)} current free of x")
+    g0 = ex.evaluate(eq.bound_g, {"u": 0.0, "ux": 0.0})
+    if not math.isfinite(g0):
+        raise ValueError(f"g(0, 0) = {g0}: the decay speed is not finite")
+    if g0 == 0.0:
+        return SolitaryExistence(False, None, "g(0, 0) = 0: no smooth solitary wave at any speed")
+    if abs(g0 - c) <= 1e-12 * max(1.0, abs(c)):
+        return SolitaryExistence(True, g0, f"decay is consistent only at the fixed speed c = g(0, 0) = {g0:g}")
+    return SolitaryExistence(False, g0, f"decay requires c = g(0, 0) = {g0:g}, but c = {c:g}")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -160,12 +161,25 @@ def test_twave_peakon(tmp_path, capsys):
 
 
 def test_twave_peakon_zero_amplitude(tmp_path, capsys):
-    # and a non-finite one, which would write a NaN profile
-    for a in ("0", "nan", "inf", "-inf"):
+    # and a non-finite one, which would write a NaN profile, and those
+    # whose speed 1/a^2 is not a positive finite float
+    for a in ("0", "nan", "inf", "-inf", "1e-200", "1e-160", "1e200"):
         code, _, err = run_cli(capsys, "--out", str(tmp_path), "twave", "peakon", f"--a={a}")
         assert code == 1
         assert "amplitude" in err
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("extreme", [("--c", "1e-300"), ("--c", "1e300"), ("--c", "1", "--xi-max", "1e308")])
+def test_twave_solitary_extreme_scales(tmp_path, capsys, extreme):
+    # U^3 overflows, U underflows, or the grid's span 2*xi_max overflows:
+    # one error line, no warning and no file, never a NaN in the JSON
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "--out", str(tmp_path), "twave", "solitary", "--b", "0.5", *extreme)
+    assert code == 1 and not out
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_spatial_example(capsys):
@@ -251,6 +265,18 @@ def _sim_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.mark.parametrize("number", ["NaN", "-Infinity", "1e400"])
+def test_simulate_rejects_a_number_json_cannot_write_back(tmp_path, capsys, number):
+    # the manifest repeats the config, so a NaN, an infinity or a number
+    # that overflows to inf is bad input even in a key the solver does not read
+    path = _sim_config(tmp_path)
+    path.write_text(path.read_text()[:-1] + f', "note": {number}}}')
+    code, _, err = run_cli(capsys, "--out", str(tmp_path / "out"), "simulate", str(path))
+    assert code == 1
+    assert err.startswith("error: invalid simulation config") and number in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_normal_run(tmp_path, capsys):

@@ -23,7 +23,6 @@ from peakonlaws.conslaw import (
     flux_h1,
     flux_momentum,
     multiplier_conditions,
-    upsilon,
 )
 from peakonlaws.expr import (
     ExprError,
@@ -1196,7 +1195,7 @@ def test_current_vocabulary_enforced():
 def test_upsilon_shape():
     from peakonlaws.expr import jet_vars
 
-    vars_present = {v.name for v in jet_vars(upsilon(CH))}
+    vars_present = {v.name for v in jet_vars(CH.upsilon)}
     assert "mt" in vars_present and "mx" in vars_present
 
 
@@ -1211,7 +1210,6 @@ def test_upsilon_is_built_once_per_equation(monkeypatch):
         assert characteristic_check(cur, eq, POL).conserved is True
     monkeypatch.undo()
     assert taken.count(gm) == 1 and len(taken) == 3
-    assert upsilon(eq) is eq.upsilon
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from peakonlaws import conslaw, expr, poly
-from peakonlaws.conslaw import EquationSpec, classify, upsilon
+from peakonlaws.conslaw import EquationSpec, classify
 from peakonlaws.expr import (
     Add,
     ExprError,
@@ -707,7 +707,7 @@ def test_multiplier_euler_equals_u_jet_round_trip(f, g, plain_euler):
     fluxes = classify(eq).fluxes
     assert fluxes
     for cur in fluxes:
-        _assert_same_euler(sub(d_t(cur.T), mul(cur.Q, upsilon(eq))), plain_euler)
+        _assert_same_euler(sub(d_t(cur.T), mul(cur.Q, eq.upsilon)), plain_euler)
 
 
 def test_euler_of_non_canonical_input(plain_euler):

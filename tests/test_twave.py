@@ -4,6 +4,7 @@ import platform
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from peakonlaws import pde, twave
-from peakonlaws.conslaw import EquationSpec, classify
+from peakonlaws.conslaw import EquationSpec, classify, flux_h1, flux_momentum
 from peakonlaws.pde import Grid, SimConfig, run
 from peakonlaws.twave import (
     SolitaryExistence,
@@ -45,8 +46,10 @@ def test_parameter_validation():
     for b, c in ((1.5, 1.0), (0.0, 1.0), (-0.2, 1.0), (0.5, 0.0), (0.5, -1.0)):
         with pytest.raises(ValueError):
             solitary_profile(b, c, XI)
-    with pytest.raises(ValueError):
-        peakon(0.0)
+    # a = 0, or 1/a^2 divides by an underflowed 0, overflows or underflows
+    for a in (0.0, 1e-200, 1e-160, 1e200):
+        with pytest.raises(ValueError, match="amplitude"):
+            peakon(a)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             solitary_profile(0.5, 1.0, np.array([0.0, 1.0, bad]))
@@ -248,6 +251,32 @@ def _hamiltonian_oracle(f1, g1, U, Up, Upp, c):
     return mom, h1, (Up * Up - U * U) * (U * F1t + G1t - c)
 
 
+def _third_order_oracle(b, c, dxi, xi_max=15.0):
+    """The singular equation's third-order residual, written out by hand: (rms, max, peak excluded).
+
+    -c(U' - U''') + U'(U - U'')/U^3 + ((U - U'')/U^2)' on the grid and the
+    8th-order stencils of solitary_ode_residual, U'' from the closed form,
+    and the same rule for leaving out the peak zone.
+    """
+    n = int(round(xi_max / dxi))
+    xi = np.arange(-4, n + 5) * dxi
+    U = twave._solitary_U(b, c, np.abs(xi))
+    w1 = np.array([3, -32, 168, -672, 0, 672, -168, 32, -3], dtype=float) / (840 * dxi)
+    w3 = np.array([-7, 72, -338, 488, 0, -488, 338, -72, 7], dtype=float) / (240 * dxi**3)
+    idx = np.arange(4, n + 5)
+    Up1 = sum(w * U[idx + j] for j, w in zip(range(-4, 5), w1))
+    Up3 = sum(w * U[idx + j] for j, w in zip(range(-4, 5), w3))
+    Uc, xic = U[idx], xi[idx]
+    Up1 = np.where(np.abs(xic) < 0.5 * dxi, 0.0, Up1)
+    Upp = _usecond(Uc, b, c)
+    r3 = -c * (Up1 - Up3) + Up1 * (Uc - Upp) / Uc**3 + ((Up1 - Up3) / Uc**2 - 2.0 * Up1 * (Uc - Upp) / Uc**3)
+    peak = np.abs(xic) < 0.05
+    excluded = bool(np.any(np.abs(r3[peak]) > 1e-6))
+    if excluded:
+        r3 = r3[~peak]
+    return float(np.sqrt(np.mean(r3 * r3))), float(np.max(np.abs(r3))), excluded
+
+
 def _currents(f, g):
     """The currents classify builds for m_t + f*m + (g*m)_x = 0, by name."""
     return {cur.name: cur for cur in classify(EquationSpec.from_strings(f, g)).fluxes}
@@ -319,6 +348,29 @@ def test_third_order_residual_spec_step():
     # at dxi = 1e-3 the floor is set by rounding, not by the identity
     r = solitary_ode_residual(solitary_profile(0.5, 1.0, XI), dxi=1e-3)
     assert r.third_order_rms < 5e-3
+
+
+@pytest.mark.parametrize("dxi", [1e-2, 1e-3])
+@pytest.mark.parametrize("b, c", [(0.3, 1.0), (0.5, 1.0), (0.9, 2.0), (0.6, 1.3)])
+def test_third_order_residual_is_the_hand_formula(b, c, dxi):
+    # Upsilon of EquationSpec along the wave against the formula written out
+    # by hand: they differ in rounding only, by at most 9.1e-13 measured
+    # (third_order_max at b = 0.9, c = 2, at both steps)
+    r = solitary_ode_residual(solitary_profile(b, c, XI), dxi=dxi)
+    rms, top, excluded = _third_order_oracle(b, c, dxi)
+    assert r.peak_excluded is excluded
+    assert abs(r.third_order_rms - rms) <= 2e-12
+    assert abs(r.third_order_max - top) <= 2e-12
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e300])
+def test_residual_rejects_values_that_are_not_finite(c):
+    # U^3 overflows at c = 1e-300 and U underflows at c = 1e300: an error, not a NaN or a warning
+    p = solitary_profile(0.5, c, XI)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            solitary_ode_residual(p)
 
 
 def test_residual_rejects_peakon_profile():
@@ -412,8 +464,6 @@ def test_ch_first_integral_constant_along_numerical_wave():
 def test_solitary_wave_transport_in_simulator():
     # image-sum periodized profile run under the singular equation:
     # crest speed within 1% of c over t in [0,5] (measured 0.35%)
-    import warnings
-
     eq = EquationSpec.from_strings("ux/u^3", "1/u^2")
     cfg = SimConfig(
         20.0, 1024, 4e-5, 5.0, eq,
@@ -475,11 +525,41 @@ def test_hamiltonian_first_integrals_on_arbitrary_data():
 
 def test_smooth_solitary_analysis():
     # CH: f1 = 1, g1 = 0 -> no smooth solitary waves
-    res = smooth_solitary_analysis([1.0], [0.0], 2.0)
+    res = smooth_solitary_analysis(EquationSpec.from_strings("ux", "u"), 2.0)
     assert isinstance(res, SolitaryExistence) and res.possible is False
     # mCH-type instance f1 = 0, g1 = y: g1(0) = 0 -> none either
-    assert smooth_solitary_analysis([0.0], [0.0, 1.0], 1.0).possible is False
+    assert smooth_solitary_analysis(EquationSpec.from_strings("0", "u^2-ux^2"), 1.0).possible is False
     # nonzero g1(0) pins the speed
-    res = smooth_solitary_analysis([1.0], [2.0, 1.0], 2.0)
+    eq = EquationSpec.from_strings("ux", "u + 2 + (u^2-ux^2)")
+    res = smooth_solitary_analysis(eq, 2.0)
     assert res.possible is True and res.fixed_speed == 2.0
-    assert smooth_solitary_analysis([1.0], [2.0, 1.0], 3.0).possible is False
+    assert smooth_solitary_analysis(eq, 3.0).possible is False
+
+
+@pytest.mark.parametrize("f, g, reason", [("ux/u^3", "1/u^2", "no momentum"),
+                                          ("ux + 0.5*u/(u^2-ux^2)", "u", "no momentum"),
+                                          ("ux/(u^2-ux^2)", "u/(u^2-ux^2)", "not finite")])
+def test_smooth_solitary_analysis_outside_the_family(f, g, reason):
+    # the singular equation conserves no momentum, the pole member's
+    # momentum flux holds x, and f1 = 1/y has both currents but g(0, 0) = 0/0
+    with pytest.raises(ValueError, match=reason):
+        smooth_solitary_analysis(EquationSpec.from_strings(f, g), 1.0)
+
+
+@pytest.mark.parametrize("c", [0.3, 1.0])
+def test_decay_identity_read_off_the_currents(c):
+    # f1 = 1 + y/2, g1 = 0.3 + y^2/4: (h1 - 2*U*mom)/(U'^2 - U^2) = U*F1t + G1t - c
+    # off-shell, so it does not depend on U'', and it tends to g(0, 0) - c,
+    # whose zero smooth_solitary_analysis reads.  Measured at U = eps,
+    # U' = eps/2: spread over U'' 7.2e-12 at eps = 1e-4, and distance to
+    # g(0, 0) - c 1.00002*eps at eps = 1e-2 and 1.0000000304*eps at 1e-4
+    eq = EquationSpec.from_strings(*_family([1.0, 0.5], [0.3, 0.0, 0.25]))
+    mom, h1 = flux_momentum(eq), flux_h1(eq)
+    for eps in (1e-2, 1e-4):
+        U, Up = eps, eps / 2.0
+        ratio = [(first_integral(h1, c, U, Up, Upp) - 2.0 * U * first_integral(mom, c, U, Up, Upp)) / (Up * Up - U * U)
+                 for Upp in (-1.0, 0.0, 1.0, 10.0)]
+        assert np.ptp(ratio) < 1e-10
+        assert abs(ratio[0] - (0.3 - c)) <= 1.1 * eps
+    res = smooth_solitary_analysis(eq, c)
+    assert res.fixed_speed == 0.3 and res.possible is (c == 0.3)
