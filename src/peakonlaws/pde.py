@@ -26,6 +26,12 @@ when sup|u_x| crosses the configured threshold.  Equations whose f or g
 has a singular locus (a pole or branch point, expr.singular_loci) get a
 floor on the value of every locus on the grid, read from the same
 program pass.
+
+The series and snapshot CSVs (and the twave CSV of the command line) are
+written by one vectorized writer (_fields, _csv_text): its bytes equal
+Python's "%.17g" % v, value by value.  It forms the 17 digits of a whole
+column by an error-free product with 10^p, and a value the product cannot
+be shown exact for is formatted by "%.17g" itself.
 """
 
 from __future__ import annotations
@@ -92,17 +98,11 @@ class Grid:
     def dx(self) -> float:
         return self.length / self.n
 
-    # the cached arrays are read-only and x_text a tuple: every caller
-    # shares them
+    # the cached arrays are read-only: every caller shares them
 
     @cached_property
     def x(self) -> np.ndarray:
         return _frozen(np.arange(self.n) * self.dx)
-
-    @cached_property
-    def x_text(self) -> tuple:
-        """x to 17 significant digits, as the snapshot CSV writes it."""
-        return tuple(["%.17g" % v for v in self.x.tolist()])
 
     @cached_property
     def k(self) -> np.ndarray:
@@ -695,29 +695,203 @@ def check_apriori_bounds(series: ConservedSeries, l2m_conserved: bool = True) ->
 
 
 # ---------------------------------------------------------------------------
-# csv output (17 significant digits: round-trip exact doubles), the bytes
-# csv.writer writes: numbers need no quoting, and rows end in \r\n
+# csv output: every number as "%.17g" % v writes it (17 significant digits
+# round-trip every double), with the bytes csv.writer writes: numbers need
+# no quoting, and rows end in \r\n.  _fields formats a column at a time
+# into NUL-padded fields, _csv_text joins them into rows and drops the pad.
 
 
-def _row_format(n_columns: int) -> str:
-    return ",".join(["%.17g"] * n_columns) + "\r\n"
+_VECTOR_MIN = 64  # fewer values are formatted one by one: below it the vector path costs more
+_TIE_MARGIN = 1e-6  # far above the error of |x|*10^p where 10^p is not a double
+
+
+@dataclass(frozen=True)
+class _Tables:
+    """What _fields reads, built on the first write (_tables), not at import.
+
+    A field is 48 bytes: six little-endian uint64 words, NUL the pad byte.
+    - Word 0: the sign, "0.000" (prefix: fixed notation below 1) and the
+      first digit with its "." slot (lead).
+    - Words 1-4: 4 digits each, each followed by a "." slot (spread).
+    - Word 5: "e-ddd" (suffix), and in its last bytes the separator that
+      _csv_text writes.
+    masks keeps the digits shown and the one "." that is.  The tables read
+    by p = 16 - k (k the decimal exponent) hold 10^p = hi + lo, hi rounded
+    to a double and lo the rest rounded (both from exact integers), and
+    hi's halves hi_high + hi_low (_split).
+    """
+
+    spread: np.ndarray  # [w]: the 4-digit word w, each digit followed by "."
+    lead: np.ndarray  # [d]: word 0 with first digit d, and "." after it
+    last: np.ndarray  # [j, w]: digits through the last nonzero one of w as word j; 1 for w = 0
+    masks: np.ndarray  # [j, 18 keep + dot]: what word j shows of the first keep digits and the "."
+    hi: np.ndarray
+    hi_high: np.ndarray
+    hi_low: np.ndarray
+    lo: np.ndarray
+    prefix: np.ndarray
+    suffix: np.ndarray
+    min_keep: np.ndarray  # the digits before the ".", kept when they are 0
+    dot: np.ndarray  # 1 + the digit the "." follows, 0 for none
+
+
+@cache
+def _tables() -> _Tables:
+    words = np.frombuffer("".join([f"{w:04d}" for w in range(10_000)]).encode(), np.uint8).reshape(-1, 4)
+    spread = np.full((10_000, 8), ord("."), np.uint8)
+    spread[:, ::2] = words
+    lead = np.zeros((10, 8), np.uint8)
+    lead[:, 6], lead[:, 7] = np.arange(ord("0"), ord("0") + 10), ord(".")
+    significant = 4 - np.argmax(words[:, ::-1] != ord("0"), axis=1)
+    significant[0] = 0
+    start = np.arange(1, 17, 4)[:, None]  # the first digit of each word
+    last = np.where(significant > 0, start + significant, 1)
+    # the first digit is byte 6 of word 0, always shown; digit i >= 1 is
+    # byte 2((i-1) % 4) of word 1 + (i-1)//4; a "." is one byte on
+    byte = [(0, 6)] + [(1 + (i - 1) // 4, 2 * ((i - 1) % 4)) for i in range(1, 17)]
+    masks = np.zeros((5, 18, 18, 8), np.uint8)  # [word, keep, 1 + dot, byte]
+    masks[0, :, :, :7] = 0xFF
+    for keep in range(1, 18):
+        for word, at in byte[1:keep]:
+            masks[word, keep, :, at] = 0xFF
+        for dot, (word, at) in enumerate(byte[: keep - 1]):
+            masks[word, keep, dot + 1, at + 1] = 0xFF
+    hi = np.array([float(10**p) for p in range(299)])
+    k = 16 - np.arange(299)
+    prefix = [b"\0" + b"0." + b"0" * (-e - 1) if -4 <= e < 0 else b"" for e in k.tolist()]
+    suffix = [b"e-%02d" % -e if e < -4 else b"" for e in k.tolist()]
+    return _Tables(
+        spread.view("<u8").ravel(),
+        lead.view("<u8").ravel(),
+        last.astype(np.int8),
+        masks.reshape(5, 18 * 18, 8).view("<u8")[..., 0],
+        hi,
+        *_split(hi),
+        np.array([float(10**p - int(h)) for p, h in enumerate(hi.tolist())]),
+        np.frombuffer(b"".join([t.ljust(8, b"\0") for t in prefix]), "<u8"),
+        np.frombuffer(b"".join([t.ljust(8, b"\0") for t in suffix]), "<u8"),
+        np.maximum(k + 1, 0).astype(np.intp),
+        np.where(k >= 0, k + 1, np.where(k < -4, 1, 0)),
+    )
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of a into two 26-bit halves, a = high + low exactly."""
+    c = 134217729.0 * a  # 2^27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _fields(values: np.ndarray) -> np.ndarray:
+    """Each value as "%.17g" % v writes it: a NUL-padded (n, 6) uint64 block.
+
+    For 1e-280 < |x| < 1e16, with k = floor(log10|x|) and p = 16 - k, the
+    17 digits are |x|*10^p rounded half to even to an integer.  The product
+    is error-free (Dekker) against 10^p = hi + lo, so it is exact where 10^p
+    is a double (p <= 22) and within 1e-14 elsewhere.  The per-value
+    "%.17g" (_fields_per_value) formats every other value: 0, NaN, the
+    infinities, |x| outside that range, a k that log10 misplaced (the
+    digits fall outside [10^16, 10^17)), and, where p > 22, a product within
+    _TIE_MARGIN of a rounding tie or of 10^16.  It formats all of fewer
+    than _VECTOR_MIN values.
+    """
+    values = np.ravel(values).astype(float, copy=False)
+    if values.size < _VECTOR_MIN:
+        return _fields_per_value(values)
+    tables = _tables()
+    a = np.abs(values)
+    in_range = (a > 1e-280) & (a < 1e16)
+    a = np.where(in_range, a, 1.0)
+    p = 16 - np.floor(np.log10(a)).astype(np.intp)
+    # a*hi = prod + err exactly (Dekker's product), so the digits are
+    # prod + round(err + a*lo), prod an even integer (it is >= 2^53)
+    hi_high, hi_low = tables.hi_high[p], tables.hi_low[p]
+    prod = a * tables.hi[p]
+    a_high, a_low = _split(a)
+    err = ((a_high * hi_high - prod) + a_high * hi_low + a_low * hi_high) + a_low * hi_low
+    rest = err + a * tables.lo[p]
+    ones = np.rint(rest)
+    digits = prod.astype(np.int64) + ones.astype(np.int64)
+    # |x|*10^p - 10^16, its sign exact where p <= 22: below 0, log10 gave a
+    # k one too large
+    excess = prod - 1e16 + rest
+    ok = in_range & (excess >= 0.0) & (digits < 10**17)
+    inexact = p > 22
+    if inexact.any():
+        near = (excess < _TIE_MARGIN) | (np.abs(np.abs(rest - ones) - 0.5) < _TIE_MARGIN)
+        ok &= ~(inexact & near)
+    fields = _layout(values < 0, p, np.where(ok, digits, 10**16), tables)
+    if not ok.all():
+        fields[~ok] = _fields_per_value(values[~ok])
+    return fields
+
+
+def _fields_per_value(values: np.ndarray) -> np.ndarray:
+    """_fields of each value by the per-value "%.17g"."""
+    text = b"".join([("%.17g" % v).encode().ljust(48, b"\0") for v in values.tolist()])
+    return np.frombuffer(text, "<u8").reshape(-1, 6).copy()
+
+
+def _layout(negative: np.ndarray, p: np.ndarray, digits: np.ndarray, tables: _Tables) -> np.ndarray:
+    """%g's text of sign * digits * 10^-p, digits in [10^16, 10^17).
+
+    Fixed notation for -4 <= k < 17 (k = 16 - p), else d.ddde-XX; no
+    trailing zeros, and no "." without a digit after it.
+    """
+    lead = digits // 10**16
+    rest = digits - lead * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    words = [upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4]
+    # digits shown: through the last nonzero one, and all before the "."
+    last = reduce(np.maximum, [table[w] for table, w in zip(tables.last, words)])
+    shown = 18 * np.maximum(last, tables.min_keep[p]) + tables.dot[p]
+    fields = np.empty((digits.size, 6), "<u8")
+    fields[:, 0] = (tables.prefix[p] | tables.lead[lead] | negative * np.uint64(ord("-"))) & tables.masks[0][shown]
+    for j, w in enumerate(words, 1):
+        fields[:, j] = tables.spread[w] & tables.masks[j][shown]
+    fields[:, 5] = tables.suffix[p]
+    return fields
+
+
+def _csv_text(columns, newline: str) -> str:
+    """Rows of the columns' fields (_fields), joined by "," and ended by newline.
+
+    A column holds one field a row, or one field for every row.  Each
+    separator is written into the last bytes of its field, which _fields
+    leaves NUL; then the pad bytes are dropped.
+    """
+    separators = [b","] * (len(columns) - 1) + [newline.encode()]
+    rows = np.empty((max(len(c) for c in columns), len(columns), 6), "<u8")
+    for j, fields in enumerate(columns):
+        rows[:, j] = fields
+    rows[:, :, 5] |= np.array([int.from_bytes(s.rjust(8, b"\0"), "little") for s in separators], "<u8")
+    return rows.tobytes().translate(None, b"\0").decode()
+
+
+def _table_text(columns: list, newline: str) -> str:
+    """_csv_text of float columns of one length, formatted in one _fields call."""
+    return _csv_text(_fields(np.stack(columns)).reshape(len(columns), -1, 6), newline)
 
 
 def write_series_csv(path: str, series: ConservedSeries):
     arrays = series.arrays()
-    columns = [arrays[k].tolist() for k in _SERIES_COLUMNS]
-    row = _row_format(len(columns))
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_SERIES_COLUMNS) + "\r\n")
-        fh.write("".join([row % values for values in zip(*columns)]))
+        fh.write(_table_text([arrays[k] for k in _SERIES_COLUMNS], "\r\n"))
+
+
+@lru_cache(maxsize=8)
+def _x_fields(grid: Grid) -> np.ndarray:
+    return _frozen(_fields(grid.x))
 
 
 def write_snapshots_csv(path: str, grid: Grid, snapshots: list):
-    # x is formatted once per grid (Grid.x_text), and t once per snapshot
-    # into the row format's literal text ("%.17g" writes no "%")
-    x = grid.x_text
+    # x is formatted once per grid, and each snapshot on its own, so the
+    # blocks stay small
+    x = _x_fields(grid)
     with open(path, "w", newline="") as fh:
         fh.write("t,x,u,m\r\n")
         for t, u, m in snapshots:
-            row = "%.17g" % t + ",%s,%.17g,%.17g\r\n"
-            fh.write("".join([row % values for values in zip(x, u.tolist(), m.tolist())]))
+            u, m, t = np.split(_fields(np.concatenate([u, m, [t]])), [grid.n, 2 * grid.n])
+            fh.write(_csv_text([t, x, u, m], "\r\n"))

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -325,6 +326,13 @@ def first_integral(cur: conslaw.ConservedCurrent, c: float, U, Up, Upp):
     return ex.evaluate(ex.sub(cur.Phi, ex.mul(c, cur.T)), point)
 
 
+@cache
+def _singular_equation() -> tuple:
+    """The singular equation's compiled Upsilon, and its L2(m) and H1 currents, built once per process."""
+    eq = conslaw.EquationSpec.from_strings("ux/u^3", "1/u^2")
+    return ex.compile_terms(eq.upsilon), (conslaw.flux_grad_energy(eq, 2.0, 0.0), conslaw.flux_h1(eq))
+
+
 @np.errstate(all="ignore")
 def solitary_ode_residual(
     profile: WaveProfile,
@@ -350,7 +358,7 @@ def solitary_ode_residual(
     if profile.kind != "solitary":
         raise ValueError("residual diagnostics expect a solitary profile")
     b, c = profile.b, profile.c
-    eq = conslaw.EquationSpec.from_strings("ux/u^3", "1/u^2")
+    upsilon, currents = _singular_equation()
     # (i) on the profile's own grid, away from the exact peak point
     mask = np.abs(profile.xi) > 1e-12
     U, xi = profile.U[mask], profile.xi[mask]
@@ -375,7 +383,7 @@ def solitary_ode_residual(
     Up1 = np.where(np.abs(xic) < 0.5 * dxi, 0.0, Up1)
     mx = Up1 - Up3
     point = {"u": Uc, "ux": Up1, "m": Uc - _usecond(Uc, b, c), "mx": mx, "mt": -c * mx}
-    r3 = sum(ex.compile_terms(eq.upsilon)(point))
+    r3 = sum(upsilon(point))
     peak_zone = np.abs(xic) < 0.05
     peak_excluded = bool(np.any(np.abs(r3[peak_zone]) > 1e-6))
     if peak_excluded:
@@ -385,7 +393,7 @@ def solitary_ode_residual(
     wave = solitary_profile(b, c, np.linspace(0.05, min(xi_max, 10.0), 400))
     c1_vals, c2_vals = (
         first_integral(cur, c, wave.U, wave.Uprime, _usecond(wave.U, b, c))
-        for cur in (conslaw.flux_grad_energy(eq, 2.0, 0.0), conslaw.flux_h1(eq))
+        for cur in currents
     )
     c2_expected = 2.0 - b * b
     res = SolitaryResiduals(

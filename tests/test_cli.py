@@ -7,9 +7,10 @@ import textwrap
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from peakonlaws import cli
+from peakonlaws import cli, twave
 from peakonlaws.cli import main
 
 
@@ -132,6 +133,11 @@ def test_twave_solitary(tmp_path, capsys):
     csv_lines = (tmp_path / "twave_solitary.csv").read_text().splitlines()
     assert csv_lines[0] == "xi,U,Uprime"
     assert len(csv_lines) == 202
+    # each number as f"{v:.17g}" writes it, rows ended by "\n"
+    profile = twave.solitary_profile(0.5, 1.0, np.linspace(-15.0, 15.0, 201))
+    rows = zip(profile.xi.tolist(), profile.U.tolist(), profile.Uprime.tolist())
+    expected = "xi,U,Uprime\n" + "".join([",".join([f"{v:.17g}" for v in row]) + "\n" for row in rows])
+    assert (tmp_path / "twave_solitary.csv").read_text() == expected
 
 
 def test_twave_solitary_range_error(capsys):
@@ -299,6 +305,7 @@ def test_simulate_reproducible_bytes(tmp_path, capsys):
     assert run_cli(capsys, "--out", str(out1), "simulate", str(path))[0] == 0
     assert run_cli(capsys, "--out", str(out2), "simulate", str(path))[0] == 0
     assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
+    assert (out1 / "snaps.csv").read_bytes() == (out2 / "snaps.csv").read_bytes()
 
 
 def test_simulate_bad_config(tmp_path, capsys):
